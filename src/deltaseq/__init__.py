@@ -13,9 +13,6 @@ The library groups into five layers:
   positive control (:mod:`deltaseq.kstest`, :mod:`deltaseq.mtp`);
 * study harnesses and data synthesis (:mod:`deltaseq.experiments`,
   :mod:`deltaseq.synth`).
-
-Heavy kernels run through numba when available; set DELTASEQ_NUMBA=0 to
-force the pure numpy fallback. Both backends produce identical bytes.
 """
 
 __version__ = "0.1.0"

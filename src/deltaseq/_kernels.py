@@ -1,35 +1,13 @@
-"""Hot numeric kernels: numba-accelerated with a pure-numpy fallback.
-
-The backend is chosen at import time. numba is used when it imports cleanly
-unless the environment variable ``DELTASEQ_NUMBA`` is set to one of
-``0/false/off/no``, in which case the numpy implementations run instead.
-Both backends perform the same arithmetic in the same order, so results are
-bit-for-bit identical; ``tests/test_kernels.py`` asserts that parity and
-``benchmarks/bench_kernels.py`` compares their throughput.
-"""
+"""Hot numeric kernels: batched two-sample KS statistics on the integer
+lattice and fixed-width histogram accumulation, in numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _flag_enabled(raw: str | None) -> bool:
-    if raw is None:
-        return True
-    return raw.strip().lower() not in {"0", "false", "off", "no"}
-
-
-_WANT_NUMBA = _flag_enabled(os.environ.get("DELTASEQ_NUMBA"))
-
-try:
-    import numba
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
+# Constants because clibench/run.py:machine_facts reads them; numpy is the only backend.
+ACTIVE_BACKEND = "numpy"
+HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +24,8 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
 # ---------------------------------------------------------------------------
 
 
-def ks_scaled_batch_numpy(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-numpy batch KS: returns (n1*n2*D as int64, cross-sample tie flags)."""
+def ks_scaled_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batch KS: returns (n1*n2*D as int64, cross-sample tie flags)."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     m, n1 = a.shape
@@ -67,98 +45,15 @@ def ks_scaled_batch_numpy(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.
     return out.astype(np.int64), ties
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _ks_scaled_batch_jit(a, b, out, ties):  # pragma: no cover - compiled
-        m, n1 = a.shape
-        n2 = b.shape[1]
-        for r in prange(m):
-            i = 0
-            j = 0
-            h = 0
-            best = 0
-            tie = False
-            while i < n1 or j < n2:
-                if j >= n2 or (i < n1 and a[r, i] <= b[r, j]):
-                    v = a[r, i]
-                else:
-                    v = b[r, j]
-                took_a = False
-                took_b = False
-                while i < n1 and a[r, i] == v:
-                    h += n2
-                    i += 1
-                    took_a = True
-                while j < n2 and b[r, j] == v:
-                    h -= n1
-                    j += 1
-                    took_b = True
-                if took_a and took_b:
-                    tie = True
-                ah = h if h >= 0 else -h
-                if ah > best:
-                    best = ah
-            out[r] = best
-            ties[r] = tie
-
-    def ks_scaled_batch_numba(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Numba batch KS; sorts each row then merges, identical output to numpy path."""
-        a = np.sort(np.ascontiguousarray(a, dtype=np.float64), axis=1)
-        b = np.sort(np.ascontiguousarray(b, dtype=np.float64), axis=1)
-        m = a.shape[0]
-        out = np.empty(m, dtype=np.int64)
-        ties = np.zeros(m, dtype=np.bool_)
-        _ks_scaled_batch_jit(a, b, out, ties)
-        return out, ties
-
-
 # ---------------------------------------------------------------------------
 # Fixed-width histogram accumulation.
 #
 # Bin index is floor((v - lo) * scale) with scale = nbins / (hi - lo),
 # clipped into [0, nbins-1]; the last bin is therefore closed on the right.
-# The same expression runs in both backends so bin assignment is identical.
 # ---------------------------------------------------------------------------
 
 
-def hist_accumulate_numpy(values: np.ndarray, lo: float, scale: float, counts: np.ndarray) -> None:
+def hist_accumulate(values: np.ndarray, lo: float, scale: float, counts: np.ndarray) -> None:
     idx = ((values - lo) * scale).astype(np.int64)
     np.clip(idx, 0, counts.shape[0] - 1, out=idx)
     counts += np.bincount(idx, minlength=counts.shape[0]).astype(np.int64)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _hist_accumulate_jit(values, lo, scale, counts):  # pragma: no cover - compiled
-        nbins = counts.shape[0]
-        for k in range(values.shape[0]):
-            t = (values[k] - lo) * scale
-            idx = np.int64(t)
-            if idx < 0:
-                idx = 0
-            elif idx >= nbins:
-                idx = nbins - 1
-            counts[idx] += 1
-
-    def hist_accumulate_numba(values: np.ndarray, lo: float, scale: float, counts: np.ndarray) -> None:
-        _hist_accumulate_jit(np.ascontiguousarray(values.ravel(), dtype=np.float64), lo, scale, counts)
-
-
-if _WANT_NUMBA and HAVE_NUMBA:
-    ACTIVE_BACKEND = "numba"
-    ks_scaled_batch = ks_scaled_batch_numba
-    hist_accumulate = hist_accumulate_numba
-else:
-    ACTIVE_BACKEND = "numpy"
-    ks_scaled_batch = ks_scaled_batch_numpy
-    hist_accumulate = hist_accumulate_numpy
-
-
-def set_threads(threads: int | None) -> None:
-    """Cap numba's worker pool. Results never depend on the thread count."""
-    if threads is None or not (HAVE_NUMBA and ACTIVE_BACKEND == "numba"):
-        return
-    limit = numba.config.NUMBA_NUM_THREADS
-    numba.set_num_threads(max(1, min(int(threads), limit)))

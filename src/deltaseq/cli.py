@@ -6,9 +6,11 @@ input files, so a result directory is self-describing. Exit codes: 0 on
 success, 1 for bad input or data problems, 2 when a computation exceeds its
 resource budget, 64 for usage errors.
 
-Parameters may come from a JSON config file (``--config``); values given on
-the command line win over the file. ``--threads`` only sets the kernel
-thread count and never changes any output.
+Each subcommand is one entry of ``COMMANDS``: its parameters, each declared
+once with its default and help, and a compute function that returns the line
+to print and the files to write. One runner does the rest. Parameters may
+come from a JSON config file (``--config``); values given on the command line
+win over the file.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
-from . import __version__, _kernels
+from . import __version__
 from .corrstats import all_pairs_summary, histogram_to_csv, summary_header_json, z_summary
 from .datamodel import load_matrix, log_transform, matrix_to_tsv
 from .dependence import (
@@ -38,6 +42,7 @@ from .errors import (
 )
 from .experiments import (
     InjectionConfig,
+    _mode_rows,
     cross_phenotype_exceedance,
     effect_injection_experiment,
     jackknife_stability,
@@ -46,8 +51,8 @@ from .experiments import (
     two_sample_screen,
 )
 from .kstest import ks_exact_cdf, ks_exact_pvalue
-from .mtp import report_to_csv, report_to_json
-from .ordering import delta_sequence, delta_to_tsv, even_rank_genes, ordering_to_csv, variance_ordering
+from .mtp import json_dumps, report_to_csv, report_to_json
+from .ordering import delta_sequence, delta_to_tsv, ordering_to_csv, variance_ordering
 from .synth import NoiseModel, add_noise, generate_chain_matrix, generate_null_matrix, spec_from_json, spec_to_dict
 
 _DATA_ERRORS = (ParseError, ValidationError, DomainError, StateError, DegenerateInputError)
@@ -63,22 +68,56 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _json_dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+@dataclass(frozen=True)
+class Param:
+    """One flag of a subcommand.
+
+    A parameter is resolved from the flag, then the ``--config`` file (under
+    its dest), then ``default``; a required one with no value is a usage
+    error. An ``input`` flag instead names a file, never comes from the
+    config, and lands in the manifest's digests: a ``"matrix"`` is loaded
+    with the command's ``--log2``/``--no-header`` before compute sees it, a
+    ``"file"`` is handed over as its path.
+    """
+
+    flag: str
+    help: str
+    default: object = None
+    type: Callable | None = None
+    choices: tuple[str, ...] | None = None
+    nargs: int | None = None
+    metavar: tuple[str, ...] | None = None
+    switch: bool = False  # takes no value; present means True
+    required: bool = False
+    input: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+@dataclass(frozen=True)
+class Output:
+    """What a compute function returns: the line printed on stdout, the files
+    written under ``--out`` (name -> text), and for the manifest the seed of a
+    command without a ``--seed`` parameter plus extra config entries."""
+
+    stdout: str
+    files: dict[str, str]
+    seed: int | None = None
+    config: dict = field(default_factory=dict)
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+@dataclass(frozen=True)
+class Command:
+    """``compute(cfg, *inputs)`` gets the resolved parameters and one value
+    per input flag, in declaration order (None for an absent optional one)."""
 
-
-def _ensure_out(out: str) -> Path:
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    name: str
+    help: str
+    compute: Callable[..., Output]
+    params: tuple[Param, ...]
+    out_required: bool = True
 
 
 def _resolve(ns, defaults: dict) -> dict:
@@ -107,6 +146,15 @@ def _resolve(ns, defaults: dict) -> dict:
     return resolved
 
 
+def _sha256(path: str) -> str:
+    # read in chunks: a whole input file would sit in memory beside the reports
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _manifest(outdir: Path, command: str, cfg: dict, inputs: list[str], seed=None) -> None:
     payload = {
         "command": command,
@@ -115,7 +163,7 @@ def _manifest(outdir: Path, command: str, cfg: dict, inputs: list[str], seed=Non
         "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()},
         "inputs": {name: _sha256(name) for name in inputs},
     }
-    _write(outdir / "manifest.json", _json_dumps(payload))
+    (outdir / "manifest.json").write_text(json_dumps(payload), encoding="utf-8")
 
 
 def _load(path: str, cfg: dict):
@@ -126,392 +174,305 @@ def _load(path: str, cfg: dict):
     return matrix
 
 
-def _add_io(sub, second: bool = False) -> None:
-    sub.add_argument("--in", dest="infile", required=True, help="expression matrix (TSV)")
-    if second:
-        sub.add_argument("--in2", dest="infile2", required=True, help="second matrix (TSV)")
-    sub.add_argument("--log2", action="store_const", const=True,
-                     help="input is raw scale; apply log2 on load")
-    sub.add_argument("--no-header", dest="no_header", action="store_const", const=True,
-                     help="input has no header line")
-
-
-def _add_common(sub, out_required: bool) -> None:
-    sub.add_argument("--out", required=out_required, help="output directory")
-    sub.add_argument("--config", help="JSON file with parameter defaults")
-    sub.add_argument("--threads", type=int, help="kernel thread count (never affects results)")
-
-
-_LOAD_DEFAULTS = {"log2": False, "no_header": False}
-
-
-# -- subcommand handlers ----------------------------------------------------
-
-
-def _cmd_check(ns) -> int:
-    cfg = _resolve(ns, dict(_LOAD_DEFAULTS))
-    m = _load(ns.infile, cfg)
-    lo = float(m.values.min())
-    hi = float(m.values.max())
-    print(f"{m.n_genes} genes x {m.n_arrays} arrays, log_scale={m.log_scale}, "
-          f"values in [{lo!r}, {hi!r}]")
+def _run(command: Command, ns) -> int:
+    """Resolve parameters, load inputs, compute, then write the files and the
+    manifest under ``--out`` (when given) and print the command's line."""
+    cfg = _resolve(ns, {p.dest: p.default for p in command.params if not p.input})
+    missing = [p.flag for p in command.params
+               if p.required and not p.input and cfg[p.dest] is None]
+    if missing:
+        raise UsageError(f"{command.name} needs {' and '.join(missing)}")
+    paths = [(p, getattr(ns, p.dest)) for p in command.params if p.input]
+    inputs = [(_load(path, cfg) if p.input == "matrix" else path) if path else None
+              for p, path in paths]
+    result = command.compute(cfg, *inputs)
     if ns.out:
-        outdir = _ensure_out(ns.out)
-        _write(outdir / "check.json", _json_dumps({
-            "genes": m.n_genes, "arrays": m.n_arrays, "log_scale": m.log_scale,
-            "min": lo, "max": hi,
-        }))
-        _manifest(outdir, "check", cfg, [ns.infile])
-    print("ok")
+        outdir = Path(ns.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in result.files.items():
+            (outdir / name).write_text(text, encoding="utf-8")
+        _manifest(outdir, command.name, {**cfg, **result.config},
+                  [path for _, path in paths if path], seed=cfg.get("seed", result.seed))
+    print(result.stdout)
     return 0
 
 
-def _corr_rows(matrix, on: str):
+# -- compute functions --------------------------------------------------------
+# Library functions are looked up as module globals at call time, never stored
+# in the table, so a caller that rebinds them (for tracing) sees every call.
+
+
+def _on_rows(matrix, on: str, choices: tuple[str, ...]):
+    """The rows ``--on`` names: the genes as loaded, or the rows of one of the
+    experiments' modes, where "even" is mode "expression"."""
+    if on not in choices:
+        listed = (" or ".join(choices) if len(choices) == 2
+                  else f"{', '.join(choices[:-1])}, or {choices[-1]}")
+        raise ValidationError(f"--on must be {listed}, got {on!r}")
     if on == "genes":
         return matrix
-    ordering = variance_ordering(matrix)
-    if on == "delta":
-        return delta_sequence(matrix, ordering)
-    if on == "even":
-        return matrix.values[even_rank_genes(ordering)]
-    raise ValidationError(f"--on must be genes, delta, or even, got {on!r}")
+    return _mode_rows(matrix, variance_ordering(matrix), "expression" if on == "even" else on)
 
 
-def _cmd_corr(ns) -> int:
-    cfg = _resolve(ns, {**_LOAD_DEFAULTS, "on": "genes", "bins": 50, "z": False})
-    m = _load(ns.infile, cfg)
-    rows = _corr_rows(m, cfg["on"])
-    summary = z_summary(rows, bins=cfg["bins"]) if cfg["z"] else all_pairs_summary(rows, bins=cfg["bins"])
-    outdir = _ensure_out(ns.out)
-    _write(outdir / "histogram.csv", histogram_to_csv(summary.histogram))
-    _write(outdir / "summary.json", summary_header_json(summary))
-    _manifest(outdir, "corr", cfg, [ns.infile])
+def _check(cfg, m) -> Output:
+    lo = float(m.values.min())
+    hi = float(m.values.max())
+    return Output(
+        f"{m.n_genes} genes x {m.n_arrays} arrays, log_scale={m.log_scale}, "
+        f"values in [{lo!r}, {hi!r}]\nok",
+        {"check.json": json_dumps({"genes": m.n_genes, "arrays": m.n_arrays,
+                                   "log_scale": m.log_scale, "min": lo, "max": hi})})
+
+
+_CORR_ON = ("genes", "delta", "even")
+
+
+def _corr(cfg, m) -> Output:
+    rows = _on_rows(m, cfg["on"], _CORR_ON)
     if cfg["z"]:
-        print(f"{summary.pair_count} pairs, mean z = {summary.mean_z!r}, sd = {summary.sd_z!r}")
+        summary = z_summary(rows, bins=cfg["bins"])
+        line = f"{summary.pair_count} pairs, mean z = {summary.mean_z!r}, sd = {summary.sd_z!r}"
     else:
-        print(f"{summary.pair_count} pairs, mean r = {summary.mean_r!r}, sd = {summary.sd_r!r}")
-    return 0
+        summary = all_pairs_summary(rows, bins=cfg["bins"])
+        line = f"{summary.pair_count} pairs, mean r = {summary.mean_r!r}, sd = {summary.sd_r!r}"
+    return Output(line, {"histogram.csv": histogram_to_csv(summary.histogram),
+                         "summary.json": summary_header_json(summary)})
 
 
-def _cmd_order(ns) -> int:
-    cfg = _resolve(ns, dict(_LOAD_DEFAULTS))
-    m = _load(ns.infile, cfg)
+def _order(cfg, m) -> Output:
     ordering = variance_ordering(m)
-    outdir = _ensure_out(ns.out)
-    _write(outdir / "ordering.csv", ordering_to_csv(ordering, m))
-    _manifest(outdir, "order", cfg, [ns.infile])
-    print(f"{ordering.permutation.shape[0]} genes ordered, {ordering.n_pairs} pairs")
-    return 0
+    return Output(f"{ordering.permutation.shape[0]} genes ordered, {ordering.n_pairs} pairs",
+                  {"ordering.csv": ordering_to_csv(ordering, m)})
 
 
-def _cmd_delta(ns) -> int:
-    cfg = _resolve(ns, dict(_LOAD_DEFAULTS))
-    m = _load(ns.infile, cfg)
-    if ns.order_from:
-        ordering = variance_ordering(_load(ns.order_from, cfg))
-    else:
-        ordering = variance_ordering(m)
-    dm = delta_sequence(m, ordering)
-    outdir = _ensure_out(ns.out)
-    _write(outdir / "delta.tsv", delta_to_tsv(dm))
-    inputs = [ns.infile] + ([ns.order_from] if ns.order_from else [])
-    _manifest(outdir, "delta", cfg, inputs)
-    print(f"{dm.n_pairs} increment rows over {dm.n_arrays} arrays")
-    return 0
+def _delta(cfg, m, order_from) -> Output:
+    dm = delta_sequence(m, variance_ordering(m if order_from is None else order_from))
+    return Output(f"{dm.n_pairs} increment rows over {dm.n_arrays} arrays",
+                  {"delta.tsv": delta_to_tsv(dm)})
 
 
-def _cmd_typea(ns) -> int:
-    cfg = _resolve(ns, {**_LOAD_DEFAULTS, "pairs": 1000, "alpha": 0.05, "seed": 0})
-    m = _load(ns.infile, cfg)
+def _typea(cfg, m) -> Output:
     census = type_a_census(m, cfg["pairs"], alpha=cfg["alpha"], seed=cfg["seed"])
-    outdir = _ensure_out(ns.out)
-    _write(outdir / "pairs.csv", pair_census_to_csv(census, m))
-    _write(outdir / "typea.json", _json_dumps({
-        "fraction": census.fraction, "n_pairs": int(census.pairs.shape[0]),
-        "alpha": census.alpha, "seed": census.seed,
-    }))
-    _manifest(outdir, "typea", cfg, [ns.infile], seed=cfg["seed"])
-    print(f"type A fraction: {census.fraction!r} over {census.pairs.shape[0]} pairs")
-    return 0
+    return Output(
+        f"type A fraction: {census.fraction!r} over {census.pairs.shape[0]} pairs",
+        {"pairs.csv": pair_census_to_csv(census, m),
+         "typea.json": json_dumps({"fraction": census.fraction,
+                                   "n_pairs": int(census.pairs.shape[0]),
+                                   "alpha": census.alpha, "seed": census.seed})})
 
 
-def _cmd_triples(ns) -> int:
-    cfg = _resolve(ns, {**_LOAD_DEFAULTS, "triples": 1000, "mode": "type_a_only",
-                        "alpha": 0.05, "seed": 0})
-    m = _load(ns.infile, cfg)
+def _triples(cfg, m) -> Output:
     census = triple_census(m, cfg["triples"], mode=cfg["mode"], alpha=cfg["alpha"],
                            seed=cfg["seed"])
-    outdir = _ensure_out(ns.out)
-    _write(outdir / "triples.csv", triple_census_to_csv(census, m))
-    _write(outdir / "triples.json", _json_dumps({
-        "fraction_negative": census.fraction_negative,
-        "n_triples": int(census.triples.shape[0]), "mode": census.mode,
-        "alpha": census.alpha, "seed": census.seed, "attempts": census.attempts,
-    }))
-    _manifest(outdir, "triples", cfg, [ns.infile], seed=cfg["seed"])
-    print(f"negative-covariance fraction: {census.fraction_negative!r} "
-          f"over {census.triples.shape[0]} triples")
-    return 0
+    return Output(
+        f"negative-covariance fraction: {census.fraction_negative!r} "
+        f"over {census.triples.shape[0]} triples",
+        {"triples.csv": triple_census_to_csv(census, m),
+         "triples.json": json_dumps({"fraction_negative": census.fraction_negative,
+                                     "n_triples": int(census.triples.shape[0]),
+                                     "mode": census.mode, "alpha": census.alpha,
+                                     "seed": census.seed, "attempts": census.attempts})})
 
 
-def _cmd_ks(ns) -> int:
-    cfg = _resolve(ns, {"n1": None, "n2": None, "d": None, "cdf": False, "budget": 10_000})
-    if cfg["n1"] is None or cfg["n2"] is None:
-        raise UsageError("ks needs --n1 and --n2")
+def _ks(cfg) -> Output:
+    n1, n2 = cfg["n1"], cfg["n2"]
     if cfg["cdf"]:
-        table = ks_exact_cdf(cfg["n1"], cfg["n2"], budget=cfg["budget"])
-        print(f"{len(table.ds)} attainable values for sizes ({cfg['n1']}, {cfg['n2']})")
-        if ns.out:
-            outdir = _ensure_out(ns.out)
-            _write(outdir / "cdf.csv", table.to_csv())
-            _manifest(outdir, "ks", cfg, [])
-        return 0
+        table = ks_exact_cdf(n1, n2, budget=cfg["budget"])
+        return Output(f"{len(table.ds)} attainable values for sizes ({n1}, {n2})",
+                      {"cdf.csv": table.to_csv()})
     if cfg["d"] is None:
         raise UsageError("ks needs --d (or --cdf)")
-    p = ks_exact_pvalue(cfg["d"], cfg["n1"], cfg["n2"])
-    print(f"d = {float(cfg['d'])!r}  n1 = {cfg['n1']}  n2 = {cfg['n2']}  p = {p!r}")
-    if ns.out:
-        outdir = _ensure_out(ns.out)
-        _write(outdir / "ks.json", _json_dumps({
-            "d": float(cfg["d"]), "n1": cfg["n1"], "n2": cfg["n2"], "p": p,
-        }))
-        _manifest(outdir, "ks", cfg, [])
-    return 0
+    d = float(cfg["d"])
+    p = ks_exact_pvalue(cfg["d"], n1, n2)
+    return Output(f"d = {d!r}  n1 = {n1}  n2 = {n2}  p = {p!r}",
+                  {"ks.json": json_dumps({"d": d, "n1": n1, "n2": n2, "p": p})})
 
 
-def _cmd_screen(ns) -> int:
-    cfg = _resolve(ns, {**_LOAD_DEFAULTS, "mode": "delta", "pfer": 1.0})
-    a = _load(ns.infile, cfg)
-    b = _load(ns.infile2, cfg)
+def _screen(cfg, a, b) -> Output:
     report, row_ids = two_sample_screen(a, b, mode=cfg["mode"], pfer=cfg["pfer"])
-    outdir = _ensure_out(ns.out)
-    _write(outdir / "screen.json", report_to_json(report))
-    _write(outdir / "screen.csv", report_to_csv(report, row_ids))
-    _manifest(outdir, "screen", cfg, [ns.infile, ns.infile2])
-    print(f"{report.n_rejected} of {report.m} rows rejected at PFER {cfg['pfer']}")
-    return 0
+    return Output(f"{report.n_rejected} of {report.m} rows rejected at PFER {cfg['pfer']}",
+                  {"screen.json": report_to_json(report),
+                   "screen.csv": report_to_csv(report, row_ids)})
 
 
-def _cmd_exp_null(ns) -> int:
-    cfg = _resolve(ns, {**_LOAD_DEFAULTS, "n1": 10, "n2": 10, "mode": "delta",
-                        "seed": 0, "budget": 10_000})
-    m = _load(ns.infile, cfg)
+def _exp_null(cfg, m) -> Output:
     result = null_split_experiment(m, cfg["n1"], cfg["n2"], mode=cfg["mode"],
                                    seed=cfg["seed"], cdf_budget=cfg["budget"])
-    outdir = _ensure_out(ns.out)
-    _write(outdir / "null_split.json", result.to_json())
-    _write(outdir / "null_split.csv", result.to_csv())
-    _manifest(outdir, "exp-null", cfg, [ns.infile], seed=cfg["seed"])
-    print(f"distance to exact null: {result.distance!r}")
-    return 0
+    return Output(f"distance to exact null: {result.distance!r}",
+                  {"null_split.json": result.to_json(), "null_split.csv": result.to_csv()})
 
 
-def _cmd_exp_jackknife(ns) -> int:
-    cfg = _resolve(ns, {**_LOAD_DEFAULTS, "d": 8, "reps": 50, "first_k": 50, "seed": 0})
-    m = _load(ns.infile, cfg)
+def _exp_jackknife(cfg, m) -> Output:
     report = jackknife_stability(m, cfg["d"], cfg["reps"], cfg["first_k"], seed=cfg["seed"])
-    outdir = _ensure_out(ns.out)
-    _write(outdir / "stability.json", report.to_json())
-    _write(outdir / "stability.csv", report.to_csv())
-    _manifest(outdir, "exp-jackknife", cfg, [ns.infile], seed=cfg["seed"])
-    print(f"mean distance {report.mean_distance!r}, sd {report.sd_distance!r} "
-          f"over {report.B} subsamples")
-    return 0
+    return Output(f"mean distance {report.mean_distance!r}, sd {report.sd_distance!r} "
+                  f"over {report.B} subsamples",
+                  {"stability.json": report.to_json(), "stability.csv": report.to_csv()})
 
 
-def _cmd_exp_inject(ns) -> int:
-    cfg = _resolve(ns, {**_LOAD_DEFAULTS, "split": None, "n_modified": 10,
-                        "multiplier": 1.0, "n1": 10, "n2": 10, "reps": 100,
-                        "pfer": 1.0, "mode": "delta", "seed": 0})
-    if cfg["split"] is None:
-        raise UsageError("exp-inject needs --split N1 N2")
-    m = _load(ns.infile, cfg)
+def _exp_inject(cfg, m) -> Output:
     config = InjectionConfig(split=tuple(int(s) for s in cfg["split"]),
                              n_modified=cfg["n_modified"],
                              effect_multiplier=cfg["multiplier"],
                              n1=cfg["n1"], n2=cfg["n2"], replicates=cfg["reps"],
                              pfer=cfg["pfer"], seed=cfg["seed"])
     report = effect_injection_experiment(m, config, mode=cfg["mode"])
-    outdir = _ensure_out(ns.out)
-    _write(outdir / "injection.json", report.to_json())
-    _write(outdir / "injection.csv", report.to_csv())
-    _manifest(outdir, "exp-inject", cfg, [ns.infile], seed=cfg["seed"])
-    print(f"fp mean {report.fp_mean!r} sd {report.fp_sd!r}, fdr mean {report.fdr_mean!r}")
-    return 0
+    return Output(f"fp mean {report.fp_mean!r} sd {report.fp_sd!r}, fdr mean {report.fdr_mean!r}",
+                  {"injection.json": report.to_json(), "injection.csv": report.to_csv()})
 
 
-def _cmd_exp_moving(ns) -> int:
-    cfg = _resolve(ns, {**_LOAD_DEFAULTS, "step": 10, "k_max": 10, "on": "delta"})
-    m = _load(ns.infile, cfg)
-    if cfg["on"] == "delta":
-        source = delta_sequence(m, variance_ordering(m))
-    elif cfg["on"] == "genes":
-        source = m
-    else:
-        raise ValidationError(f"--on must be delta or genes, got {cfg['on']!r}")
-    trajectory = moving_mean_consistency(source, cfg["step"], cfg["k_max"])
-    outdir = _ensure_out(ns.out)
-    _write(outdir / "consistency.json", trajectory.to_json())
-    _write(outdir / "consistency.csv", trajectory.to_csv())
-    _manifest(outdir, "exp-moving", cfg, [ns.infile])
-    print(f"sd at {int(trajectory.row_counts[0])} rows: {float(trajectory.sd_values[0])!r}; "
-          f"at {int(trajectory.row_counts[-1])}: {float(trajectory.sd_values[-1])!r}")
-    return 0
+_MOVING_ON = ("delta", "genes")
 
 
-def _cmd_exceedance(ns) -> int:
-    cfg = _resolve(ns, {**_LOAD_DEFAULTS, "mode": "delta", "alpha": 0.05})
-    a = _load(ns.infile, cfg)
-    b = _load(ns.infile2, cfg)
+def _exp_moving(cfg, m) -> Output:
+    trajectory = moving_mean_consistency(_on_rows(m, cfg["on"], _MOVING_ON),
+                                         cfg["step"], cfg["k_max"])
+    return Output(
+        f"sd at {int(trajectory.row_counts[0])} rows: {float(trajectory.sd_values[0])!r}; "
+        f"at {int(trajectory.row_counts[-1])}: {float(trajectory.sd_values[-1])!r}",
+        {"consistency.json": trajectory.to_json(), "consistency.csv": trajectory.to_csv()})
+
+
+def _exceedance(cfg, a, b) -> Output:
     result = cross_phenotype_exceedance(a, b, mode=cfg["mode"], alpha=cfg["alpha"])
-    outdir = _ensure_out(ns.out)
-    _write(outdir / "exceedance.json", result.to_json())
-    _write(outdir / "exceedance.csv", result.to_csv())
-    _manifest(outdir, "exceedance", cfg, [ns.infile, ns.infile2])
-    print(f"fraction at or below alpha: {result.fraction!r}")
-    return 0
+    return Output(f"fraction at or below alpha: {result.fraction!r}",
+                  {"exceedance.json": result.to_json(), "exceedance.csv": result.to_csv()})
 
 
-def _cmd_synth(ns) -> int:
-    cfg = _resolve(ns, {"noise_sd": 0.0, "noise_kind": "gene-array", "noise_seed": 1})
-    kind, spec = spec_from_json(ns.spec)
+def _synth(cfg, spec_path) -> Output:
+    noise = NoiseModel(cfg["noise_kind"], cfg["noise_sd"])  # rejects a bad sd even when unused
+    kind, spec = spec_from_json(spec_path)
     if kind == "chain":
-        matrix = generate_chain_matrix(spec)
-        seed = spec.seed
+        matrix, seed = generate_chain_matrix(spec), spec.seed
     else:
-        matrix = generate_null_matrix(**spec)
-        seed = spec["seed"]
-    spec_dict = spec_to_dict(kind, spec)
-    if cfg["noise_sd"] > 0.0:
-        matrix = add_noise(matrix, NoiseModel(cfg["noise_kind"], cfg["noise_sd"]),
-                           seed=cfg["noise_seed"])
-    outdir = _ensure_out(ns.out)
-    _write(outdir / "synth.tsv", matrix_to_tsv(matrix))
-    _manifest(outdir, "synth", {**cfg, "kind": kind, "spec": spec_dict}, [ns.spec], seed=seed)
-    print(f"wrote {matrix.n_genes} genes x {matrix.n_arrays} arrays")
-    return 0
+        matrix, seed = generate_null_matrix(**spec), spec["seed"]
+    if noise.sd > 0.0:
+        matrix = add_noise(matrix, noise, seed=cfg["noise_seed"])
+    return Output(f"wrote {matrix.n_genes} genes x {matrix.n_arrays} arrays",
+                  {"synth.tsv": matrix_to_tsv(matrix)}, seed=seed,
+                  config={"kind": kind, "spec": spec_to_dict(kind, spec)})
 
 
-# -- parser wiring ----------------------------------------------------------
+# -- the command table ----------------------------------------------------------
+
+_IN = Param("--in", "expression matrix (TSV)", required=True, input="matrix")
+_IN2 = Param("--in2", "second matrix (TSV)", required=True, input="matrix")
+_LOAD_FLAGS = (Param("--log2", "input is raw scale; apply log2 on load", False, switch=True),
+               Param("--no-header", "input has no header line", False, switch=True))
+_MATRIX = (_IN, *_LOAD_FLAGS)
+_PAIR = (_IN, _IN2, *_LOAD_FLAGS)
+_MODE = Param("--mode", "rows to test", "delta", choices=("delta", "expression"))
+_SEED = Param("--seed", "sampling seed", 0, int)
+_PFER = Param("--pfer", "expected false positive budget", 1.0, float)
+_BUDGET = Param("--budget", "cap on exact CDF work", 10_000, int)
+
+COMMANDS = (
+    Command("check", "validate a matrix file and print its shape", _check, _MATRIX,
+            out_required=False),
+    Command("corr", "all-pairs correlation summary and histogram", _corr, (
+        *_MATRIX,
+        Param("--on", "which rows to correlate", "genes", choices=_CORR_ON),
+        Param("--bins", "histogram bin count", 50, int),
+        Param("--z", "summarize Fisher z instead of r", False, switch=True),
+    )),
+    Command("order", "variance ordering of genes", _order, _MATRIX),
+    Command("delta", "increment rows from consecutive ordered pairs", _delta, (
+        *_MATRIX,
+        Param("--order-from", "matrix file supplying the ordering", input="matrix"),
+    )),
+    Command("typea", "random-pair census of the additive dependence test", _typea, (
+        *_MATRIX,
+        Param("--pairs", "number of random pairs", 1000, int),
+        Param("--alpha", "test level", 0.05, float),
+        _SEED,
+    )),
+    Command("triples", "random-triple census of increment covariances", _triples, (
+        *_MATRIX,
+        Param("--triples", "number of random triples", 1000, int),
+        Param("--mode", "triple admission rule", "type_a_only", choices=("type_a_only", "any")),
+        Param("--alpha", "pair test level", 0.05, float),
+        _SEED,
+    )),
+    Command("ks", "exact two-sample distribution calculator", _ks, (
+        Param("--d", "observed statistic", type=float),
+        Param("--n1", "first sample size", type=int, required=True),
+        Param("--n2", "second sample size", type=int, required=True),
+        Param("--cdf", "emit the full CDF table", False, switch=True),
+        _BUDGET,
+    ), out_required=False),
+    Command("screen", "two-phenotype row screen under PFER control", _screen,
+            (*_PAIR, _MODE, _PFER)),
+    Command("exp-null", "split one phenotype and compare to the exact null", _exp_null, (
+        *_MATRIX,
+        Param("--n1", "first group size", 10, int),
+        Param("--n2", "second group size", 10, int),
+        _MODE,
+        Param("--seed", "split seed", 0, int),
+        _BUDGET,
+    )),
+    Command("exp-jackknife", "delete-d stability of increment correlations", _exp_jackknife, (
+        *_MATRIX,
+        Param("--d", "arrays removed per subsample", 8, int),
+        Param("--reps", "number of subsamples", 50, int),
+        Param("--first-k", "increment rows kept", 50, int),
+        Param("--seed", "subsampling seed", 0, int),
+    )),
+    Command("exp-inject", "spiked-constant detection under PFER control", _exp_inject, (
+        *_MATRIX,
+        Param("--split", "array counts for the two halves", type=int, nargs=2,
+              metavar=("S1", "S2"), required=True),
+        Param("--n-modified", "rows that get a spike", 10, int),
+        Param("--multiplier", "spike size in row-sd units", 1.0, float),
+        Param("--n1", "group size from half 1", 10, int),
+        Param("--n2", "group size from half 2", 10, int),
+        Param("--reps", "replicate count", 100, int),
+        _PFER,
+        _MODE,
+        Param("--seed", "master seed", 0, int),
+    )),
+    Command("exp-moving", "moving-mean spread against rows averaged", _exp_moving, (
+        *_MATRIX,
+        Param("--step", "rows added per point", 10, int),
+        Param("--k-max", "number of points", 10, int),
+        Param("--on", "row source", "delta", choices=_MOVING_ON),
+    )),
+    Command("exceedance", "fraction of rows differing across phenotypes", _exceedance, (
+        *_PAIR,
+        _MODE,
+        Param("--alpha", "per-row level", 0.05, float),
+    )),
+    Command("synth", "generate a synthetic matrix from a JSON spec", _synth, (
+        Param("--spec", "generator spec (JSON)", required=True, input="file"),
+        Param("--noise-sd", "measurement noise sd", 0.0, float),
+        Param("--noise-kind", "noise sharing structure", "gene-array",
+              choices=("gene-array", "array-only")),
+        Param("--noise-seed", "noise seed", 1, int),
+    )),
+)
 
 
-def build_parser() -> _Parser:
+def _parser() -> _Parser:
     parser = _Parser(prog="deltaseq",
                      description="correlation structure analyses for expression matrices")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="command")
-
-    def cmd(name, handler, help_text):
-        sub = subs.add_parser(name, help=help_text)
-        sub.set_defaults(handler=handler)
-        return sub
-
-    s = cmd("check", _cmd_check, "validate a matrix file and print its shape")
-    _add_io(s)
-    _add_common(s, out_required=False)
-
-    s = cmd("corr", _cmd_corr, "all-pairs correlation summary and histogram")
-    _add_io(s)
-    s.add_argument("--on", choices=["genes", "delta", "even"], help="which rows to correlate")
-    s.add_argument("--bins", type=int, help="histogram bin count")
-    s.add_argument("--z", action="store_const", const=True, help="summarize Fisher z instead of r")
-    _add_common(s, out_required=True)
-
-    s = cmd("order", _cmd_order, "variance ordering of genes")
-    _add_io(s)
-    _add_common(s, out_required=True)
-
-    s = cmd("delta", _cmd_delta, "increment rows from consecutive ordered pairs")
-    _add_io(s)
-    s.add_argument("--order-from", dest="order_from", help="matrix file supplying the ordering")
-    _add_common(s, out_required=True)
-
-    s = cmd("typea", _cmd_typea, "random-pair census of the additive dependence test")
-    _add_io(s)
-    s.add_argument("--pairs", type=int, help="number of random pairs")
-    s.add_argument("--alpha", type=float, help="test level")
-    s.add_argument("--seed", type=int, help="sampling seed")
-    _add_common(s, out_required=True)
-
-    s = cmd("triples", _cmd_triples, "random-triple census of increment covariances")
-    _add_io(s)
-    s.add_argument("--triples", type=int, help="number of random triples")
-    s.add_argument("--mode", choices=["type_a_only", "any"], help="triple admission rule")
-    s.add_argument("--alpha", type=float, help="pair test level")
-    s.add_argument("--seed", type=int, help="sampling seed")
-    _add_common(s, out_required=True)
-
-    s = cmd("ks", _cmd_ks, "exact two-sample distribution calculator")
-    s.add_argument("--d", type=float, help="observed statistic")
-    s.add_argument("--n1", type=int, help="first sample size")
-    s.add_argument("--n2", type=int, help="second sample size")
-    s.add_argument("--cdf", action="store_const", const=True, help="emit the full CDF table")
-    s.add_argument("--budget", type=int, help="cap on exact CDF work")
-    _add_common(s, out_required=False)
-
-    s = cmd("screen", _cmd_screen, "two-phenotype row screen under PFER control")
-    _add_io(s, second=True)
-    s.add_argument("--mode", choices=["delta", "expression"], help="rows to test")
-    s.add_argument("--pfer", type=float, help="expected false positive budget")
-    _add_common(s, out_required=True)
-
-    s = cmd("exp-null", _cmd_exp_null, "split one phenotype and compare to the exact null")
-    _add_io(s)
-    s.add_argument("--n1", type=int, help="first group size")
-    s.add_argument("--n2", type=int, help="second group size")
-    s.add_argument("--mode", choices=["delta", "expression"], help="rows to test")
-    s.add_argument("--seed", type=int, help="split seed")
-    s.add_argument("--budget", type=int, help="cap on exact CDF work")
-    _add_common(s, out_required=True)
-
-    s = cmd("exp-jackknife", _cmd_exp_jackknife, "delete-d stability of increment correlations")
-    _add_io(s)
-    s.add_argument("--d", type=int, help="arrays removed per subsample")
-    s.add_argument("--reps", type=int, help="number of subsamples")
-    s.add_argument("--first-k", dest="first_k", type=int, help="increment rows kept")
-    s.add_argument("--seed", type=int, help="subsampling seed")
-    _add_common(s, out_required=True)
-
-    s = cmd("exp-inject", _cmd_exp_inject, "spiked-constant detection under PFER control")
-    _add_io(s)
-    s.add_argument("--split", type=int, nargs=2, metavar=("S1", "S2"),
-                   help="array counts for the two halves")
-    s.add_argument("--n-modified", dest="n_modified", type=int, help="rows that get a spike")
-    s.add_argument("--multiplier", type=float, help="spike size in row-sd units")
-    s.add_argument("--n1", type=int, help="group size from half 1")
-    s.add_argument("--n2", type=int, help="group size from half 2")
-    s.add_argument("--reps", type=int, help="replicate count")
-    s.add_argument("--pfer", type=float, help="expected false positive budget")
-    s.add_argument("--mode", choices=["delta", "expression"], help="rows to test")
-    s.add_argument("--seed", type=int, help="master seed")
-    _add_common(s, out_required=True)
-
-    s = cmd("exp-moving", _cmd_exp_moving, "moving-mean spread against rows averaged")
-    _add_io(s)
-    s.add_argument("--step", type=int, help="rows added per point")
-    s.add_argument("--k-max", dest="k_max", type=int, help="number of points")
-    s.add_argument("--on", choices=["delta", "genes"], help="row source")
-    _add_common(s, out_required=True)
-
-    s = cmd("exceedance", _cmd_exceedance, "fraction of rows differing across phenotypes")
-    _add_io(s, second=True)
-    s.add_argument("--mode", choices=["delta", "expression"], help="rows to test")
-    s.add_argument("--alpha", type=float, help="per-row level")
-    _add_common(s, out_required=True)
-
-    s = cmd("synth", _cmd_synth, "generate a synthetic matrix from a JSON spec")
-    s.add_argument("--spec", required=True, help="generator spec (JSON)")
-    s.add_argument("--noise-sd", dest="noise_sd", type=float, help="measurement noise sd")
-    s.add_argument("--noise-kind", dest="noise_kind", choices=["gene-array", "array-only"],
-                   help="noise sharing structure")
-    s.add_argument("--noise-seed", dest="noise_seed", type=int, help="noise seed")
-    _add_common(s, out_required=True)
-
+    for command in COMMANDS:
+        sub = subs.add_parser(command.name, help=command.help)
+        sub.set_defaults(run=command)
+        for p in command.params:
+            if p.switch:
+                sub.add_argument(p.flag, dest=p.dest, action="store_const", const=True,
+                                 help=p.help)
+            else:
+                sub.add_argument(p.flag, dest=p.dest, type=p.type, choices=p.choices,
+                                 nargs=p.nargs, metavar=p.metavar,
+                                 required=p.required and p.input is not None, help=p.help)
+        sub.add_argument("--out", required=command.out_required, help="output directory")
+        sub.add_argument("--config", help="JSON file with parameter defaults")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         ns = parser.parse_args(argv)
     except UsageError as exc:
@@ -522,10 +483,8 @@ def main(argv=None) -> int:
     if getattr(ns, "command", None) is None:
         parser.print_usage(sys.stderr)
         return 64
-    if getattr(ns, "threads", None):
-        _kernels.set_threads(ns.threads)
     try:
-        return ns.handler(ns)
+        return _run(ns.run, ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64

@@ -8,7 +8,6 @@ result is identical regardless of how work is scheduled.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -17,6 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateInputError, DomainError, ValidationError
+from .mtp import json_dumps
 
 DEFAULT_BINS = 50
 
@@ -211,17 +211,15 @@ def histogram_to_csv(hist: Histogram) -> str:
 
 def summary_header_json(summary: CorrelationSummary | ZSummary) -> str:
     if isinstance(summary, ZSummary):
-        head = {
+        return json_dumps({
             "pair_count": summary.pair_count,
             "mean": summary.mean_z,
             "sd": summary.sd_z,
             "theoretical_sd": summary.theoretical_sd,
-        }
-    else:
-        head = {
-            "pair_count": summary.pair_count,
-            "mean": summary.mean_r,
-            "sd": summary.sd_r,
-            "theoretical_sd": None,
-        }
-    return json.dumps(head, sort_keys=True, indent=2) + "\n"
+        })
+    return json_dumps({
+        "pair_count": summary.pair_count,
+        "mean": summary.mean_r,
+        "sd": summary.sd_r,
+        "theoretical_sd": None,
+    })

@@ -1,17 +1,15 @@
 """Resampling experiments over expression matrices.
 
 Every experiment takes one master seed and derives an independent stream per
-replicate, so results are reproducible bit for bit and never depend on how
-many worker threads the kernels use. Reports serialize to JSON with sorted
-keys, making byte-identical reruns checkable by comparison.
+replicate, so results are reproducible bit for bit. Reports serialize to JSON
+with sorted keys, making byte-identical reruns checkable by comparison.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +25,7 @@ from .kstest import (
     ks_exact_cdf,
     mean_of_edfs,
 )
-from .mtp import RejectionReport, confusion_counts, extended_bonferroni
+from .mtp import RejectionReport, confusion_counts, extended_bonferroni, json_dumps
 from .ordering import GeneOrdering, delta_sequence, even_rank_genes, variance_ordering
 
 MODES = ("delta", "expression")
@@ -39,18 +37,22 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _mode_rows(matrix: ExpressionMatrix, ordering: GeneOrdering, mode: str):
+class _Rows(NamedTuple):
+    """Selected rows with their labels, which a correlation summary uses to
+    name a zero-variance row."""
+
+    values: np.ndarray
+    row_ids: tuple[str, ...]
+
+
+def _mode_rows(matrix: ExpressionMatrix, ordering: GeneOrdering, mode: str) -> _Rows:
     """Row values and labels tested in the given mode: increment rows for
     "delta", the higher-variance member of each pair for "expression"."""
     if mode == "delta":
         dm = delta_sequence(matrix, ordering)
-        return dm.values, dm.row_ids
+        return _Rows(dm.values, dm.row_ids)
     idx = even_rank_genes(ordering)
-    return matrix.values[idx], tuple(matrix.gene_ids[int(i)] for i in idx)
-
-
-def _json_dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _Rows(matrix.values[idx], tuple(matrix.gene_ids[int(i)] for i in idx))
 
 
 def _sd(values: np.ndarray) -> float:
@@ -78,7 +80,7 @@ class NullSplitResult:
     distance: float
 
     def to_json(self) -> str:
-        return _json_dumps({
+        return json_dumps({
             "experiment": "null_split",
             "mode": self.mode,
             "n1": self.n1,
@@ -140,7 +142,7 @@ class StabilityReport:
     sd_distance: float
 
     def to_json(self) -> str:
-        return _json_dumps({
+        return json_dumps({
             "experiment": "jackknife_stability",
             "d": self.d,
             "B": self.B,
@@ -254,7 +256,7 @@ class ExperimentReport:
     fdr_sd: float
 
     def to_json(self) -> str:
-        return _json_dumps({
+        return json_dumps({
             "experiment": "effect_injection",
             "mode": self.mode,
             "config": {
@@ -371,7 +373,7 @@ class ConsistencyTrajectory:
     sd_values: np.ndarray
 
     def to_json(self) -> str:
-        return _json_dumps({
+        return json_dumps({
             "experiment": "moving_mean_consistency",
             "step": self.step,
             "row_counts": [int(k) for k in self.row_counts],
@@ -441,7 +443,7 @@ class ExceedanceResult:
     p_values: np.ndarray
 
     def to_json(self) -> str:
-        return _json_dumps({
+        return json_dumps({
             "experiment": "cross_phenotype_exceedance",
             "mode": self.mode,
             "alpha": self.alpha,

@@ -72,8 +72,14 @@ def confusion_counts(report: RejectionReport, truth: Sequence[bool]) -> Rejectio
     return replace(report, truth=t, fp=fp, tp=tp, fdr=float(fdr))
 
 
+def json_dumps(payload: dict) -> str:
+    """The byte format of every JSON report: sorted keys, two-space indent,
+    and a closing newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def report_to_json(report: RejectionReport) -> str:
-    head = {
+    return json_dumps({
         "m": report.m,
         "pfer": report.pfer,
         "threshold": report.threshold,
@@ -81,8 +87,7 @@ def report_to_json(report: RejectionReport) -> str:
         "fp": report.fp,
         "tp": report.tp,
         "fdr": report.fdr,
-    }
-    return json.dumps(head, sort_keys=True, indent=2) + "\n"
+    })
 
 
 def report_to_csv(report: RejectionReport, row_ids: Sequence[str] | None = None) -> str:

@@ -1,25 +1,15 @@
-"""Backend parity for the hot kernels.
-
-The numba and numpy implementations must agree bit for bit, on ordinary
-data and on the awkward cases (heavy ties, values on bin edges), and the
-DELTASEQ_NUMBA switch must actually select the numpy path.
-"""
+"""The hot kernels against brute-force references, on ordinary data and on
+the awkward cases (heavy ties, values on bin edges)."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaseq import _kernels
 
 from helpers import hist_naive
-
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not importable")
 
 
 def brute_scaled(row_a, row_b):
@@ -53,26 +43,6 @@ class TestKsScaledBatch:
             assert ties[r] == (len(shared) > 0)
             assert scaled[r] == brute_scaled(a[r].tolist(), b[r].tolist())
 
-    @needs_numba
-    def test_backend_parity_random(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(60, 11))
-        b = rng.normal(size=(60, 7))
-        s_np, t_np = _kernels.ks_scaled_batch_numpy(a, b)
-        s_nb, t_nb = _kernels.ks_scaled_batch_numba(a, b)
-        assert np.array_equal(s_np, s_nb)
-        assert np.array_equal(t_np, t_nb)
-
-    @needs_numba
-    def test_backend_parity_tie_heavy(self):
-        rng = np.random.default_rng(8)
-        a = rng.integers(0, 3, size=(120, 10)).astype(np.float64)
-        b = rng.integers(0, 3, size=(120, 10)).astype(np.float64)
-        s_np, t_np = _kernels.ks_scaled_batch_numpy(a, b)
-        s_nb, t_nb = _kernels.ks_scaled_batch_numba(a, b)
-        assert np.array_equal(s_np, s_nb)
-        assert np.array_equal(t_np, t_nb)
-
     @given(
         a=st.lists(st.integers(-3, 3), min_size=2, max_size=8),
         b=st.lists(st.integers(-3, 3), min_size=2, max_size=8),
@@ -104,75 +74,9 @@ class TestHistAccumulate:
         assert counts.sum() == values.size
         assert np.array_equal(counts, hist_naive(values, -1.0, 1.0, 10))
 
-    @needs_numba
-    def test_backend_parity(self):
-        rng = np.random.default_rng(10)
-        values = np.concatenate([
-            rng.uniform(-1, 1, size=2000),
-            np.linspace(-1.0, 1.0, 21),        # boundary hits
-            np.repeat([-1.0, 0.0, 1.0], 50),   # heavy ties
-        ])
-        c_np = np.zeros(20, dtype=np.int64)
-        c_nb = np.zeros(20, dtype=np.int64)
-        _kernels.hist_accumulate_numpy(values, -1.0, 20 / 2.0, c_np)
-        _kernels.hist_accumulate_numba(values, -1.0, 20 / 2.0, c_nb)
-        assert np.array_equal(c_np, c_nb)
-
     def test_out_of_range_values_clip(self):
         values = np.array([-5.0, 5.0, 0.5])
         counts = np.zeros(4, dtype=np.int64)
         _kernels.hist_accumulate(values, 0.0, 4.0, counts)
         assert counts[0] == 1 and counts[-1] == 1
         assert counts.sum() == 3
-
-
-class TestBackendSelection:
-    def test_flag_parsing(self):
-        on = _kernels._flag_enabled
-        assert on(None) is True
-        assert on("1") is True
-        assert on("true") is True
-        assert on("anything") is True
-        for raw in ("0", "false", "off", "no", " FALSE ", "Off"):
-            assert on(raw) is False, raw
-
-    def test_active_backend_consistent(self):
-        assert _kernels.ACTIVE_BACKEND in ("numba", "numpy")
-        if _kernels.ACTIVE_BACKEND == "numba":
-            assert _kernels.ks_scaled_batch is _kernels.ks_scaled_batch_numba
-        else:
-            assert _kernels.ks_scaled_batch is _kernels.ks_scaled_batch_numpy
-
-    def test_env_flag_forces_numpy(self):
-        # run the same computation in a child forced onto the numpy path
-        code = (
-            "from deltaseq import _kernels\n"
-            "import numpy as np\n"
-            "rng = np.random.default_rng(3)\n"
-            "a = rng.normal(size=(5, 9)); b = rng.integers(0, 4, size=(5, 6)).astype(float)\n"
-            "s, t = _kernels.ks_scaled_batch(a, b)\n"
-            "print(_kernels.ACTIVE_BACKEND)\n"
-            "print(s.tolist()); print(t.tolist())\n"
-        )
-        env = dict(os.environ, DELTASEQ_NUMBA="0")
-        forced = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, check=True)
-        lines = forced.stdout.strip().splitlines()
-        assert lines[0] == "numpy"
-        # same computation in this process (whatever backend is active)
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(5, 9))
-        b = rng.integers(0, 4, size=(5, 6)).astype(float)
-        s, t = _kernels.ks_scaled_batch(a, b)
-        assert lines[1] == str(s.tolist())
-        assert lines[2] == str(t.tolist())
-
-    def test_set_threads_is_safe_and_neutral(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(30, 10))
-        b = rng.normal(size=(30, 8))
-        before, _ = _kernels.ks_scaled_batch(a, b)
-        for n in (1, 2, 64, None):
-            _kernels.set_threads(n)
-            after, _ = _kernels.ks_scaled_batch(a, b)
-            assert np.array_equal(before, after)
