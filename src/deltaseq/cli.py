@@ -120,11 +120,44 @@ class Command:
     out_required: bool = True
 
 
-def _resolve(ns, defaults: dict) -> dict:
+def _config_scalar_ok(p: Param, value) -> bool:
+    if p.choices is not None:
+        return isinstance(value, str) and value in p.choices
+    if isinstance(value, bool):  # JSON true/false is not a number
+        return False
+    if p.type is int:
+        return isinstance(value, int)
+    if p.type is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, str)
+
+
+def _config_value_ok(p: Param, value) -> bool:
+    """Whether a ``--config`` value fits flag ``p``. Accepted values are used
+    as given (an integer for a float flag stays an integer), so the manifest
+    records what the file said."""
+    if p.switch:
+        return isinstance(value, bool)
+    if p.nargs is not None:
+        return (isinstance(value, list) and len(value) == p.nargs
+                and all(_config_scalar_ok(p, v) for v in value))
+    return _config_scalar_ok(p, value)
+
+
+def _config_expected(p: Param) -> str:
+    if p.switch:
+        return "true or false"
+    kind = (f"one of {', '.join(p.choices)}" if p.choices is not None
+            else {int: "an integer", float: "a number"}.get(p.type, "a string"))
+    return kind if p.nargs is None else f"a list of {p.nargs} values, each {kind}"
+
+
+def _resolve(ns, params: tuple[Param, ...]) -> dict:
     """Merge CLI values, config-file values, and built-in defaults.
 
     Precedence: explicit CLI flag, then config file, then default. All flag
     defaults are None so an unset flag is distinguishable from any value.
+    Config values are checked against their flag's type, choices and arity.
     """
     cfg = {}
     if getattr(ns, "config", None):
@@ -134,15 +167,19 @@ def _resolve(ns, defaults: dict) -> dict:
             raise ParseError(f"config file {ns.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ParseError(f"config file {ns.config} must hold a JSON object")
-        unknown = sorted(set(cfg) - set(defaults))
+        unknown = sorted(set(cfg) - {p.dest for p in params})
         if unknown:
             raise ValidationError(f"config keys not accepted here: {', '.join(unknown)}")
+        for p in params:
+            if p.dest in cfg and not _config_value_ok(p, cfg[p.dest]):
+                raise ValidationError(f"config key {p.dest} must be {_config_expected(p)}, "
+                                      f"got {json.dumps(cfg[p.dest])}")
     resolved = {}
-    for key, default in defaults.items():
-        value = getattr(ns, key, None)
+    for p in params:
+        value = getattr(ns, p.dest, None)
         if value is None:
-            value = cfg.get(key, default)
-        resolved[key] = value
+            value = cfg.get(p.dest, p.default)
+        resolved[p.dest] = value
     return resolved
 
 
@@ -177,7 +214,7 @@ def _load(path: str, cfg: dict):
 def _run(command: Command, ns) -> int:
     """Resolve parameters, load inputs, compute, then write the files and the
     manifest under ``--out`` (when given) and print the command's line."""
-    cfg = _resolve(ns, {p.dest: p.default for p in command.params if not p.input})
+    cfg = _resolve(ns, tuple(p for p in command.params if not p.input))
     missing = [p.flag for p in command.params
                if p.required and not p.input and cfg[p.dest] is None]
     if missing:

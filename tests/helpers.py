@@ -134,3 +134,40 @@ def step_distance_probe(f, g, probes) -> float:
     """Lower bound on sup|f - g| by dense probing (right values only)."""
     probes = np.asarray(probes, dtype=np.float64)
     return float(np.abs(f.evaluate(probes) - g.evaluate(probes)).max())
+
+
+def _step_value(xs, ys, y0, t, left: bool) -> np.float64:
+    """Value of the right-continuous step function at t, or just before t."""
+    k = sum(1 for x in xs if (x < t if left else x <= t))
+    return np.float64(ys[k - 1] if k else y0)
+
+
+def step_distance_union(f_xs, f_ys, f_y0, g_xs, g_ys, g_y0) -> float:
+    """sup |f - g| of two step functions (value y0 before xs[0], ys[k] on
+    [xs[k], xs[k+1])), read at every point of the union of both jump sets,
+    right value and left limit, with float64 differences."""
+    best = np.float64(0.0)
+    for t in sorted(set(map(float, f_xs)) | set(map(float, g_xs))):
+        for left in (False, True):
+            diff = _step_value(f_xs, f_ys, f_y0, t, left) - _step_value(g_xs, g_ys, g_y0, t, left)
+            best = max(best, abs(diff))
+    return float(best)
+
+
+def edf_mean_searchsorted(samples):
+    """(xs, heights) of the pointwise mean of the samples' EDFs on the pooled
+    distinct values, one searchsorted pass per sample. Equal sample sizes sum
+    integer counts and divide once; unequal ones add each EDF's share."""
+    sorted_samples = [np.sort(np.asarray(s, dtype=np.float64)) for s in samples]
+    B = len(sorted_samples)
+    xs = np.unique(np.concatenate(sorted_samples))
+    sizes = {s.size for s in sorted_samples}
+    if len(sizes) == 1:
+        counts = np.zeros(xs.shape[0], dtype=np.int64)
+        for s in sorted_samples:
+            counts += np.searchsorted(s, xs, side="right")
+        return xs, counts / (B * sizes.pop())
+    heights = np.zeros(xs.shape[0], dtype=np.float64)
+    for s in sorted_samples:
+        heights += np.searchsorted(s, xs, side="right") / (B * s.size)
+    return xs, heights

@@ -85,6 +85,30 @@ class TestExitCodes:
         assert "noise sd" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, config, key", [
+        pytest.param(["corr"], {"bins": "7"}, "bins", id="int-given-str"),
+        pytest.param(["exp-inject"], {"split": 12}, "split", id="pair-given-int"),
+        pytest.param(["exp-jackknife"], {"reps": 2.5}, "reps", id="int-given-float"),
+        pytest.param(["corr"], {"bins": True}, "bins", id="int-given-bool"),
+        pytest.param(["corr"], {"on": "rows"}, "on", id="not-a-choice"),
+        pytest.param(["corr"], {"z": 1}, "z", id="switch-given-int"),
+        pytest.param(["exp-inject"], {"split": [12, "12"]}, "split", id="pair-given-str"),
+        pytest.param(["exp-inject"], {"split": [12, 12, 12]}, "split", id="pair-given-three"),
+        pytest.param(["exp-inject", "--split", "12", "12"], {"pfer": "1"}, "pfer",
+                     id="float-given-str"),
+    ])
+    def test_config_value_of_wrong_type(self, command, config, key, chain_tsv, tmp_path,
+                                        capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([*command, "--in", chain_tsv, "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"config key {key} " in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert __version__ in capsys.readouterr().out
@@ -242,6 +266,19 @@ class TestConfigResolution:
         hist = (out / "histogram.csv").read_text(encoding="utf-8").splitlines()
         assert len(hist) == 1 + 5
         assert read_json(out / "manifest.json")["config"]["bins"] == 5
+
+    def test_config_values_kept_as_written(self, chain_tsv, tmp_path):
+        # an integer for a float flag is accepted and not coerced, and a list
+        # stands for a two-value flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pfer": 9, "split": [12, 12], "reps": 2, "n1": 5,
+                                   "n2": 5}), encoding="utf-8")
+        out = tmp_path / "inj"
+        assert main(["exp-inject", "--in", chain_tsv, "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        text = (out / "manifest.json").read_text(encoding="utf-8")
+        assert '"pfer": 9,' in text
+        assert json.loads(text)["config"]["split"] == [12, 12]
 
     def test_unknown_config_key(self, chain_tsv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -21,7 +21,14 @@ from deltaseq import (
 )
 from deltaseq.kstest import exact_pvalues_for_scaled
 
-from helpers import edf_eval, enum_cdf, enum_pvalue, ks_distance_exact
+from helpers import (
+    edf_eval,
+    edf_mean_searchsorted,
+    enum_cdf,
+    enum_pvalue,
+    ks_distance_exact,
+    step_distance_union,
+)
 
 
 class TestStatistic:
@@ -202,6 +209,10 @@ class TestStepFunctions:
         with pytest.raises(ValidationError):
             StepFunction(np.array([1.0, 1.0]), np.array([0.1, 0.2]))
 
+    def test_step_rejects_repeated_infinity(self):
+        with pytest.raises(ValidationError):
+            StepFunction(np.array([0.0, math.inf, math.inf]), np.array([0.1, 0.2, 0.3]))
+
     def test_distance_half_offset(self):
         # classic: EDF{1,2} vs EDF{1.5} differ by 1/2 on [1, 1.5)
         d = kolmogorov_distance(EDF.from_sample([1.0, 2.0]), EDF.from_sample([1.5]))
@@ -236,3 +247,97 @@ class TestStepFunctions:
         assert s.evaluate(0.4) == 0.0
         assert s.evaluate(0.5) == pytest.approx(2 / 3, rel=1e-15)
         assert s.evaluate(1.0) == 1.0
+
+
+# quarter-integers give ties within and across samples; the floats do not
+_VALUES = st.one_of(st.integers(-6, 6).map(lambda k: k / 4),
+                    st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def _sample_sets(draw):
+    """1 to 6 samples, of one common size or of independent sizes."""
+    B = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        return [draw(st.lists(_VALUES, min_size=n, max_size=n)) for _ in range(B)]
+    return [draw(st.lists(_VALUES, min_size=1, max_size=12)) for _ in range(B)]
+
+
+@st.composite
+def _step_functions(draw):
+    """Step functions over the sample values, nondecreasing or not."""
+    xs = sorted(draw(st.lists(_VALUES, min_size=1, max_size=10, unique=True)))
+    heights = st.floats(-2.0, 2.0, allow_nan=False)
+    ys = draw(st.lists(heights, min_size=len(xs), max_size=len(xs)))
+    y0 = draw(heights)
+    if draw(st.booleans()):
+        ys = sorted(ys)
+        y0 = min(y0, ys[0])
+    return StepFunction(np.array(xs), np.array(ys), y0)
+
+
+def _edf_steps(sample):
+    xs = sorted(set(map(float, sample)))
+    return xs, [sum(1 for v in sample if v <= x) / len(sample) for x in xs], 0.0
+
+
+def _steps(s: StepFunction):
+    return s.xs, s.ys, s.y0
+
+
+class TestDistanceOracles:
+    """Bitwise agreement with a distance read over the union of both jump
+    sets and with a center built from one searchsorted pass per EDF."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sample_sets())
+    def test_center_matches_searchsorted_mean(self, samples):
+        center = mean_of_edfs([EDF.from_sample(s) for s in samples])
+        xs, heights = edf_mean_searchsorted(samples)
+        assert np.array_equal(center.xs, xs)
+        assert np.array_equal(center.ys, heights)
+        assert center.y0 == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sample_sets())
+    def test_edf_to_center_matches_union(self, samples):
+        edfs = [EDF.from_sample(s) for s in samples]
+        center = mean_of_edfs(edfs)
+        for sample, edf in zip(samples, edfs):
+            want = step_distance_union(*_edf_steps(sample), *_steps(center))
+            assert kolmogorov_distance(edf, center) == want
+            assert kolmogorov_distance(center, edf) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(_step_functions(), _step_functions(), _sample_sets())
+    def test_step_functions_match_union(self, f, g, samples):
+        edf = EDF.from_sample(samples[0])
+        for a, b in [(f, g), (g, f), (f, f), (f, edf), (edf, f)]:
+            a_steps = _edf_steps(samples[0]) if a is edf else _steps(a)
+            b_steps = _edf_steps(samples[0]) if b is edf else _steps(b)
+            assert kolmogorov_distance(a, b) == step_distance_union(*a_steps, *b_steps)
+
+
+def test_edf_distance_visits_only_the_edf_jumps(monkeypatch):
+    """Against a B=8 center, each distance reads both functions at no more
+    than the EDF's own jumps plus one point, never the center's whole grid."""
+    sizes = []
+    for name in ("evaluate", "evaluate_left"):
+        original = getattr(StepFunction, name)
+
+        def recording(self, t, original=original):
+            sizes.append(np.size(t))
+            return original(self, t)
+
+        monkeypatch.setattr(StepFunction, name, recording)
+    rng = np.random.default_rng(3)
+    edfs = [EDF.from_sample(np.round(rng.normal(size=100), 3)) for _ in range(8)]
+    center = mean_of_edfs(edfs)
+    for edf in edfs:
+        jumps = np.unique(edf.sorted_values).size
+        assert center.xs.size > 4 * jumps
+        for f, g in [(edf, center), (center, edf)]:
+            sizes.clear()
+            kolmogorov_distance(f, g)
+            assert sizes and max(sizes) <= jumps + 1
