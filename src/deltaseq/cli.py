@@ -163,7 +163,7 @@ def _resolve(ns, params: tuple[Param, ...]) -> dict:
     if getattr(ns, "config", None):
         try:
             cfg = json.loads(Path(ns.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(f"config file {ns.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ParseError(f"config file {ns.config} must hold a JSON object")

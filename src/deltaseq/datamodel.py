@@ -1,9 +1,16 @@
 """Expression matrix container plus TSV ingestion, transforms, and selection.
 
-Matrices are genes-as-rows, arrays-as-columns. The TSV layout is one gene
-per line, first column the gene id, remaining columns float values, with an
-optional header row naming the arrays. The writer emits shortest
+Matrices are genes-as-rows, arrays-as-columns. The TSV layout is UTF-8 text,
+one gene per line, first column the gene id, remaining columns float values,
+with an optional header row naming the arrays. The writer emits shortest
 round-tripping float representations, so write/load is an exact identity.
+
+The loader splits each line once into gene id and value text and parses all
+values with one np.loadtxt call. It keeps that result only when every line
+gave a row, the width matches the header, and every value is finite; then
+the values are exactly those float() gives. Otherwise the line-by-line
+parser parses the lines again, and it alone raises ParseError with the line
+and column of the first fault.
 """
 
 from __future__ import annotations
@@ -102,23 +109,77 @@ class NoiseModel:
 
 
 def load_matrix(path: str | Path, *, has_header: bool = True, log_scale: bool = False) -> ExpressionMatrix:
-    """Parse a TSV file into an ExpressionMatrix.
+    """Parse a UTF-8 TSV file into an ExpressionMatrix.
 
     Raises ParseError naming the 1-based line number for structural problems
     and ValidationError for id or shape violations.
     """
     path = Path(path)
+    lines = _read_lines(path)
+    body = lines[1:] if has_header else lines
+    bulk = _parse_bulk(body)
+    if bulk is not None:
+        gene_ids, values = bulk
+        if has_header:
+            array_ids = [c.strip() for c in lines[0].split("\t")[1:]]
+        else:
+            array_ids = [f"A{i + 1}" for i in range(values.shape[1])]
+        if values.shape[1] == len(array_ids):
+            del lines, body  # free the text before ExpressionMatrix copies the values
+            return ExpressionMatrix(tuple(gene_ids), tuple(array_ids), values, log_scale)
+    return _load_lines(path, lines, has_header=has_header, log_scale=log_scale)
+
+
+def _read_lines(path: Path) -> list[str]:
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    del data
     lines = text.splitlines()
     # Trailing blank lines are tolerated; interior blanks are not.
     while lines and lines[-1].strip() == "":
         lines.pop()
     if not lines:
         raise ParseError(f"{path}: file is empty")
+    return lines
 
+
+def _parse_bulk(body: list[str]) -> tuple[list[str], np.ndarray] | None:
+    """Gene ids and values of the body lines, or None when a line needs the
+    line parser's diagnosis.
+
+    One np.loadtxt call parses every value. Where it accepts a cell, it
+    gives the double float() gives; it rejects some cells float() accepts
+    (``1_0``, non-ASCII digits), and those files take the line parser.
+    """
+    gene_ids: list[str] = []
+    rests: list[str] = []
+    try:
+        for line in body:
+            gid, rest = line.split("\t", 1)
+            gene_ids.append(gid.strip())
+            rests.append(rest)
+        if not any(rests):  # nothing to parse; np.loadtxt would warn
+            return None
+        values = np.loadtxt(rests, delimiter="\t", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    # np.loadtxt skips empty lines, such as the rest of a "g\t" row.
+    if values.shape[0] != len(body) or not np.isfinite(values).all():
+        return None
+    return gene_ids, values
+
+
+def _load_lines(path: Path, lines: list[str], *, has_header: bool, log_scale: bool) -> ExpressionMatrix:
+    """Line-by-line parser: the reference for load_matrix's values, and the
+    source of every ParseError with its line and column numbers."""
     lineno = 1
     array_ids: list[str] | None = None
     if has_header:
@@ -130,6 +191,8 @@ def load_matrix(path: str | Path, *, has_header: bool = True, log_scale: bool = 
         lineno = 2
     else:
         body = lines
+    if not body:
+        raise ParseError(f"{path}: no data rows after the header")
 
     gene_ids: list[str] = []
     rows: list[list[float]] = []
@@ -168,10 +231,6 @@ def load_matrix(path: str | Path, *, has_header: bool = True, log_scale: bool = 
     return ExpressionMatrix(tuple(gene_ids), tuple(array_ids), np.array(rows, dtype=np.float64), log_scale)
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
-
-
 def matrix_to_tsv(matrix: ExpressionMatrix) -> str:
     """Serialize to the TSV layout accepted by load_matrix; byte-stable."""
     return table_to_tsv(matrix.gene_ids, matrix.array_ids, matrix.values)
@@ -179,13 +238,14 @@ def matrix_to_tsv(matrix: ExpressionMatrix) -> str:
 
 def table_to_tsv(row_ids: Sequence[str], col_ids: Sequence[str], values: np.ndarray) -> str:
     lines = ["gene_id\t" + "\t".join(col_ids)]
-    for rid, row in zip(row_ids, values):
-        lines.append(rid + "\t" + "\t".join(_format_value(v) for v in row))
+    # repr of a Python float is the shortest string that reads back exactly.
+    lines.extend(rid + "\t" + "\t".join(map(repr, row))
+                 for rid, row in zip(row_ids, np.asarray(values, dtype=np.float64).tolist()))
     return "\n".join(lines) + "\n"
 
 
 def save_matrix(matrix: ExpressionMatrix, path: str | Path) -> None:
-    Path(path).write_text(matrix_to_tsv(matrix))
+    Path(path).write_text(matrix_to_tsv(matrix), encoding="utf-8")
 
 
 def log_transform(matrix: ExpressionMatrix, base: float = 2.0) -> ExpressionMatrix:

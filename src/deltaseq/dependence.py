@@ -456,17 +456,22 @@ def increment_threshold_soundness_sweep(n_cases: int = 10_000, seed: int = 0,
 
 
 def pair_census_to_csv(census: PairCensus, matrix: ExpressionMatrix) -> str:
+    ids = matrix.gene_ids
     lines = ["id1,id2,statistic,p_value,flag"]
-    for (a, b), r, p, ok in zip(census.pairs, census.statistics, census.p_values, census.is_type_a):
-        lines.append(
-            f"{matrix.gene_ids[int(a)]},{matrix.gene_ids[int(b)]},{float(r)!r},{float(p)!r},{int(ok)}"
-        )
+    lines.extend(
+        f"{ids[a]},{ids[b]},{r!r},{p!r},{int(ok)}"
+        for (a, b), r, p, ok in zip(census.pairs.tolist(), census.statistics.tolist(),
+                                    census.p_values.tolist(), census.is_type_a.tolist())
+    )
     return "\n".join(lines) + "\n"
 
 
 def triple_census_to_csv(census: TripleCensus, matrix: ExpressionMatrix) -> str:
+    ids = matrix.gene_ids
     lines = ["id1,id2,id3,statistic,p_value,flag"]
-    for ids, cov, (p1, p2) in zip(census.triples, census.cov_z1_z2, census.pair_p_values):
-        names = ",".join(matrix.gene_ids[int(i)] for i in ids)
-        lines.append(f"{names},{float(cov)!r},{float(min(p1, p2))!r},{int(cov < 0.0)}")
+    lines.extend(
+        f"{ids[a]},{ids[b]},{ids[c]},{cov!r},{min(p1, p2)!r},{int(cov < 0.0)}"
+        for (a, b, c), cov, (p1, p2) in zip(census.triples.tolist(), census.cov_z1_z2.tolist(),
+                                            census.pair_p_values.tolist())
+    )
     return "\n".join(lines) + "\n"

@@ -122,8 +122,8 @@ def spec_from_json(path: str | Path):
     generate_null_matrix keyword arguments.
     """
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read generator spec {path}: {exc}") from exc
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ValidationError(f"generator spec {path} must be an object with a 'kind' key")

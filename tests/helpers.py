@@ -7,12 +7,23 @@ and exact rational arithmetic. Nothing imports the package under test.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
+
+
+def ascii_locale_env() -> dict[str, str]:
+    """Environment of a child interpreter whose locale encoding is ASCII,
+    with this checkout's ``src`` on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,14 @@
 """End-to-end tests of the command line interface.
 
 Everything runs in-process through cli.main(argv) so exit codes and stdout
-are observable without spawning interpreters.
+are observable without spawning interpreters; only the locale test needs a
+child interpreter, because the locale encoding is fixed at start-up.
 """
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +16,7 @@ from deltaseq import __version__
 from deltaseq.cli import main
 from deltaseq.datamodel import matrix_to_tsv
 from deltaseq.synth import ChainSpec, generate_chain_matrix, generate_null_matrix
+from helpers import ascii_locale_env
 
 
 @pytest.fixture(scope="session")
@@ -68,6 +72,29 @@ class TestExitCodes:
         bad = tmp_path / "bad.tsv"
         bad.write_text("gene\ta\tb\tc\td\ng1\t1\t2\tx\t4\n", encoding="utf-8")
         assert main(["check", "--in", str(bad)]) == 1
+
+    @pytest.mark.parametrize("flag", ["--in", "--spec", "--config"])
+    def test_input_file_not_utf8(self, flag, chain_tsv, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"gene_id\ta\tb\tc\td\ng\xe91\t1\t2\t3\t4\ng2\t5\t6\t7\t8\n"
+                        if flag == "--in" else b'{"kind": "null", "m": 12\xe9}')
+        argv = {"--in": ["check", "--in", str(bad)],
+                "--spec": ["synth", "--spec", str(bad), "--out", str(tmp_path / "o")],
+                "--config": ["check", "--in", chain_tsv, "--config", str(bad)]}[flag]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_utf8_input_under_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("gene_id\ta\tb\tc\td\ngé1\t1\t2\t3\t4\ng2\t5\t6\t7\t8\n",
+                        encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "deltaseq.cli", "check", "--in", str(path),
+             "--out", str(tmp_path / "o")],
+            env=ascii_locale_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "ok"
 
     def test_resource_budget_exit_code(self, capsys):
         code = main(["ks", "--cdf", "--n1", "300", "--n2", "301", "--budget", "100"])
