@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateInputError, DomainError, ValidationError
-from .mtp import json_dumps
+from .mtp import csv_text, json_dumps
 
 DEFAULT_BINS = 50
 
@@ -61,10 +61,6 @@ class Histogram:
 
     edges: np.ndarray
     counts: np.ndarray
-
-    def rows(self) -> Iterator[tuple[float, float, int]]:
-        for k in range(self.counts.shape[0]):
-            yield float(self.edges[k]), float(self.edges[k + 1]), int(self.counts[k])
 
 
 @dataclass(frozen=True)
@@ -203,10 +199,7 @@ def z_summary(source, rows: Sequence[int] | None = None, bins: int = DEFAULT_BIN
 
 
 def histogram_to_csv(hist: Histogram) -> str:
-    lines = ["bin_low,bin_high,count"]
-    for lo, hi, c in hist.rows():
-        lines.append(f"{lo!r},{hi!r},{c}")
-    return "\n".join(lines) + "\n"
+    return csv_text("bin_low,bin_high,count", hist.edges[:-1], hist.edges[1:], hist.counts)
 
 
 def summary_header_json(summary: CorrelationSummary | ZSummary) -> str:

@@ -20,6 +20,7 @@ import numpy as np
 from .corrstats import pearson
 from .datamodel import ExpressionMatrix
 from .errors import DegenerateInputError, ResourceError, ValidationError
+from .mtp import csv_text
 
 _CONST_TOL = 64.0 * np.finfo(np.float64).eps
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
@@ -455,23 +456,21 @@ def increment_threshold_soundness_sweep(n_cases: int = 10_000, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
+def _id_columns(ids: Sequence[str], index: np.ndarray) -> list[list[str]]:
+    """The gene ids named by each column of an index table."""
+    return [[ids[i] for i in col] for col in index.T.tolist()]
+
+
 def pair_census_to_csv(census: PairCensus, matrix: ExpressionMatrix) -> str:
-    ids = matrix.gene_ids
-    lines = ["id1,id2,statistic,p_value,flag"]
-    lines.extend(
-        f"{ids[a]},{ids[b]},{r!r},{p!r},{int(ok)}"
-        for (a, b), r, p, ok in zip(census.pairs.tolist(), census.statistics.tolist(),
-                                    census.p_values.tolist(), census.is_type_a.tolist())
-    )
-    return "\n".join(lines) + "\n"
+    return csv_text("id1,id2,statistic,p_value,flag",
+                    *_id_columns(matrix.gene_ids, census.pairs),
+                    census.statistics, census.p_values, census.is_type_a)
 
 
 def triple_census_to_csv(census: TripleCensus, matrix: ExpressionMatrix) -> str:
-    ids = matrix.gene_ids
-    lines = ["id1,id2,id3,statistic,p_value,flag"]
-    lines.extend(
-        f"{ids[a]},{ids[b]},{ids[c]},{cov!r},{min(p1, p2)!r},{int(cov < 0.0)}"
-        for (a, b, c), cov, (p1, p2) in zip(census.triples.tolist(), census.cov_z1_z2.tolist(),
-                                            census.pair_p_values.tolist())
-    )
-    return "\n".join(lines) + "\n"
+    p1, p2 = census.pair_p_values.T
+    cov = census.cov_z1_z2
+    # min(p1, p2) as Python's min picks it: p1 unless p2 is smaller
+    return csv_text("id1,id2,id3,statistic,p_value,flag",
+                    *_id_columns(matrix.gene_ids, census.triples),
+                    cov, np.where(p2 < p1, p2, p1), cov < 0.0)

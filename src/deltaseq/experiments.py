@@ -25,7 +25,7 @@ from .kstest import (
     ks_exact_cdf,
     mean_of_edfs,
 )
-from .mtp import RejectionReport, confusion_counts, extended_bonferroni, json_dumps
+from .mtp import RejectionReport, confusion_counts, csv_text, extended_bonferroni, json_dumps
 from .ordering import GeneOrdering, delta_sequence, even_rank_genes, variance_ordering
 
 MODES = ("delta", "expression")
@@ -93,10 +93,7 @@ class NullSplitResult:
         })
 
     def to_csv(self) -> str:
-        lines = ["row_id,scaled,d"]
-        for rid, c, d in zip(self.row_ids, self.scaled, self.statistics):
-            lines.append(f"{rid},{int(c)},{float(d)!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text("row_id,scaled,d", self.row_ids, self.scaled, self.statistics)
 
 
 def null_split_experiment(matrix: ExpressionMatrix, n1: int, n2: int,
@@ -153,10 +150,8 @@ class StabilityReport:
         })
 
     def to_csv(self) -> str:
-        lines = ["subsample,distance"]
-        for s, v in enumerate(self.distances, start=1):
-            lines.append(f"{s},{float(v)!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text("subsample,distance", np.arange(1, self.distances.shape[0] + 1),
+                        self.distances)
 
 
 def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
@@ -285,10 +280,8 @@ class ExperimentReport:
         })
 
     def to_csv(self) -> str:
-        lines = ["replicate,fp,tp,fdr"]
-        for i in range(self.fp.shape[0]):
-            lines.append(f"{i + 1},{int(self.fp[i])},{int(self.tp[i])},{float(self.fdr[i])!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text("replicate,fp,tp,fdr", np.arange(1, self.fp.shape[0] + 1),
+                        self.fp, self.tp, self.fdr)
 
 
 def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfig,
@@ -327,10 +320,8 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
         )
     targets = np.sort(rng.choice(n_rows, size=config.n_modified, replace=False)).astype(np.int64)
 
-    if mode == "delta":
-        sds = delta_sequence(sub1, ordering).values.std(axis=1, ddof=1)
-    else:
-        sds = sub1.values[even_rank_genes(ordering)].std(axis=1, ddof=1)
+    rows1, _ = _mode_rows(sub1, ordering, mode)
+    sds = rows1.std(axis=1, ddof=1)
     effects = config.effect_multiplier * sds[targets]
 
     modified2 = sub2.values.copy()
@@ -338,7 +329,6 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
     modified2[even_idx[targets]] += effects[:, None]
     sub2mod = ExpressionMatrix(sub2.gene_ids, sub2.array_ids, modified2, sub2.log_scale)
 
-    rows1, _ = _mode_rows(sub1, ordering, mode)
     rows2, _ = _mode_rows(sub2mod, ordering, mode)
     truth = np.zeros(n_rows, dtype=bool)
     truth[targets[effects != 0.0]] = True
@@ -385,10 +375,7 @@ class ConsistencyTrajectory:
         })
 
     def to_csv(self) -> str:
-        lines = ["rows_averaged,sd"]
-        for k, v in zip(self.row_counts, self.sd_values):
-            lines.append(f"{int(k)},{float(v)!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text("rows_averaged,sd", self.row_counts, self.sd_values)
 
 
 def moving_mean_consistency(source, step: int, k_max: int) -> ConsistencyTrajectory:
@@ -458,10 +445,8 @@ class ExceedanceResult:
         })
 
     def to_csv(self) -> str:
-        lines = ["row_id,d,p,exceeds"]
-        for rid, d, p in zip(self.row_ids, self.statistics, self.p_values):
-            lines.append(f"{rid},{float(d)!r},{float(p)!r},{int(p <= self.alpha)}")
-        return "\n".join(lines) + "\n"
+        return csv_text("row_id,d,p,exceeds", self.row_ids, self.statistics, self.p_values,
+                        self.p_values <= self.alpha)
 
 
 def cross_phenotype_exceedance(a: ExpressionMatrix, b: ExpressionMatrix,

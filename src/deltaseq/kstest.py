@@ -24,9 +24,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import ResourceError, ValidationError
+from .mtp import csv_text
 
 DEFAULT_CDF_BUDGET = 10_000
-_LATTICE_CACHE_MAX_STEPS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +266,7 @@ def ks_exact_pvalue_exact(d: float, n1: int, n2: int) -> Fraction:
     n1, n2 = _validate_sizes(n1, n2)
     if not math.isfinite(d) or d < -1e-9 or d > 1.0 + 1e-9:
         raise ValidationError(f"d must lie in [0, 1], got {d}")
-    limit = _scaled_limit(min(max(d, 0.0), 1.0), n1, n2)
-    inside = _paths_within(n1, n2, limit)
-    return 1 - Fraction(inside, math.comb(n1 + n2, n1))
+    return _pvalue_from_scaled(_scaled_limit(min(max(d, 0.0), 1.0), n1, n2) + 1, n1, n2)
 
 
 def ks_exact_pvalue(d: float, n1: int, n2: int) -> float:
@@ -293,41 +291,22 @@ def _counts_within_lattice(n1: int, n2: int) -> tuple[int, ...]:
     return tuple(_paths_within(n1, n2, k * g) for k in range(steps + 1))
 
 
-@lru_cache(maxsize=64)
-def _survival_lattice(n1: int, n2: int) -> np.ndarray:
-    """survival[k] = P(D >= k*g/(n1*n2)); every attainable scaled statistic
-    is a multiple of g, so p-values reduce to one indexed lookup."""
-    counts = _counts_within_lattice(n1, n2)
-    total = math.comb(n1 + n2, n1)
-    out = np.empty(len(counts), dtype=np.float64)
-    out[0] = 1.0
-    for k in range(1, len(counts)):
-        out[k] = float(1 - Fraction(counts[k - 1], total))
-    out.flags.writeable = False
-    return out
-
-
 def exact_pvalues_for_scaled(scaled: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Vector of P(D >= c/(n1*n2)) for integer scaled statistics ``c``.
-
-    Uses the cached whole-lattice table when it is small; otherwise computes
-    one path-count per distinct observed value.
-    """
+    """P(D >= c/(n1*n2)) for each integer scaled statistic ``c`` in
+    [0, n1*n2], in an array shaped like ``scaled``; one path count per
+    distinct value."""
     n1, n2 = _validate_sizes(n1, n2)
     cs = np.asarray(scaled, dtype=np.int64)
-    g = math.gcd(n1, n2)
-    if n1 * n2 // g <= _LATTICE_CACHE_MAX_STEPS:
-        return _survival_lattice(n1, n2)[cs // g]
-    out = np.empty(cs.shape, dtype=np.float64)
-    memo: dict[int, float] = {}
-    for i, c in enumerate(cs.ravel()):
-        c = int(c)
-        p = memo.get(c)
-        if p is None:
-            p = float(_pvalue_from_scaled(c, n1, n2))
-            memo[c] = p
-        out.ravel()[i] = p
-    return out
+    top = n1 * n2
+    if cs.size and (cs.min() < 0 or cs.max() > top):
+        bad = int(cs[(cs < 0) | (cs > top)][0])
+        raise ValidationError(f"scaled statistic {bad} outside [0, {top}]")
+    seen = np.zeros(top + 1, dtype=bool)
+    seen[cs] = True
+    table = np.empty(top + 1, dtype=np.float64)
+    for c in np.flatnonzero(seen).tolist():
+        table[c] = float(_pvalue_from_scaled(c, n1, n2))
+    return table[cs]
 
 
 @dataclass(frozen=True)
@@ -343,10 +322,7 @@ class ExactCdfTable:
         return StepFunction(self.ds, self.cdf)
 
     def to_csv(self) -> str:
-        lines = ["d,cdf"]
-        for d, c in zip(self.ds, self.cdf):
-            lines.append(f"{float(d)!r},{float(c)!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text("d,cdf", self.ds, self.cdf)
 
 
 def ks_exact_cdf(n1: int, n2: int, budget: int = DEFAULT_CDF_BUDGET) -> ExactCdfTable:

@@ -78,6 +78,24 @@ def json_dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def csv_text(header: str, *columns) -> str:
+    """The byte format of every CSV report: the header line, then one row per
+    index of the columns, cells joined by commas, every line ending in "\n".
+
+    A numpy column is converted once with ``tolist()`` and written with
+    ``repr``: ints in decimal, floats in their shortest round-trip form, bools
+    as 0/1. Any other column is a sequence of strings, written as they are.
+    """
+    cells = []
+    for col in columns:
+        if isinstance(col, np.ndarray):
+            if col.dtype == np.bool_:
+                col = col.astype(np.int64)
+            col = map(repr, col.tolist())
+        cells.append(col)
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
 def report_to_json(report: RejectionReport) -> str:
     return json_dumps({
         "m": report.m,
@@ -95,10 +113,9 @@ def report_to_csv(report: RejectionReport, row_ids: Sequence[str] | None = None)
         raise ValidationError(f"got {len(row_ids)} row ids for {report.m} hypotheses")
     rej = np.zeros(report.m, dtype=bool)
     rej[report.rejected] = True
-    head = "index,p,rejected,truth" if row_ids is None else "row_id,p,rejected,truth"
-    lines = [head]
-    for i in range(report.m):
-        label = str(i) if row_ids is None else row_ids[i]
-        truth = "" if report.truth is None else str(int(report.truth[i]))
-        lines.append(f"{label},{float(report.p_values[i])!r},{int(rej[i])},{truth}")
-    return "\n".join(lines) + "\n"
+    if row_ids is None:
+        head, labels = "index,p,rejected,truth", np.arange(report.m)
+    else:
+        head, labels = "row_id,p,rejected,truth", row_ids
+    truth = [""] * report.m if report.truth is None else report.truth
+    return csv_text(head, labels, report.p_values, rej, truth)

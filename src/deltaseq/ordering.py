@@ -16,6 +16,7 @@ import numpy as np
 
 from .datamodel import ExpressionMatrix, table_to_tsv
 from .errors import ValidationError
+from .mtp import csv_text
 
 
 @dataclass(frozen=True)
@@ -118,10 +119,10 @@ def even_rank_genes(ordering: GeneOrdering) -> np.ndarray:
 
 
 def ordering_to_csv(ordering: GeneOrdering, matrix: ExpressionMatrix) -> str:
-    lines = ["rank,gene_id,variance"]
-    for k, (idx, var) in enumerate(zip(ordering.permutation, ordering.variances), start=1):
-        lines.append(f"{k},{matrix.gene_ids[int(idx)]},{float(var)!r}")
-    return "\n".join(lines) + "\n"
+    ids = matrix.gene_ids
+    perm = ordering.permutation
+    return csv_text("rank,gene_id,variance", np.arange(1, perm.shape[0] + 1),
+                    [ids[i] for i in perm.tolist()], ordering.variances)
 
 
 def delta_to_tsv(delta: DeltaMatrix) -> str:

@@ -9,6 +9,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -335,7 +336,7 @@ class TestManifest:
         assert manifest["config"]["pairs"] == 10
         assert manifest["config"]["alpha"] == 0.05  # default filled in
         assert "threads" not in manifest["config"]
-        digest = hashlib.sha256(open(chain_tsv, "rb").read()).hexdigest()
+        digest = hashlib.sha256(Path(chain_tsv).read_bytes()).hexdigest()
         assert manifest["inputs"] == {chain_tsv: digest}
 
 

@@ -19,7 +19,7 @@ from deltaseq import (
     ks_test,
     mean_of_edfs,
 )
-from deltaseq.kstest import exact_pvalues_for_scaled
+from deltaseq.kstest import _pvalue_from_scaled, exact_pvalues_for_scaled
 
 from helpers import (
     edf_eval,
@@ -146,8 +146,8 @@ class TestBatchPValues:
         assert np.array_equal(got, np.asarray(want))
 
     def test_matches_scalar_api_coprime_sizes(self):
-        # 23*29 lattice steps exceed the cached-table cutoff, forcing the
-        # per-value path
+        # coprime sizes: every integer in [0, 23*29] is an attainable
+        # statistic, so each observed value takes its own path count
         rng = np.random.default_rng(3)
         scaled = []
         for _ in range(12):
@@ -156,6 +156,25 @@ class TestBatchPValues:
         got = exact_pvalues_for_scaled(np.asarray(scaled), 23, 29)
         want = [ks_exact_pvalue(c / (23 * 29), 23, 29) for c in scaled]
         assert np.array_equal(got, np.asarray(want))
+
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (10, 10), (23, 29), (45, 43)])
+    def test_every_statistic_matches_its_path_count(self, n1, n2):
+        top = n1 * n2
+        want = np.asarray([float(_pvalue_from_scaled(c, n1, n2)) for c in range(top + 1)])
+        got = exact_pvalues_for_scaled(np.arange(top + 1), n1, n2)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        grid = np.random.default_rng(top).integers(0, top + 1, size=(3, 5))
+        got2 = exact_pvalues_for_scaled(grid, n1, n2)
+        assert got2.shape == (3, 5)
+        assert got2.view(np.int64).tolist() == want[grid].view(np.int64).tolist()
+        empty = exact_pvalues_for_scaled(np.empty(0, dtype=np.int64), n1, n2)
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
+    @pytest.mark.parametrize("n1,n2", [(10, 10), (45, 43)])
+    def test_statistic_outside_the_lattice_rejected(self, n1, n2):
+        for c in (-1, n1 * n2 + 1):
+            with pytest.raises(ValidationError, match=f"scaled statistic {c} outside"):
+                exact_pvalues_for_scaled(np.asarray([0, c]), n1, n2)
 
     def test_scaled_statistics_are_gcd_multiples(self):
         rng = np.random.default_rng(4)

@@ -2,11 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltaseq import ValidationError, confusion_counts, extended_bonferroni
-from deltaseq.mtp import report_to_csv, report_to_json
+from deltaseq.mtp import csv_text, report_to_csv, report_to_json
 
 
 class TestExtendedBonferroni:
@@ -123,3 +123,32 @@ class TestSerialization:
         report = extended_bonferroni([0.01, 0.9], pfer=0.5)
         with pytest.raises(ValidationError):
             report_to_csv(report, row_ids=("only-one",))
+
+
+# ids may hold any printable text, spaces and non-ASCII included, but no comma
+_CSV_IDS = st.text(st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters=","),
+                   max_size=8)
+_CSV_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308])
+_CSV_ROWS = st.lists(st.tuples(_CSV_IDS, _CSV_FLOATS, st.integers(-2**63, 2**63 - 1),
+                               st.booleans()), max_size=12)
+
+
+class TestCsvText:
+    @settings(max_examples=200, deadline=None)
+    @given(_CSV_ROWS)
+    @example([])
+    @example([("g é 1", -0.0, 0, True), ("two words", 5e-324, -7, False),
+              ("ß", 1e308, 2**63 - 1, True)])
+    def test_matches_per_cell_reference(self, rows):
+        ids = [r[0] for r in rows]
+        xs = np.array([r[1] for r in rows], dtype=np.float64)
+        ks = np.array([r[2] for r in rows], dtype=np.int64)
+        flags = np.array([r[3] for r in rows], dtype=bool)
+        got = csv_text("id,x,k,flag", ids, xs, ks, flags)
+        want = "".join(["id,x,k,flag\n"] + [f"{i},{x!r},{k},{int(f)}\n" for i, x, k, f in rows])
+        assert got == want
+        lines = got.split("\n")
+        assert lines[-1] == "" and len(lines) == len(rows) + 2
+        back = np.array([float(line.split(",")[1]) for line in lines[1:-1]], dtype=np.float64)
+        assert back.view(np.int64).tolist() == xs.view(np.int64).tolist()
