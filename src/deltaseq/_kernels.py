@@ -14,34 +14,87 @@ HAVE_NUMBA = False
 # Batched two-sample Kolmogorov-Smirnov statistic on the integer lattice.
 #
 # For row r the statistic is sup_t |F1(t) - F2(t)| where F1, F2 are the
-# empirical distribution functions of a[r] and b[r]. Walking the merged
-# sorted values with steps +n2 per first-sample point and -n1 per
-# second-sample point gives n1*n2*|F1 - F2| as a running integer h; the sup
-# is max |h| taken at value boundaries only, so tied values (within or
-# across samples) are consumed as one atomic group. A row is flagged when
-# the two samples share a value; the statistic is still exact for the data
-# as given, but the exact null p-value assumes no cross-sample ties.
+# empirical distribution functions of a[r] and b[r]. It depends only on the
+# order of the pooled row: any strictly increasing map of the pooled values
+# (their dense ranks, say) leaves it unchanged, and so does the tie flag.
+#
+# Each pooled value becomes a key (rank, sample bit), bit 0 for the first
+# sample and 1 for the second; pre-ranked integer rows are packed as
+# 2*rank + bit. With the keys sorted by rank, walking them with steps +n2
+# per bit-0 key and -n1 per bit-1 key gives n1*n2*(F1 - F2) as a running
+# integer h, and the statistic is max |h| taken where the rank changes, so
+# a group of tied values is consumed as one step. A row is flagged when some
+# rank group holds both sample bits, i.e. the two samples share a value; the
+# statistic is still exact for the data as given, but the exact null p-value
+# assumes no cross-sample ties.
+#
+# Float rows get their keys from one pooled argsort per call. Callers that
+# draw many column subsets of one pooled matrix dense-rank it once
+# (`dense_ranks`) and pass the chosen integer ranks, whose keys need only one
+# small integer sort. Keys are sorted and scanned in the transposed
+# (n1+n2, m) layout, so each step is one vector operation across all m rows,
+# with an int32 accumulator while n1*n2 fits in it.
 # ---------------------------------------------------------------------------
 
 
+def dense_ranks(x: np.ndarray) -> np.ndarray:
+    """Dense rank of each value within its row (0 for the row's smallest,
+    equal values share a rank), as int32 while the ranks fit in it."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, axis=1)
+    vals = np.take_along_axis(x, order, axis=1)
+    ranks = np.zeros(x.shape, dtype=np.int32 if x.shape[1] <= 2**31 else np.int64)
+    np.cumsum(vals[:, 1:] != vals[:, :-1], axis=1, out=ranks[:, 1:])
+    out = np.empty_like(ranks)
+    np.put_along_axis(out, order, ranks, axis=1)
+    return out
+
+
 def ks_scaled_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch KS: returns (n1*n2*D as int64, cross-sample tie flags)."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
+    """Batch KS: returns (n1*n2*D as int64, cross-sample tie flags).
+
+    Rows of floats must be finite. Rows of integers are read as ranks within
+    each pooled row (as from `dense_ranks`), which need not be dense; they
+    are read fastest as the `.T` view of a C-ordered array that holds one
+    sample value of every row per line.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
     m, n1 = a.shape
     n2 = b.shape[1]
-    combined = np.concatenate([a, b], axis=1)
-    order = np.argsort(combined, axis=1, kind="stable")
-    vals = np.take_along_axis(combined, order, axis=1)
-    steps = np.where(order < n1, np.int64(n2), np.int64(-n1))
-    h = np.cumsum(steps, axis=1)
-    boundary = np.empty(h.shape, dtype=bool)
-    boundary[:, -1] = True
-    boundary[:, :-1] = vals[:, 1:] != vals[:, :-1]
-    out = np.where(boundary, np.abs(h), 0).max(axis=1)
-    first = order < n1
-    eq = vals[:, 1:] == vals[:, :-1]
-    ties = (eq & (first[:, 1:] != first[:, :-1])).any(axis=1)
+    if np.issubdtype(a.dtype, np.integer) and np.issubdtype(b.dtype, np.integer):
+        lo = min(a.min(initial=0), b.min(initial=0))
+        hi = max(a.max(initial=0), b.max(initial=0))
+        keys = np.empty((n1 + n2, m), dtype=np.int32 if -2**30 <= lo and hi < 2**30 else np.int64)
+        np.multiply(a.T, 2, out=keys[:n1], casting="unsafe")
+        np.multiply(b.T, 2, out=keys[n1:], casting="unsafe")
+        keys[n1:] += 1
+        keys.sort(axis=0)
+        second = (keys & 1).astype(bool)
+        rank = keys >> 1
+        change = rank[1:] != rank[:-1]
+    else:
+        combined = np.concatenate([a, b], axis=1).astype(np.float64, copy=False)
+        # the scan needs the keys grouped by rank only, so the sort need not be stable
+        order = np.argsort(combined, axis=1)
+        vals = np.take_along_axis(combined, order, axis=1)
+        second = np.ascontiguousarray((order >= n1).T)
+        change = np.ascontiguousarray((vals[:, 1:] != vals[:, :-1]).T)
+    # second: the sample bits of the (n1+n2, m) sorted keys; change: a rank
+    # change between neighbours. The one scan follows.
+    h = second.astype(np.int32 if n1 * n2 < 2**31 else np.int64)
+    h *= -(n1 + n2)
+    h += n2
+    if h.shape[0] <= h.shape[1]:
+        # np.cumsum does not vectorise across axis 0; a row of adds per key does
+        for i in range(1, h.shape[0]):
+            h[i] += h[i - 1]
+    else:
+        np.cumsum(h, axis=0, out=h)
+    # h is 0 after the last key, so only the changes inside the row count
+    np.abs(h, out=h)
+    out = (h[:-1] * change).max(axis=0, initial=0)
+    ties = (~change & (second[1:] != second[:-1])).any(axis=0)
     return out.astype(np.int64), ties
 
 

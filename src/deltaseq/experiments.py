@@ -333,6 +333,11 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
     truth = np.zeros(n_rows, dtype=bool)
     truth[targets[effects != 0.0]] = True
 
+    # The statistic depends only on each pooled row's order: rank the rows
+    # once, then each replicate sorts just the ranks it draws. Arrays run
+    # along axis 0, so a draw gathers whole rows of ranks.
+    pooled = np.concatenate([rows1, rows2], axis=1)
+    ranks = np.ascontiguousarray(_kernels.dense_ranks(pooled).T)
     threshold = min(config.pfer / n_rows, 1.0)
     fp = np.empty(config.replicates, dtype=np.int64)
     tp = np.empty(config.replicates, dtype=np.int64)
@@ -341,7 +346,7 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
         crng = np.random.default_rng(child)
         g1 = crng.choice(s1, size=config.n1, replace=False)
         g2 = crng.choice(s2, size=config.n2, replace=False)
-        scaled, _ = _kernels.ks_scaled_batch(rows1[:, g1], rows2[:, g2])
+        scaled, _ = _kernels.ks_scaled_batch(ranks[g1].T, ranks[s1 + g2].T)
         p = exact_pvalues_for_scaled(scaled, config.n1, config.n2)
         rep = confusion_counts(extended_bonferroni(p, config.pfer), truth)
         fp[r] = rep.fp

@@ -1,15 +1,25 @@
 """Exact two-sample Kolmogorov-Smirnov machinery.
 
-The two-sample statistic D = sup_t |F1(t) - F2(t)| is computed on the integer
-lattice: walking the merged samples with steps +n2 (first sample) and -n1
-(second sample) keeps h = n1*n2*(F1 - F2) as an exact integer, and D is
-max |h| / (n1*n2) taken at value boundaries. Under the null that both samples
-are drawn exchangeably from one continuous distribution, every interleaving
-of the n1+n2 ranks is equally likely, so P(D >= d) is a ratio of lattice-path
-counts: paths from (0,0) to (n1,n2) are tallied with arbitrary-precision
-integers and the p-value is formed as an exact rational before rounding once
-to float. Tied values across samples break the exchangeability argument; the
-statistic is still exact for the data as given and the result carries a flag.
+The two-sample statistic D = sup_t |F1(t) - F2(t)| depends only on the order
+of the pooled sample, so it is computed from ranks: any strictly increasing
+map of the pooled values leaves it unchanged. Each pooled value becomes a key
+(rank, sample bit); walking the keys in rank order with steps +n2 (first
+sample) and -n1 (second sample) keeps h = n1*n2*(F1 - F2) as an exact
+integer, and D is max |h| / (n1*n2) taken where the rank changes. A caller
+that tests many column subsets of one pooled matrix ranks each row once and
+sorts only the chosen ranks (see ``_kernels``).
+
+Under the null that both samples are drawn exchangeably from one continuous
+distribution, every interleaving of the n1+n2 ranks is equally likely, so
+P(D >= d) is a ratio of lattice-path counts (Hodges 1958): paths from (0,0)
+to (n1,n2) are tallied with arbitrary-precision integers and the p-value is
+formed as an exact rational before rounding once to float. A rank group that
+holds both sample bits is a cross-sample tie, which breaks the
+exchangeability argument; the statistic is still exact for the data as
+given, the result carries a flag, and the p-value is conservative: given the
+pooled values, |h| is only read at the ends of tie groups, a subset of the
+lattice vertices, so at least as many paths stay inside the band and the
+p-value conditional on the ties is at most the one reported.
 """
 
 from __future__ import annotations

@@ -63,6 +63,31 @@ def enum_cdf(n1: int, n2: int) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
+def ks_scaled_oracle(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batch KS by a stable argsort of each pooled float row: returns
+    (n1*n2*D as int64, cross-sample tie flags). The walk adds +n2 per
+    first-sample value and -n1 per second-sample value and reads |h| only
+    where the value changes; a row is flagged when neighbouring equal values
+    come from different samples."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    n1 = a.shape[1]
+    n2 = b.shape[1]
+    combined = np.concatenate([a, b], axis=1)
+    order = np.argsort(combined, axis=1, kind="stable")
+    vals = np.take_along_axis(combined, order, axis=1)
+    steps = np.where(order < n1, np.int64(n2), np.int64(-n1))
+    h = np.cumsum(steps, axis=1)
+    boundary = np.empty(h.shape, dtype=bool)
+    boundary[:, -1] = True
+    boundary[:, :-1] = vals[:, 1:] != vals[:, :-1]
+    out = np.where(boundary, np.abs(h), 0).max(axis=1)
+    first = order < n1
+    eq = vals[:, 1:] == vals[:, :-1]
+    ties = (eq & (first[:, 1:] != first[:, :-1])).any(axis=1)
+    return out.astype(np.int64), ties
+
+
 def ks_distance_exact(s1, s2) -> Fraction:
     """sup |F1 - F2| of two empirical distribution functions, exactly.
 

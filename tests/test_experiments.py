@@ -18,8 +18,12 @@ from deltaseq import (
     two_sample_screen,
     variance_ordering,
 )
-from deltaseq.mtp import report_to_json
+from deltaseq import _kernels
+from deltaseq.kstest import exact_pvalues_for_scaled
+from deltaseq.mtp import confusion_counts, extended_bonferroni, report_to_json
 from deltaseq.ordering import delta_sequence
+
+from helpers import ks_scaled_oracle
 
 
 def null_matrix(m=60, n=40, seed=0, sf=0.0):
@@ -158,6 +162,38 @@ class TestInjection:
         b = effect_injection_experiment(m, self.config())
         assert a.to_json() == b.to_json()
         assert a.to_csv() == b.to_csv()
+
+    @pytest.mark.parametrize("mode", ["delta", "expression"])
+    def test_tied_data_match_oracle_replicates(self, mode, monkeypatch):
+        # On data at 1 decimal most rows tie across samples. Each replicate
+        # must count what the float oracle gives on rows1[:, g1], rows2[:, g2],
+        # which checks that the second part's columns are read at s1 + g2 of
+        # the pooled ranks.
+        base = null_matrix(m=60, n=40, seed=21)
+        tied = ExpressionMatrix(base.gene_ids, base.array_ids, np.round(base.values, 1),
+                                base.log_scale)
+        cfg = self.config(split=(18, 16), n1=7, n2=6, replicates=12, pfer=3.0)
+        pooled = []
+        dense_ranks = _kernels.dense_ranks
+        monkeypatch.setattr(_kernels, "dense_ranks",
+                            lambda x: pooled.append(x) or dense_ranks(x))
+        rep = effect_injection_experiment(tied, cfg, mode=mode)
+        (rows,) = pooled
+        s1, s2 = cfg.split
+        assert rows.shape == (rep.m, s1 + s2)
+        rows1, rows2 = rows[:, :s1], rows[:, s1:]
+        any_ties = False
+        for r, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)):
+            crng = np.random.default_rng(child)
+            g1 = crng.choice(s1, size=cfg.n1, replace=False)
+            g2 = crng.choice(s2, size=cfg.n2, replace=False)
+            scaled, ties = ks_scaled_oracle(rows1[:, g1], rows2[:, g2])
+            any_ties |= bool(ties.any())
+            p = exact_pvalues_for_scaled(scaled, cfg.n1, cfg.n2)
+            want = confusion_counts(extended_bonferroni(p, cfg.pfer), rep.truth)
+            assert (rep.fp[r], rep.tp[r], rep.fdr[r]) == (want.fp, want.tp, want.fdr)
+        assert any_ties
+        assert rep.tp.sum() > 0
 
     def test_split_must_fit(self):
         with pytest.raises(ValidationError):

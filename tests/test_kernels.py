@@ -1,5 +1,7 @@
 """The hot kernels against brute-force references, on ordinary data and on
-the awkward cases (heavy ties, values on bin edges)."""
+the awkward cases (heavy ties, signed zeros, values on bin edges). The KS
+kernel must equal the stable-argsort oracle exactly, statistic and tie flag,
+on float rows and on columns drawn from dense-ranked pooled rows."""
 
 import math
 
@@ -9,7 +11,30 @@ from hypothesis import strategies as st
 
 from deltaseq import _kernels
 
-from helpers import hist_naive
+from helpers import hist_naive, ks_scaled_oracle
+
+# few distinct values, so most rows tie within and across samples; -0.0 and
+# 0.0 are one value
+TIED = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0])
+CELLS = st.one_of(TIED, st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def row_pairs(draw, cells=CELLS):
+    m = draw(st.integers(1, 6))
+    n1 = draw(st.integers(1, 8))
+    n2 = draw(st.integers(1, 8))
+    flat = draw(st.lists(cells, min_size=m * (n1 + n2), max_size=m * (n1 + n2)))
+    x = np.asarray(flat, dtype=np.float64).reshape(m, n1 + n2)
+    return x[:, :n1], x[:, n1:]
+
+
+def assert_matches_oracle(got, a, b):
+    scaled, ties = got
+    want_scaled, want_ties = ks_scaled_oracle(a, b)
+    assert scaled.dtype == np.int64
+    assert np.array_equal(scaled, want_scaled)
+    assert np.array_equal(ties, want_ties)
 
 
 def brute_scaled(row_a, row_b):
@@ -55,6 +80,90 @@ class TestKsScaledBatch:
         g = math.gcd(len(a), len(b))
         assert scaled[0] % g == 0
         assert 0 <= scaled[0] <= len(a) * len(b)
+
+    @given(row_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_float_rows_match_oracle(self, pair):
+        a, b = pair
+        assert_matches_oracle(_kernels.ks_scaled_batch(a, b), a, b)
+
+    @given(row_pairs(cells=TIED))
+    @settings(max_examples=200, deadline=None)
+    def test_heavily_tied_rows_match_oracle(self, pair):
+        a, b = pair
+        assert_matches_oracle(_kernels.ks_scaled_batch(a, b), a, b)
+
+    @given(row_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_identical_samples_match_oracle(self, pair):
+        a, _ = pair
+        assert_matches_oracle(_kernels.ks_scaled_batch(a, a.copy()), a, a)
+
+    def test_single_value_samples(self):
+        rng = np.random.default_rng(7)
+        x = np.round(rng.normal(size=(300, 9)), 1)
+        for n1 in (1, 8):
+            a, b = x[:, :n1], x[:, n1:]
+            assert_matches_oracle(_kernels.ks_scaled_batch(a, b), a, b)
+        a, b = x[:, :1], x[:, 1:2]
+        assert_matches_oracle(_kernels.ks_scaled_batch(a, b), a, b)
+
+    def test_signed_zeros_are_one_value(self):
+        a = np.array([[-0.0, 1.0], [0.0, -0.0]])
+        b = np.array([[0.0, 2.0], [0.0, 0.0]])
+        scaled, ties = _kernels.ks_scaled_batch(a, b)
+        assert np.array_equal(scaled, [2, 0])
+        assert ties.all()
+        assert_matches_oracle(_kernels.ks_scaled_batch(a, b), a, b)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ranked_columns_match_oracle(self, data):
+        # rank a quantised pooled matrix once, then test column subsets of it
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = data.draw(st.integers(1, 8))
+        s1 = data.draw(st.integers(1, 12))
+        s2 = data.draw(st.integers(1, 12))
+        decimals = data.draw(st.integers(0, 2))
+        pooled = np.round(rng.normal(size=(m, s1 + s2)), decimals)
+        ranks = _kernels.dense_ranks(pooled)
+        g1 = rng.choice(s1, size=data.draw(st.integers(1, s1)), replace=False)
+        g2 = s1 + rng.choice(s2, size=data.draw(st.integers(1, s2)), replace=False)
+        got = _kernels.ks_scaled_batch(ranks[:, g1], ranks[:, g2])
+        assert_matches_oracle(got, pooled[:, g1], pooled[:, g2])
+
+    @given(row_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_dense_ranks_keep_order_and_ties(self, pair):
+        x = np.concatenate(pair, axis=1)
+        ranks = _kernels.dense_ranks(x)
+        for row, r in zip(x, ranks):
+            assert np.array_equal(np.sign(row[:, None] - row[None, :]),
+                                  np.sign(r[:, None] - r[None, :]))
+            assert set(r.tolist()) == set(range(np.unique(row).size))
+
+    def test_rank_values_past_int32_keys(self):
+        # keys 2*rank + bit that straddle +-2**31 would wrap in int32
+        rng = np.random.default_rng(8)
+        pooled = np.round(rng.normal(size=(50, 14)), 1)
+        ranks = _kernels.dense_ranks(pooled).astype(np.int64)
+        for shift in (2**30 - 3, -2**30 - 3, 2**40):
+            got = _kernels.ks_scaled_batch(ranks[:, :6] + shift, ranks[:, 6:] + shift)
+            assert_matches_oracle(got, pooled[:, :6], pooled[:, 6:])
+
+    def test_lattice_past_int32(self):
+        # 46,341**2 > 2**31 - 1: fully separated samples reach h = n1*n2,
+        # which an int32 accumulator would wrap
+        n = 46_341
+        rng = np.random.default_rng(9)
+        x = np.round(rng.uniform(size=(2, 2 * n)), 2)
+        x[0, n:] += 2.0
+        a, b = x[:, :n], x[:, n:]
+        got = _kernels.ks_scaled_batch(a, b)
+        assert got[0][0] == n * n
+        assert_matches_oracle(got, a, b)
+        ranks = _kernels.dense_ranks(x)
+        assert_matches_oracle(_kernels.ks_scaled_batch(ranks[:, :n], ranks[:, n:]), a, b)
 
     def test_identical_rows_give_zero(self):
         a = np.arange(12, dtype=np.float64).reshape(2, 6)
