@@ -1,7 +1,9 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately naive: exhaustive enumeration, double loops,
-and exact rational arithmetic. Nothing imports the package under test.
+and exact rational arithmetic. Nothing imports the package under test, except
+``jackknife_distances_oracle``, which replays a superseded pipeline through
+the package's own building blocks.
 """
 
 from __future__ import annotations
@@ -188,6 +190,57 @@ def step_distance_union(f_xs, f_ys, f_y0, g_xs, g_ys, g_y0) -> float:
             diff = _step_value(f_xs, f_ys, f_y0, t, left) - _step_value(g_xs, g_ys, g_y0, t, left)
             best = max(best, abs(diff))
     return float(best)
+
+
+def step_distance_searches(a_xs, a_ys, a_y0, b_xs, b_ys, b_y0) -> float:
+    """sup |a - b| for a nondecreasing ``b``, read at a's jumps and b's last
+    jump with a separate right and left search of each function per side,
+    plus the region before any jump."""
+    def right(xs, ys, y0, t):
+        idx = np.searchsorted(xs, t, side="right") - 1
+        return np.where(idx >= 0, ys[np.maximum(idx, 0)], y0)
+
+    def left(xs, ys, y0, t):
+        idx = np.searchsorted(xs, t, side="left") - 1
+        return np.where(idx >= 0, ys[np.maximum(idx, 0)], y0)
+
+    xs = np.append(a_xs, b_xs[-1])
+    r = np.abs(right(a_xs, a_ys, a_y0, xs) - right(b_xs, b_ys, b_y0, xs)).max()
+    lo = np.abs(left(a_xs, a_ys, a_y0, a_xs) - left(b_xs, b_ys, b_y0, a_xs)).max()
+    return float(max(r, lo, abs(np.float64(a_y0) - np.float64(b_y0))))
+
+
+def jackknife_distances_oracle(matrix, d: int, B: int, first_k: int, seed: int = 0) -> np.ndarray:
+    """Delete-d jackknife distances by the full per-subsample path: a
+    validated column projection (``select_arrays``), its variance ordering,
+    every labelled increment row (``delta_sequence``), then the first
+    ``first_k`` rows; each EDF's distance to the mean of all B EDFs comes
+    from ``step_distance_searches``. Same seeds and draws as
+    ``jackknife_stability``, and the same ``DomainError`` when a correlation
+    reaches |r| = 1; no budget check."""
+    from deltaseq.corrstats import _standardized_rows
+    from deltaseq.datamodel import select_arrays
+    from deltaseq.errors import DomainError
+    from deltaseq.kstest import EDF, mean_of_edfs
+    from deltaseq.ordering import delta_sequence, variance_ordering
+
+    n = matrix.n_arrays
+    edfs = []
+    for child in np.random.SeedSequence(seed).spawn(B):
+        rng = np.random.default_rng(child)
+        removed = rng.choice(n, size=d, replace=False)
+        keep = np.setdiff1d(np.arange(n), removed)
+        sub = select_arrays(matrix, keep)
+        delta = delta_sequence(sub, variance_ordering(sub))
+        S = _standardized_rows(delta.values[:first_k], None)
+        r = np.clip((S @ S.T)[np.triu_indices(first_k, 1)], -1.0, 1.0)
+        if (np.abs(r) == 1.0).any():
+            raise DomainError("duplicated increment rows give |r| = 1; z-score undefined")
+        edfs.append(EDF.from_sample(np.arctanh(r)))
+    center = mean_of_edfs(edfs)
+    steps = [e.as_step() for e in edfs]
+    return np.asarray([step_distance_searches(s.xs, s.ys, s.y0, center.xs, center.ys, center.y0)
+                       for s in steps])
 
 
 def edf_mean_searchsorted(samples):

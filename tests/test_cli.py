@@ -6,14 +6,16 @@ child interpreter, because the locale encoding is fixed at start-up.
 """
 
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from deltaseq import __version__
+from deltaseq import __version__, jackknife_stability
 from deltaseq.cli import main
 from deltaseq.datamodel import matrix_to_tsv
 from deltaseq.synth import ChainSpec, generate_chain_matrix, generate_null_matrix
@@ -101,6 +103,28 @@ class TestExitCodes:
         code = main(["ks", "--cdf", "--n1", "300", "--n2", "301", "--budget", "100"])
         assert code == 2
         assert "resource limit" in capsys.readouterr().err
+
+    def test_jackknife_over_pair_budget(self, chain_tsv, tmp_path, capsys, monkeypatch):
+        # first-k 5 gives 10 pairs per subsample: one subsample more than
+        # the default budget holds is refused before any subsample is drawn
+        cap = inspect.signature(jackknife_stability).parameters["max_pair_evals"].default
+        reps = cap // 10 + 1
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a subsample was drawn")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_draws)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        out = tmp_path / "jk"
+        code = main(["exp-jackknife", "--in", chain_tsv, "--d", "4", "--reps", str(reps),
+                     "--first-k", "5", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"resource limit: jackknife needs {10 * reps} pairwise correlations, over "
+            f"the budget of {cap}; raise max_pair_evals to proceed"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("sd", ["-1", "nan"])
     def test_synth_bad_noise_sd(self, sd, tmp_path, capsys):

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaseq import (
+    DeltaseqError,
     ExpressionMatrix,
     InjectionConfig,
     ResourceError,
@@ -23,7 +26,7 @@ from deltaseq.kstest import exact_pvalues_for_scaled
 from deltaseq.mtp import confusion_counts, extended_bonferroni, report_to_json
 from deltaseq.ordering import delta_sequence
 
-from helpers import ks_scaled_oracle
+from helpers import jackknife_distances_oracle, ks_scaled_oracle
 
 
 def null_matrix(m=60, n=40, seed=0, sf=0.0):
@@ -117,6 +120,49 @@ class TestJackknife:
         with pytest.raises(ResourceError):
             jackknife_stability(null_matrix(m=30), d=2, B=4, first_k=10,
                                 max_pair_evals=10)
+
+    def test_pair_budget_boundary(self):
+        # 3 subsamples of C(4, 2) = 6 pairs: a budget of exactly 18 passes
+        m = null_matrix(m=30, n=12, seed=16)
+        rep = jackknife_stability(m, d=2, B=3, first_k=4, seed=17, max_pair_evals=18)
+        assert rep.distances.shape == (3,)
+        with pytest.raises(ResourceError, match="18 pairwise correlations"):
+            jackknife_stability(m, d=2, B=3, first_k=4, seed=17, max_pair_evals=17)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_distances_bitwise_equal_to_oracle(self, data):
+        """Bitwise equality with the full path on odd and even gene counts,
+        on rows that are exact negations of other rows (their variances tie
+        bit for bit, so the ordering falls back on the index), with
+        ``first_k`` up to every pair and with 1-decimal values."""
+        draw = data.draw
+        n = draw(st.integers(6, 12), label="arrays")
+        m = draw(st.integers(5, 24), label="genes")
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="values seed"))
+        values = rng.normal(size=(m, n)) * rng.uniform(0.2, 3.0, size=(m, 1))
+        negated = draw(st.lists(st.integers(0, m - 1), max_size=m // 2, unique=True),
+                       label="negated rows")
+        values = np.vstack([values, -values[negated]])
+        if draw(st.booleans(), label="odd gene count") == (values.shape[0] % 2 == 0):
+            values = values[:-1]
+        if draw(st.booleans(), label="1-decimal"):
+            values = np.round(values, 1)
+        matrix = ExpressionMatrix(tuple(f"g{i}" for i in range(values.shape[0])),
+                                  tuple(f"a{j}" for j in range(n)), values)
+        pairs = values.shape[0] // 2
+        first_k = draw(st.one_of(st.just(pairs), st.integers(2, pairs)), label="first_k")
+        d = draw(st.integers(1, n - 4), label="d")
+        B = draw(st.integers(1, 4), label="B")
+        seed = draw(st.integers(0, 1000), label="seed")
+        try:
+            want = jackknife_distances_oracle(matrix, d, B, first_k, seed)
+        except DeltaseqError as exc:
+            with pytest.raises(type(exc)):
+                jackknife_stability(matrix, d, B, first_k, seed)
+            return
+        got = jackknife_stability(matrix, d, B, first_k, seed).distances
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class TestInjection:

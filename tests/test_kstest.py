@@ -338,15 +338,62 @@ class TestDistanceOracles:
             assert kolmogorov_distance(a, b) == step_distance_union(*a_steps, *b_steps)
 
 
+@st.composite
+def _covering_pairs(draw):
+    """(a, b): a nondecreasing ``b`` and an ``a`` that holds every jump of
+    ``b`` plus at least one point before and one after them; both start
+    from a nonzero ``y0``, and ``a`` may step down."""
+    b_xs = sorted(draw(st.lists(_VALUES, min_size=1, max_size=8, unique=True)))
+    outside = st.floats(1e3 + 1, 2e3, allow_nan=False)
+    lo = draw(st.lists(outside.map(lambda x: b_xs[0] - x), min_size=1, max_size=3, unique=True))
+    hi = draw(st.lists(outside.map(lambda x: b_xs[-1] + x), min_size=1, max_size=3, unique=True))
+    inner = draw(st.lists(_VALUES, max_size=6))
+    a_xs = sorted(set(b_xs) | set(lo) | set(hi) | set(inner))
+    nonzero = st.floats(-2.0, 2.0, allow_nan=False).filter(lambda y: y != 0.0)
+    a_ys = draw(st.lists(st.floats(-2.0, 2.0, allow_nan=False),
+                         min_size=len(a_xs), max_size=len(a_xs)))
+    b_ys = sorted(draw(st.lists(st.floats(-2.0, 2.0, allow_nan=False),
+                                min_size=len(b_xs), max_size=len(b_xs))))
+    b_y0 = draw(st.floats(-2.0, b_ys[0], allow_nan=False).filter(lambda y: y != 0.0))
+    a = StepFunction(np.array(a_xs), np.array(a_ys), draw(nonzero))
+    return a, StepFunction(np.array(b_xs), np.array(b_ys), b_y0)
+
+
+class TestMonotoneRead:
+    """The monotone side is read at the visited jumps by one left search."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_covering_pairs())
+    def test_covering_jumps_match_union(self, pair):
+        a, b = pair
+        want = step_distance_union(*_steps(a), *_steps(b))
+        assert kolmogorov_distance(a, b) == want
+        assert kolmogorov_distance(b, a) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(_step_functions(), st.lists(_VALUES, max_size=12))
+    def test_sides_match_two_searches(self, f, probes):
+        t = np.sort(np.concatenate([f.xs, np.asarray(probes, dtype=np.float64)]))
+        left, right = f.evaluate_sides(t)
+        assert np.array_equal(left, f.evaluate_left(t))
+        assert np.array_equal(right, f.evaluate(t))
+
+    def test_step_rejects_nan_xs(self):
+        for xs in ([math.nan], [0.0, math.nan], [math.nan, 0.0]):
+            with pytest.raises(ValidationError):
+                StepFunction(np.array(xs), np.zeros(len(xs)))
+
+
 def test_edf_distance_visits_only_the_edf_jumps(monkeypatch):
     """Against a B=8 center, each distance reads both functions at no more
-    than the EDF's own jumps plus one point, never the center's whole grid."""
-    sizes = []
-    for name in ("evaluate", "evaluate_left"):
+    than the EDF's own jumps plus one point, never the center's whole grid;
+    the center is read, through one of the recorded methods."""
+    reads = []
+    for name in ("evaluate", "evaluate_left", "evaluate_sides"):
         original = getattr(StepFunction, name)
 
         def recording(self, t, original=original):
-            sizes.append(np.size(t))
+            reads.append((self, np.size(t)))
             return original(self, t)
 
         monkeypatch.setattr(StepFunction, name, recording)
@@ -357,6 +404,7 @@ def test_edf_distance_visits_only_the_edf_jumps(monkeypatch):
         jumps = np.unique(edf.sorted_values).size
         assert center.xs.size > 4 * jumps
         for f, g in [(edf, center), (center, edf)]:
-            sizes.clear()
+            reads.clear()
             kolmogorov_distance(f, g)
-            assert sizes and max(sizes) <= jumps + 1
+            assert any(step is center for step, _ in reads)
+            assert max(size for _, size in reads) <= jumps + 1
