@@ -24,6 +24,9 @@ from .mtp import csv_text
 
 _CONST_TOL = 64.0 * np.finfo(np.float64).eps
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
+# Rows gathered and tested at once by the censuses: each block temporary
+# holds _BLOCK_ROWS * n_arrays float64 values, 2.9 MB at 88 arrays.
+_BLOCK_ROWS = 4096
 
 
 def _effectively_constant(rows: np.ndarray) -> np.ndarray:
@@ -46,10 +49,12 @@ def _fisher_pvalues(r: np.ndarray, n: int) -> np.ndarray:
     return _erfc(np.abs(z) * math.sqrt((n - 3) / 2.0))
 
 
-def _corr_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise Pearson correlation of two stacks of rows, clamped."""
-    Xc = X - X.mean(axis=1, keepdims=True)
-    Yc = Y - Y.mean(axis=1, keepdims=True)
+def _centred(rows: np.ndarray) -> np.ndarray:
+    return rows - rows.mean(axis=1, keepdims=True)
+
+
+def _corr_centred(Xc: np.ndarray, Yc: np.ndarray) -> np.ndarray:
+    """Row-wise Pearson correlation of two stacks of centred rows, clamped."""
     sx = np.sqrt(np.einsum("ij,ij->i", Xc, Xc))
     sy = np.sqrt(np.einsum("ij,ij->i", Yc, Yc))
     denom = sx * sy
@@ -59,20 +64,26 @@ def _corr_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.clip(r, -1.0, 1.0)
 
 
-def _type_a_batch(drv: np.ndarray, mod: np.ndarray, n: int, alpha: float):
-    """Vectorized driver/increment test.
+def _increment_corr(drv: np.ndarray, drv_constant: np.ndarray, inc: np.ndarray,
+                    inc_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Driver/increment correlation of a block of rows, given the centred
+    increments, and which rows are degenerate: driver or increment
+    effectively constant. Each row's result depends on that row alone."""
+    degenerate = _effectively_constant(inc) | drv_constant
+    return _corr_centred(_centred(drv), inc_c), degenerate
 
-    Returns (statistic, p, is_type_a, degenerate). A degenerate row (driver
-    or increment effectively constant) satisfies the zero-covariance
-    condition trivially: statistic 0, p 1, classified type A.
+
+def _type_a_outcome(r: np.ndarray, degenerate: np.ndarray, n: int, alpha: float):
+    """(statistic, p, is_type_a) from a whole vector of driver/increment
+    correlations, in one p-value call: a vectorized transcendental may round
+    by position in its array, so the vector is never split. A degenerate row
+    satisfies the zero-covariance condition trivially: statistic 0, p 1,
+    classified type A.
     """
-    inc = mod - drv
-    degenerate = _effectively_constant(inc) | _effectively_constant(drv)
-    r = _corr_rows(drv, inc)
     p = _fisher_pvalues(r, n)
     r = np.where(degenerate, 0.0, r)
     p = np.where(degenerate, 1.0, p)
-    return r, p, p > alpha, degenerate
+    return r, p, p > alpha
 
 
 @dataclass(frozen=True)
@@ -114,7 +125,10 @@ def type_a_test(x: Sequence[float], y: Sequence[float], alpha: float = 0.05,
     else:
         drv, mod = ya, xa
         did, mid = ids[1], ids[0]
-    r, p, ok, _ = _type_a_batch(drv[None, :], mod[None, :], n, alpha)
+    inc = (mod - drv)[None, :]
+    r, degenerate = _increment_corr(drv[None, :], _effectively_constant(drv), inc,
+                                    _centred(inc))
+    r, p, ok = _type_a_outcome(r, degenerate, n, alpha)
     return TypeAResult(did, mid, float(r[0]), float(p[0]), bool(ok[0]), n)
 
 
@@ -124,20 +138,36 @@ def type_a_test(x: Sequence[float], y: Sequence[float], alpha: float = 0.05,
 
 
 def _draw_distinct_tuples(rng: np.random.Generator, m: int, size: int, want: int,
-                          seen: set) -> list[tuple[int, ...]]:
-    """Draw up to ``want`` previously unseen sorted index tuples."""
-    out: list[tuple[int, ...]] = []
-    while len(out) < want:
-        draw = rng.integers(0, m, size=(max(32, 2 * (want - len(out))), size))
-        for row in draw:
-            key = tuple(sorted(int(v) for v in row))
-            if len(set(key)) != size or key in seen:
-                continue
-            seen.add(key)
-            out.append(key)
-            if len(out) == want:
-                break
-    return out
+                          seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``want`` sorted index tuples with no index twice and none among
+    ``seen``, the ascending codes of the tuples drawn before.
+
+    Returns the tuples as int64 rows in draw order, and ``seen`` with their
+    codes added. A tuple's code reads its sorted indices as the digits of a
+    base-``m`` number, so codes order as their tuples do. Each batch of draws
+    keeps the first occurrence of each new code, and the batch is cut where
+    ``want`` is reached; rows past the cut are not seen.
+    """
+    if m ** size >= 2 ** 63:
+        raise ValidationError(f"{size}-tuples of {m} genes have codes beyond int64")
+    chunks = [np.empty((0, size), dtype=np.int64)]
+    got = 0
+    while got < want:
+        draw = np.sort(rng.integers(0, m, size=(max(32, 2 * (want - got)), size)), axis=1)
+        codes = draw[:, 0]
+        for k in range(1, size):
+            codes = codes * m + draw[:, k]
+        rows = np.flatnonzero((draw[:, 1:] != draw[:, :-1]).all(axis=1))
+        new, first = np.unique(codes[rows], return_index=True)
+        if seen.shape[0]:
+            at = np.minimum(np.searchsorted(seen, new), seen.shape[0] - 1)
+            first = first[seen[at] != new]
+        rows = np.sort(rows[first])[: want - got]
+        chunks.append(draw[rows])
+        new = np.sort(codes[rows])
+        seen = np.insert(seen, np.searchsorted(seen, new), new)
+        got += rows.shape[0]
+    return np.concatenate(chunks), seen
 
 
 @dataclass(frozen=True)
@@ -157,6 +187,11 @@ def type_a_census(matrix: ExpressionMatrix, n_pairs: int, alpha: float = 0.05,
 
     Pairs are drawn uniformly without replacement; the draw order is fixed by
     the seed, so the census is reproducible.
+
+    Memory does not grow with the pair rows: pairs are gathered and tested
+    in blocks of ``_BLOCK_ROWS`` (4096), so each temporary holds at most
+    ``_BLOCK_ROWS * n_arrays * 8`` bytes (2.9 MB at 88 arrays), plus O(n_pairs)
+    for the draws and the per-pair outputs.
     """
     m = matrix.n_genes
     total = m * (m - 1) // 2
@@ -165,26 +200,29 @@ def type_a_census(matrix: ExpressionMatrix, n_pairs: int, alpha: float = 0.05,
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     rng = np.random.default_rng(seed)
-    drawn = _draw_distinct_tuples(rng, m, 2, n_pairs, set())
-    idx = np.asarray(drawn, dtype=np.int64)
+    idx, _ = _draw_distinct_tuples(rng, m, 2, n_pairs, np.empty(0, dtype=np.int64))
 
     values = matrix.values
     var = values.var(axis=1, ddof=1)
-    lo = idx[:, 0].copy()
-    hi = idx[:, 1].copy()
     # Driver is the lower-variance gene; ties fall to the lower index.
-    swap = var[hi] < var[lo]
-    lo[swap], hi[swap] = idx[swap, 1], idx[swap, 0]
-    drv = values[lo]
-    mod = values[hi]
-    both_const = _effectively_constant(drv) & _effectively_constant(mod)
-    if both_const.any():
-        k = int(np.argmax(both_const))
-        raise DegenerateInputError(
-            f"genes {matrix.gene_ids[int(lo[k])]!r} and {matrix.gene_ids[int(hi[k])]!r} are both constant"
-        )
-    r, p, ok, _ = _type_a_batch(drv, mod, matrix.n_arrays, alpha)
-    pairs = np.stack([lo, hi], axis=1)
+    pairs = np.where((var[idx[:, 1]] < var[idx[:, 0]])[:, None], idx[:, ::-1], idx)
+    r = np.empty(n_pairs)
+    degenerate = np.empty(n_pairs, dtype=bool)
+    for start in range(0, n_pairs, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        lo, hi = pairs[block].T
+        drv = values[lo]
+        mod = values[hi]
+        drv_constant = _effectively_constant(drv)
+        both_const = drv_constant & _effectively_constant(mod)
+        if both_const.any():
+            k = int(np.argmax(both_const))
+            raise DegenerateInputError(
+                f"genes {matrix.gene_ids[int(lo[k])]!r} and {matrix.gene_ids[int(hi[k])]!r} are both constant"
+            )
+        inc = mod - drv
+        r[block], degenerate[block] = _increment_corr(drv, drv_constant, inc, _centred(inc))
+    r, p, ok = _type_a_outcome(r, degenerate, matrix.n_arrays, alpha)
     return PairCensus(float(ok.mean()), pairs, r, p, ok, alpha, seed)
 
 
@@ -283,6 +321,11 @@ def triple_census(matrix: ExpressionMatrix, n_triples: int, mode: str = "type_a_
     ``n_triples`` qualify or the attempt budget (max_attempt_factor times the
     request) is exhausted, which raises ResourceError naming the count found.
     mode "any" keeps every sampled triple.
+
+    Memory does not grow with the triple rows: each batch of candidates is
+    gathered and tested in blocks of ``_BLOCK_ROWS`` (4096), so each temporary holds
+    at most ``_BLOCK_ROWS * n_arrays * 8`` bytes (2.9 MB at 88 arrays), plus
+    O(n_triples) for the draws, the seen codes and the per-triple outputs.
     """
     if mode not in ("type_a_only", "any"):
         raise ValidationError(f"mode must be 'type_a_only' or 'any', got {mode!r}")
@@ -300,47 +343,50 @@ def triple_census(matrix: ExpressionMatrix, n_triples: int, mode: str = "type_a_
     budget = max_attempt_factor * n_triples if mode == "type_a_only" else n_triples
     budget = min(budget, total)
 
-    seen: set = set()
-    kept_ids: list[tuple[int, int, int]] = []
-    kept_cov: list[float] = []
-    kept_p: list[tuple[float, float]] = []
+    seen = np.empty(0, dtype=np.int64)
+    kept_ids: list[np.ndarray] = []
+    kept_cov: list[np.ndarray] = []
+    kept_p: list[np.ndarray] = []
+    kept = 0
     attempts = 0
-    while len(kept_ids) < n_triples and attempts < budget:
-        want = min(budget - attempts, max(64, 2 * (n_triples - len(kept_ids))))
-        batch = _draw_distinct_tuples(rng, m, 3, want, seen)
-        attempts += len(batch)
-        ids = np.asarray(batch, dtype=np.int64)
+    while kept < n_triples and attempts < budget:
+        want = min(budget - attempts, max(64, 2 * (n_triples - kept)))
+        ids, seen = _draw_distinct_tuples(rng, m, 3, want, seen)
+        attempts += want
         ordv = np.argsort(var_all[ids], axis=1, kind="stable")
         ids = np.take_along_axis(ids, ordv, axis=1)
-        U = values[ids[:, 0]]
-        V = values[ids[:, 1]]
-        W = values[ids[:, 2]]
-        _, p1, ok1, _ = _type_a_batch(U, V, n, alpha)
-        _, p2, ok2, _ = _type_a_batch(V, W, n, alpha)
-        z1 = V - U
-        z2 = W - V
-        z1c = z1 - z1.mean(axis=1, keepdims=True)
-        z2c = z2 - z2.mean(axis=1, keepdims=True)
-        cov = np.einsum("ij,ij->i", z1c, z2c) / (n - 1)
-        keep = (ok1 & ok2) if mode == "type_a_only" else np.ones(len(batch), dtype=bool)
-        for k in np.flatnonzero(keep):
-            kept_ids.append(tuple(int(x) for x in ids[k]))
-            kept_cov.append(float(cov[k]))
-            kept_p.append((float(p1[k]), float(p2[k])))
-            if len(kept_ids) == n_triples:
-                break
+        r1, r2, cov = np.empty(want), np.empty(want), np.empty(want)
+        deg1, deg2 = np.empty(want, dtype=bool), np.empty(want, dtype=bool)
+        for start in range(0, want, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            U, V, W = (values[col] for col in ids[block].T)
+            z1 = V - U
+            z2 = W - V
+            z1c = _centred(z1)
+            z2c = _centred(z2)
+            r1[block], deg1[block] = _increment_corr(U, _effectively_constant(U), z1, z1c)
+            r2[block], deg2[block] = _increment_corr(V, _effectively_constant(V), z2, z2c)
+            cov[block] = np.einsum("ij,ij->i", z1c, z2c) / (n - 1)
+        _, p1, ok1 = _type_a_outcome(r1, deg1, n, alpha)
+        _, p2, ok2 = _type_a_outcome(r2, deg2, n, alpha)
+        keep = np.flatnonzero(ok1 & ok2) if mode == "type_a_only" else np.arange(want)
+        keep = keep[: n_triples - kept]
+        kept_ids.append(ids[keep])
+        kept_cov.append(cov[keep])
+        kept_p.append(np.stack([p1[keep], p2[keep]], axis=1))
+        kept += keep.shape[0]
 
-    if len(kept_ids) < n_triples:
+    if kept < n_triples:
         raise ResourceError(
             f"triple census attempt budget exhausted after {attempts} candidates: "
-            f"found {len(kept_ids)} of {n_triples} qualifying triples"
+            f"found {kept} of {n_triples} qualifying triples"
         )
-    covs = np.asarray(kept_cov)
+    covs = np.concatenate(kept_cov)
     return TripleCensus(
         float((covs < 0.0).mean()),
-        np.asarray(kept_ids, dtype=np.int64),
+        np.concatenate(kept_ids),
         covs,
-        np.asarray(kept_p),
+        np.concatenate(kept_p),
         mode,
         alpha,
         seed,

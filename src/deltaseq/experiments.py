@@ -186,7 +186,8 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
     if pair_evals > max_pair_evals:
         raise ResourceError(
             f"jackknife needs {pair_evals} pairwise correlations, over the budget "
-            f"of {max_pair_evals}; raise max_pair_evals to proceed"
+            f"of {max_pair_evals}; lower B (--reps) or first_k (--first-k), or raise "
+            f"the max_pair_evals argument of jackknife_stability"
         )
     children = np.random.SeedSequence(seed).spawn(B)
     iu = np.triu_indices(first_k, 1)

@@ -60,7 +60,15 @@ def variance_ordering(matrix: ExpressionMatrix | np.ndarray) -> GeneOrdering:
     order = np.argsort(var, kind="stable")
     if order.shape[0] % 2 != 0:
         order = order[1:]
-    return GeneOrdering(order, var[order])
+    if order.shape[0] == 0:
+        raise ValidationError("ordering must have positive even length")
+    # A stable argsort of the variances is distinct and non-decreasing by
+    # construction, so the constructor's copies and checks are skipped.
+    ordering = object.__new__(GeneOrdering)
+    for name, arr in (("permutation", order), ("variances", var[order])):
+        arr.flags.writeable = False
+        object.__setattr__(ordering, name, arr)
+    return ordering
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately naive: exhaustive enumeration, double loops,
-and exact rational arithmetic. Nothing imports the package under test, except
+exact rational arithmetic, and superseded whole-batch forms of the package's
+computations. Nothing imports the package under test, except
 ``jackknife_distances_oracle``, which replays a superseded pipeline through
 the package's own building blocks.
 """
@@ -260,3 +261,126 @@ def edf_mean_searchsorted(samples):
     for s in sorted_samples:
         heights += np.searchsorted(s, xs, side="right") / (B * s.size)
     return xs, heights
+
+
+def draw_distinct_tuples_oracle(rng, m: int, size: int, want: int,
+                                seen: set) -> list[tuple[int, ...]]:
+    """Up to ``want`` sorted index tuples with no index twice and none in
+    ``seen``, by a loop over every draw; the same rng calls as the census
+    draw. Accepted tuples are added to ``seen``."""
+    out: list[tuple[int, ...]] = []
+    while len(out) < want:
+        draw = rng.integers(0, m, size=(max(32, 2 * (want - len(out))), size))
+        for row in draw:
+            key = tuple(sorted(int(v) for v in row))
+            if len(set(key)) != size or key in seen:
+                continue
+            seen.add(key)
+            out.append(key)
+            if len(out) == want:
+                break
+    return out
+
+
+_CONST_TOL = 64.0 * np.finfo(np.float64).eps
+_erfc = np.vectorize(math.erfc, otypes=[np.float64])
+
+
+def _effectively_constant(rows):
+    rows = np.atleast_2d(rows)
+    spread = rows.max(axis=1) - rows.min(axis=1)
+    scale = np.maximum(1.0, np.abs(rows).max(axis=1))
+    return spread <= _CONST_TOL * scale
+
+
+def _corr_rows(X, Y):
+    Xc = X - X.mean(axis=1, keepdims=True)
+    Yc = Y - Y.mean(axis=1, keepdims=True)
+    sx = np.sqrt(np.einsum("ij,ij->i", Xc, Xc))
+    sy = np.sqrt(np.einsum("ij,ij->i", Yc, Yc))
+    denom = sx * sy
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.einsum("ij,ij->i", Xc, Yc) / denom
+    r[denom == 0.0] = 0.0
+    return np.clip(r, -1.0, 1.0)
+
+
+def _type_a_batch(drv, mod, n: int, alpha: float):
+    inc = mod - drv
+    degenerate = _effectively_constant(inc) | _effectively_constant(drv)
+    r = _corr_rows(drv, inc)
+    with np.errstate(divide="ignore"):
+        z = np.arctanh(np.clip(r, -1.0, 1.0))
+    p = _erfc(np.abs(z) * math.sqrt((n - 3) / 2.0))
+    r = np.where(degenerate, 0.0, r)
+    p = np.where(degenerate, 1.0, p)
+    return r, p, p > alpha
+
+
+def type_a_census_oracle(values, gene_ids, n_pairs: int, alpha: float, seed: int):
+    """(pairs, statistics, p_values, is_type_a) of the pair census with every
+    drawn pair's rows gathered and tested in one batch; a pair of constant
+    rows raises ValueError with the census's message."""
+    values = np.asarray(values, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    idx = np.asarray(draw_distinct_tuples_oracle(rng, values.shape[0], 2, n_pairs, set()),
+                     dtype=np.int64)
+    var = values.var(axis=1, ddof=1)
+    lo = idx[:, 0].copy()
+    hi = idx[:, 1].copy()
+    swap = var[hi] < var[lo]
+    lo[swap], hi[swap] = idx[swap, 1], idx[swap, 0]
+    drv = values[lo]
+    mod = values[hi]
+    both_const = _effectively_constant(drv) & _effectively_constant(mod)
+    if both_const.any():
+        k = int(np.argmax(both_const))
+        raise ValueError(
+            f"genes {gene_ids[int(lo[k])]!r} and {gene_ids[int(hi[k])]!r} are both constant")
+    r, p, ok = _type_a_batch(drv, mod, values.shape[1], alpha)
+    return np.stack([lo, hi], axis=1), r, p, ok
+
+
+def triple_census_oracle(values, n_triples: int, mode: str, alpha: float, seed: int,
+                         max_attempt_factor: int = 50):
+    """(triples, cov_z1_z2, pair_p_values, attempts) of the triple census with
+    each candidate batch gathered and tested whole and the kept triples
+    collected one by one; an exhausted budget returns None for the arrays."""
+    values = np.asarray(values, dtype=np.float64)
+    m, n = values.shape
+    total = m * (m - 1) * (m - 2) // 6
+    rng = np.random.default_rng(seed)
+    var_all = values.var(axis=1, ddof=1)
+    budget = max_attempt_factor * n_triples if mode == "type_a_only" else n_triples
+    budget = min(budget, total)
+    seen: set = set()
+    kept_ids, kept_cov, kept_p = [], [], []
+    attempts = 0
+    while len(kept_ids) < n_triples and attempts < budget:
+        want = min(budget - attempts, max(64, 2 * (n_triples - len(kept_ids))))
+        batch = draw_distinct_tuples_oracle(rng, m, 3, want, seen)
+        attempts += len(batch)
+        ids = np.asarray(batch, dtype=np.int64)
+        ordv = np.argsort(var_all[ids], axis=1, kind="stable")
+        ids = np.take_along_axis(ids, ordv, axis=1)
+        U = values[ids[:, 0]]
+        V = values[ids[:, 1]]
+        W = values[ids[:, 2]]
+        _, p1, ok1 = _type_a_batch(U, V, n, alpha)
+        _, p2, ok2 = _type_a_batch(V, W, n, alpha)
+        z1 = V - U
+        z2 = W - V
+        z1c = z1 - z1.mean(axis=1, keepdims=True)
+        z2c = z2 - z2.mean(axis=1, keepdims=True)
+        cov = np.einsum("ij,ij->i", z1c, z2c) / (n - 1)
+        keep = (ok1 & ok2) if mode == "type_a_only" else np.ones(len(batch), dtype=bool)
+        for k in np.flatnonzero(keep):
+            kept_ids.append(tuple(int(x) for x in ids[k]))
+            kept_cov.append(float(cov[k]))
+            kept_p.append((float(p1[k]), float(p2[k])))
+            if len(kept_ids) == n_triples:
+                break
+    if len(kept_ids) < n_triples:
+        return None, None, None, attempts
+    return (np.asarray(kept_ids, dtype=np.int64), np.asarray(kept_cov), np.asarray(kept_p),
+            attempts)

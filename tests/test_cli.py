@@ -123,7 +123,8 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"resource limit: jackknife needs {10 * reps} pairwise correlations, over "
-            f"the budget of {cap}; raise max_pair_evals to proceed"]
+            f"the budget of {cap}; lower B (--reps) or first_k (--first-k), or raise the "
+            f"max_pair_evals argument of jackknife_stability"]
         assert not out.exists()
 
     @pytest.mark.parametrize("sd", ["-1", "nan"])

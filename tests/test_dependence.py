@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaseq import (
     DegenerateInputError,
@@ -17,9 +21,19 @@ from deltaseq import (
     type_a_test,
     type_a_triple_consistency,
 )
-from deltaseq.dependence import pair_census_to_csv, triple_census_to_csv
+from deltaseq.dependence import (
+    _BLOCK_ROWS,
+    _draw_distinct_tuples,
+    pair_census_to_csv,
+    triple_census_to_csv,
+)
 
-from helpers import pearson_float
+from helpers import (
+    draw_distinct_tuples_oracle,
+    pearson_float,
+    triple_census_oracle,
+    type_a_census_oracle,
+)
 
 
 def matrix_from(values):
@@ -144,6 +158,153 @@ class TestTypeACensus:
         assert lines[0] == "id1,id2,statistic,p_value,flag"
         assert len(lines) == 5
         assert lines[1].startswith("g")
+
+
+def no_codes():
+    return np.empty(0, dtype=np.int64)
+
+
+def codes_of(tuples, m):
+    """Base-m codes of sorted index tuples, ascending."""
+    return sorted(sum(v * m ** (len(t) - 1 - k) for k, v in enumerate(t)) for t in tuples)
+
+
+class TestDrawDistinctTuples:
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(3, 40), size=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_matches_oracle_across_calls(self, m, size, seed, data):
+        total = math.comb(m, size)
+        rng = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        seen, seen_ref = no_codes(), set()
+        drawn = 0
+        for _ in range(data.draw(st.integers(1, 3), label="calls")):
+            left = total - drawn
+            want = data.draw(st.sampled_from(sorted({0, min(1, left), left // 2, left})),
+                             label="want")
+            got, seen = _draw_distinct_tuples(rng, m, size, want, seen)
+            ref = draw_distinct_tuples_oracle(rng_ref, m, size, want, seen_ref)
+            assert got.dtype == np.int64 and got.shape == (want, size)
+            assert [tuple(t) for t in got.tolist()] == ref
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+            assert seen.tolist() == codes_of(seen_ref, m)
+            drawn += want
+
+    @pytest.mark.parametrize("m,size", [(3, 2), (3, 3), (12, 2), (12, 3), (40, 3)])
+    def test_drawing_every_tuple_ends(self, m, size):
+        total = math.comb(m, size)
+        got, seen = _draw_distinct_tuples(np.random.default_rng(m), m, size, total, no_codes())
+        ref = draw_distinct_tuples_oracle(np.random.default_rng(m), m, size, total, set())
+        assert [tuple(t) for t in got.tolist()] == ref
+        assert sorted(ref) == list(combinations(range(m), size))
+        assert seen.shape == (total,)
+
+    def test_codes_past_int64_rejected(self):
+        with pytest.raises(ValidationError, match="int64"):
+            _draw_distinct_tuples(np.random.default_rng(0), 2**21, 3, 1, no_codes())
+        m = 2**21 - 1  # m**3 < 2**63: the largest code still fits
+        got, seen = _draw_distinct_tuples(np.random.default_rng(0), m, 3, 4, no_codes())
+        assert seen.tolist() == codes_of([tuple(t) for t in got.tolist()], m)
+
+
+def awkward_matrix(m, n_arrays=88, seed=0):
+    """Random rows plus negated copies (variances tied bit for bit) and
+    shifted copies (constant increments, so degenerate pairs)."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(m, n_arrays))
+    values[1::4] = -values[0::4][: values[1::4].shape[0]]
+    values[2::4] = values[0::4][: values[2::4].shape[0]] + 0.75
+    return values
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBlockedCensus:
+    @pytest.mark.parametrize("n_pairs", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_pairs_bitwise_equal_to_oracle(self, n_pairs):
+        values = awkward_matrix(100)
+        census = type_a_census(matrix_from(values), n_pairs, alpha=0.05, seed=3)
+        pairs, r, p, ok = type_a_census_oracle(values, None, n_pairs, 0.05, 3)
+        assert same_bits(census.pairs, pairs)
+        assert same_bits(census.statistics, r)
+        assert same_bits(census.p_values, p)
+        assert same_bits(census.is_type_a, ok)
+        assert census.fraction == float(ok.mean())
+        # the matrix reaches the tie and degenerate cases it was built for
+        var = values.var(axis=1, ddof=1)
+        assert (var[pairs[:, 0]] == var[pairs[:, 1]]).any()
+        assert ((r == 0.0) & (p == 1.0)).any()
+
+    def test_both_constant_pair_in_later_block(self):
+        # the error names the first both-constant pair in draw order, which
+        # lies in the second block; two more such pairs come after it
+        m, seed = 130, 5
+        n_pairs = math.comb(m, 2)
+        order = draw_distinct_tuples_oracle(np.random.default_rng(seed), m, 2, n_pairs, set())
+        pos = {t: k for k, t in enumerate(order)}
+        a, b = order[_BLOCK_ROWS + 10]
+        c = next(c for c in range(m) if c not in (a, b)
+                 and min(pos[tuple(sorted((a, c)))], pos[tuple(sorted((b, c)))]) > _BLOCK_ROWS + 10)
+        values = awkward_matrix(m, seed=1)
+        values[[a, b, c]] = [[2.5], [-1.0], [7.0]]
+        ids = tuple(f"g{i}" for i in range(m))
+        with pytest.raises(ValueError) as ref:
+            type_a_census_oracle(values, ids, n_pairs, 0.05, seed)
+        with pytest.raises(DegenerateInputError) as err:
+            type_a_census(matrix_from(values), n_pairs, seed=seed)
+        assert str(err.value) == str(ref.value)
+        assert {f"'g{a}'", f"'g{b}'"} == set(str(err.value).split()[1:4:2])
+
+    @pytest.mark.parametrize("n_triples", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_triples_any_mode_bitwise_equal_to_oracle(self, n_triples):
+        values = awkward_matrix(40)
+        census = triple_census(matrix_from(values), n_triples, mode="any", seed=7)
+        ids, cov, p, attempts = triple_census_oracle(values, n_triples, "any", 0.05, 7)
+        assert same_bits(census.triples, ids)
+        assert same_bits(census.cov_z1_z2, cov)
+        assert same_bits(census.pair_p_values, p)
+        assert census.attempts == attempts
+        assert census.fraction_negative == float((cov < 0.0).mean())
+
+    def test_triples_type_a_only_bitwise_equal_to_oracle(self):
+        # rows of one profile plus noise of unequal sd: about a third of the
+        # candidates qualify, and the first batch of 2 * _BLOCK_ROWS + 2
+        # candidates spans three blocks
+        rng = np.random.default_rng(8)
+        noisy = rng.normal(size=88) + rng.normal(size=(60, 88)) * rng.uniform(0.05, 0.6, (60, 1))
+        values = np.vstack([noisy, awkward_matrix(20, seed=9)])
+        n_triples = _BLOCK_ROWS + 1
+        census = triple_census(matrix_from(values), n_triples, alpha=0.05, seed=11)
+        ids, cov, p, attempts = triple_census_oracle(values, n_triples, "type_a_only", 0.05, 11)
+        assert attempts > 2 * n_triples
+        assert same_bits(census.triples, ids)
+        assert same_bits(census.cov_z1_z2, cov)
+        assert same_bits(census.pair_p_values, p)
+        assert census.attempts == attempts
+
+    def test_triples_budget_matches_oracle(self):
+        values = awkward_matrix(30, n_arrays=12, seed=2)
+        with pytest.raises(ResourceError) as err:
+            triple_census(matrix_from(values), 200, alpha=0.999, seed=9, max_attempt_factor=2)
+        ids, _, _, attempts = triple_census_oracle(values, 200, "type_a_only", 0.999, 9, 2)
+        assert ids is None
+        assert f"after {attempts} candidates" in str(err.value)
+
+    def test_pair_memory_does_not_grow_with_rows(self):
+        # unblocked, each extra pair holds about 3.5 KB of gathered rows
+        m = matrix_from(np.random.default_rng(12).normal(size=(1000, 88)))
+        peaks = {}
+        for n_pairs in (5_000, 50_000):
+            tracemalloc.start()
+            try:
+                type_a_census(m, n_pairs, seed=13)
+                peaks[n_pairs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[50_000] - peaks[5_000]) / 45_000 < 300
 
 
 class TestTripleStats:

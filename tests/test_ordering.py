@@ -58,12 +58,39 @@ class TestVarianceOrdering:
         assert np.array_equal(np.sort(v), v[o.permutation])
 
     def test_constructor_validates(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="positive even length"):
             GeneOrdering(np.array([0, 1, 2]), np.array([1.0, 2.0, 3.0]))  # odd length
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="must be distinct"):
             GeneOrdering(np.array([0, 0]), np.array([1.0, 2.0]))  # repeated index
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="non-decreasing"):
             GeneOrdering(np.array([0, 1]), np.array([2.0, 1.0]))  # decreasing variance
+        with pytest.raises(ValidationError, match="equal length"):
+            GeneOrdering(np.array([0, 1]), np.array([1.0, 2.0, 3.0]))
+
+    def test_hand_built_arrays_are_read_only_copies(self):
+        perm = np.array([1, 0])
+        o = GeneOrdering(perm, np.array([1.0, 2.0]))
+        assert o.permutation is not perm
+        assert not o.permutation.flags.writeable and not o.variances.flags.writeable
+
+    def test_builds_without_constructor_checks(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("variance_ordering re-validated its ordering")
+
+        monkeypatch.setattr(GeneOrdering, "__post_init__", refuse)
+        values = np.random.default_rng(7).normal(size=(7, 5))
+        o = variance_ordering(values)
+        var = values.var(axis=1, ddof=1)
+        assert o.permutation.tolist() == np.argsort(var, kind="stable")[1:].tolist()
+        assert np.array_equal(o.variances, var[o.permutation])
+        assert o.permutation.dtype == np.int64 and o.variances.dtype == np.float64
+        assert not o.permutation.flags.writeable and not o.variances.flags.writeable
+        with pytest.raises(ValueError):
+            o.permutation[0] = 0
+
+    def test_single_gene_rejected(self):
+        with pytest.raises(ValidationError, match="positive even length"):
+            variance_ordering(np.arange(5.0)[None, :])
 
 
 class TestDeltaSequence:
