@@ -88,25 +88,16 @@ def _row_values(source) -> np.ndarray:
     return values
 
 
-def _standardized_rows(source, rows: Sequence[int] | None) -> np.ndarray:
+def _standardized_rows(source) -> np.ndarray:
     """Rows centered and scaled to unit Euclidean norm, so correlations are
     plain inner products."""
-    values = _row_values(source)
-    if rows is None:
-        sel = np.arange(values.shape[0])
-    else:
-        sel = np.asarray(list(rows), dtype=np.int64)
-        if sel.size != np.unique(sel).size:
-            raise ValidationError("row subset must be distinct")
-        if sel.size and (sel.min() < 0 or sel.max() >= values.shape[0]):
-            raise ValidationError("row subset out of range")
-    if sel.size < 2:
+    X = _row_values(source)
+    if X.shape[0] < 2:
         raise ValidationError("need at least 2 rows for pairwise correlations")
-    X = values[sel]
     Xc = X - X.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.einsum("ij,ij->i", Xc, Xc))
     if (norms == 0.0).any():
-        bad = int(sel[int(np.argmax(norms == 0.0))])
+        bad = int(np.argmax(norms == 0.0))
         ids = getattr(source, "gene_ids", None) or getattr(source, "row_ids", None)
         name = ids[bad] if ids is not None else str(bad)
         raise DegenerateInputError(f"row {name!r} has zero variance")
@@ -130,16 +121,14 @@ def _iter_pair_blocks(S: np.ndarray, block: int) -> Iterator[np.ndarray]:
             yield vals
 
 
-def all_pairs_summary(source, rows: Sequence[int] | None = None, bins: int = DEFAULT_BINS,
-                      block: int = 512) -> CorrelationSummary:
+def all_pairs_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> CorrelationSummary:
     """Histogram (fixed range [-1, 1]) plus moments of r over all row pairs.
 
-    ``source`` is an ExpressionMatrix, a DeltaMatrix, or a bare 2-d array;
-    ``rows`` optionally restricts to a distinct index subset.
+    ``source`` is an ExpressionMatrix, a DeltaMatrix, or a bare 2-d array.
     """
     if bins < 1:
         raise ValidationError("bins must be >= 1")
-    S = _standardized_rows(source, rows)
+    S = _standardized_rows(source)
     counts = np.zeros(bins, dtype=np.int64)
     scale = bins / 2.0
     total = 0
@@ -156,8 +145,7 @@ def all_pairs_summary(source, rows: Sequence[int] | None = None, bins: int = DEF
     return CorrelationSummary(total, mean, math.sqrt(var), Histogram(edges, counts))
 
 
-def z_summary(source, rows: Sequence[int] | None = None, bins: int = DEFAULT_BINS,
-              block: int = 512) -> ZSummary:
+def z_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> ZSummary:
     """Fisher z over all row pairs with a symmetric data-driven histogram range.
 
     theoretical_sd is 1/sqrt(n - 3) for the source's array count n. A pair of
@@ -169,7 +157,7 @@ def z_summary(source, rows: Sequence[int] | None = None, bins: int = DEFAULT_BIN
     n = _row_values(source).shape[1]
     if n < 4:
         raise ValidationError("need at least 4 arrays for a z summary")
-    S = _standardized_rows(source, rows)
+    S = _standardized_rows(source)
 
     def z_blocks() -> Iterator[np.ndarray]:
         for vals in _iter_pair_blocks(S, block):

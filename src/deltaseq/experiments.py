@@ -198,7 +198,7 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
         keep = np.setdiff1d(np.arange(n), removed)
         sub = matrix.values[:, keep]
         perm = variance_ordering(sub).permutation[: 2 * first_k]
-        S = _standardized_rows(sub[perm[1::2]] - sub[perm[0::2]], None)
+        S = _standardized_rows(sub[perm[1::2]] - sub[perm[0::2]])
         r = np.clip((S @ S.T)[iu], -1.0, 1.0)
         if (np.abs(r) == 1.0).any():
             raise DomainError("duplicated increment rows give |r| = 1; z-score undefined")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -40,18 +40,17 @@ DEFAULT_CDF_BUDGET = 10_000
 
 
 # ---------------------------------------------------------------------------
-# Empirical distribution functions and generic step functions.
+# Empirical and other distribution functions as step functions.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Right-continuous step function: value ``y0`` before ``xs[0]`` and
-    ``ys[k]`` on [xs[k], xs[k+1])."""
+    """Right-continuous distribution function: 0 before ``xs[0]`` and
+    ``ys[k]`` on [xs[k], xs[k+1]), with nondecreasing heights in [0, 1]."""
 
     xs: np.ndarray
     ys: np.ndarray
-    y0: float = 0.0
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=np.float64).copy()
@@ -60,26 +59,17 @@ class StepFunction:
             raise ValidationError("step function needs matching nonempty xs and ys")
         if np.isnan(xs).any() or (xs[1:] <= xs[:-1]).any():
             raise ValidationError("step function xs must be strictly increasing")
+        # every comparison with a NaN height is false, so NaN fails here too
+        if not (ys[0] >= 0.0 and ys[-1] <= 1.0 and (ys[1:] >= ys[:-1]).all()):
+            raise ValidationError("step function heights must be nondecreasing in [0, 1]")
         xs.flags.writeable = False
         ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
-    @cached_property
-    def nondecreasing(self) -> bool:
-        """Finite heights that never step down, starting from ``y0``."""
-        y0 = np.float64(self.y0)
-        return bool(np.isfinite(y0) and np.isfinite(self.ys).all()
-                    and y0 <= self.ys[0] and (self.ys[1:] >= self.ys[:-1]).all())
-
     def evaluate(self, t) -> np.ndarray:
         idx = np.searchsorted(self.xs, np.asarray(t, dtype=np.float64), side="right") - 1
-        return np.where(idx >= 0, self.ys[np.maximum(idx, 0)], self.y0)
-
-    def evaluate_left(self, t) -> np.ndarray:
-        """Left limit, i.e. the value just before t."""
-        idx = np.searchsorted(self.xs, np.asarray(t, dtype=np.float64), side="left") - 1
-        return np.where(idx >= 0, self.ys[np.maximum(idx, 0)], self.y0)
+        return np.where(idx >= 0, self.ys[np.maximum(idx, 0)], 0.0)
 
     def evaluate_sides(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(left limits, right values) at ``t`` from one left search; sorted
@@ -90,8 +80,20 @@ class StepFunction:
         idx = np.searchsorted(self.xs, t, side="left")
         last = self.xs.shape[0] - 1
         right = idx + (self.xs[np.minimum(idx, last)] == t)
-        left = np.where(idx > 0, self.ys[np.maximum(idx - 1, 0)], self.y0)
-        return left, np.where(right > 0, self.ys[np.maximum(right - 1, 0)], self.y0)
+        left = np.where(idx > 0, self.ys[np.maximum(idx - 1, 0)], 0.0)
+        return left, np.where(right > 0, self.ys[np.maximum(right - 1, 0)], 0.0)
+
+
+def _sorted_step(values: np.ndarray, total: int) -> StepFunction:
+    """Distribution function of ``total`` equal weights at the sorted
+    ``values``. The number of values at or below each distinct value is
+    where the next distinct value starts; dividing that integer once puts
+    every height exactly on the k/total lattice."""
+    starts = np.concatenate(([True], values[1:] != values[:-1]))
+    xs = values[starts]
+    at_or_below = np.append(np.flatnonzero(starts)[1:], values.shape[0])
+    del values  # a pooled mean's sample is large; freed before StepFunction copies
+    return StepFunction(xs, at_or_below / total)
 
 
 @dataclass(frozen=True)
@@ -112,38 +114,21 @@ class EDF:
         arr.flags.writeable = False
         return cls(arr, int(arr.size))
 
-    def evaluate(self, t) -> np.ndarray:
-        return np.searchsorted(self.sorted_values, np.asarray(t, dtype=np.float64), side="right") / self.size
-
     def as_step(self) -> StepFunction:
-        xs, counts = np.unique(self.sorted_values, return_counts=True)
-        return StepFunction(xs, np.cumsum(counts) / self.size)
+        return _sorted_step(self.sorted_values, self.size)
 
 
 def mean_of_edfs(edfs: Sequence[EDF]) -> StepFunction:
-    """Pointwise mean of EDFs as one exact weighted step function (no grid)."""
+    """Pointwise mean of EDFs of one common sample size, as one exact step
+    function (no grid): the EDF of their pooled samples. The B=1 mean
+    reproduces its EDF bit for bit."""
     if len(edfs) == 0:
         raise ValidationError("need at least one EDF")
-    B = len(edfs)
-    pooled = np.concatenate([e.sorted_values for e in edfs])
-    sizes = {e.size for e in edfs}
-    if len(sizes) == 1:
-        # equal sample sizes: once the pooled values are sorted, the number at
-        # or below each distinct value (the sum of the per-EDF counts) is
-        # where the next distinct value starts. Dividing that integer once
-        # puts every height exactly on the k/(B*n) lattice, and the B=1 mean
-        # reproduces its EDF bit for bit.
-        pooled.sort()
-        starts = np.concatenate(([True], pooled[1:] != pooled[:-1]))
-        xs = pooled[starts]
-        at_or_below = np.append(np.flatnonzero(starts)[1:], pooled.shape[0])
-        del pooled  # B samples large; freed before StepFunction copies its arrays
-        return StepFunction(xs, at_or_below / (B * sizes.pop()))
-    xs = np.unique(pooled)
-    heights = np.zeros(xs.shape[0], dtype=np.float64)
-    for e in edfs:
-        heights += np.searchsorted(e.sorted_values, xs, side="right") / (B * e.size)
-    return StepFunction(xs, heights)
+    sizes = sorted({e.size for e in edfs})
+    if len(sizes) > 1:
+        raise ValidationError(f"mean_of_edfs needs equal sample sizes, got {sizes}")
+    return _sorted_step(np.sort(np.concatenate([e.sorted_values for e in edfs])),
+                        len(edfs) * sizes[0])
 
 
 def _as_step(f) -> StepFunction:
@@ -151,47 +136,35 @@ def _as_step(f) -> StepFunction:
         return f
     if isinstance(f, EDF):
         return f.as_step()
-    as_step = getattr(f, "as_step", None)
-    if as_step is not None:
-        return as_step()
     raise ValidationError(f"cannot interpret {type(f).__name__} as a step function")
 
 
 def kolmogorov_distance(f, g) -> float:
-    """sup |f - g| for two step functions (EDFs accepted), taken exactly at
-    jump points, checking right values and left limits.
+    """sup |f - g| for two distribution functions (EDFs accepted), taken
+    exactly at jump points, checking right values and left limits.
 
-    When one function is nondecreasing, only the other's jumps are visited:
-    between two of them the other is a constant c while the monotone one
-    moves, and fl(c - x) is monotone in x, so |f - g| peaks at an end of each
-    such interval. The ends are the right values and left limits at those
-    jumps, the region before any jump, and the monotone function's last jump,
-    all points of the union of both jump sets, so the float equals the one
-    the union gives. If both are nondecreasing the smaller jump set is
-    visited; if neither is, the union.
+    Only the jumps of the function with fewer of them (``f`` on a tie) are
+    visited: between two of them it is a constant c while the other moves
+    monotonically, and fl(c - x) is monotone in x, so |f - g| peaks at an end
+    of each such interval. The ends are the right values and left limits at
+    the visited jumps, the region before any jump (where both are 0), and the
+    other function's last jump, all points of the union of both jump sets, so
+    the float equals the one the union gives.
 
     At its own jumps the visited function needs no search: its right values
-    are its heights and its left limits the heights shifted by one, ``y0``
-    first. The monotone one is read there by a single search that yields
-    both sides (``StepFunction.evaluate_sides``), so against a large center
-    each distance costs one search of the center.
+    are its heights and its left limits the heights shifted by one, 0 first.
+    The other is read there by a single search that yields both sides
+    (``StepFunction.evaluate_sides``), so against a large center each
+    distance costs one search of the center.
     """
     fs = _as_step(f)
     gs = _as_step(g)
-    pairs = [(a, b) for a, b in ((fs, gs), (gs, fs)) if b.nondecreasing]
-    if not pairs:
-        xs = np.union1d(fs.xs, gs.xs)
-        right = np.abs(fs.evaluate(xs) - gs.evaluate(xs)).max()
-        left = np.abs(fs.evaluate_left(xs) - gs.evaluate_left(xs)).max()
-        return float(max(right, left))
-    a, b = min(pairs, key=lambda pair: pair[0].xs.shape[0])
+    a, b = (fs, gs) if fs.xs.shape[0] <= gs.xs.shape[0] else (gs, fs)
     b_left, b_right = b.evaluate_sides(a.xs)
     a_right = np.append(a.ys, a.evaluate(b.xs[-1]))
     right = np.abs(a_right - np.append(b_right, b.ys[-1])).max()
-    a_left = np.concatenate(([np.float64(a.y0)], a.ys[:-1]))
-    left = np.abs(a_left - b_left).max()
-    before = abs(np.float64(a.y0) - np.float64(b.y0))
-    return float(max(right, left, before))
+    left = np.abs(np.concatenate(([0.0], a.ys[:-1])) - b_left).max()
+    return float(max(right, left))
 
 
 # ---------------------------------------------------------------------------

@@ -76,13 +76,10 @@ class DeltaMatrix:
     """Per-array differences for consecutive ranked gene pairs.
 
     Row i is gene at rank 2i+1 minus gene at rank 2i (0-based ranks), i.e.
-    the higher-variance member of the pair minus the lower. ``pair_map[i]``
-    holds the original gene indices (lower-rank member, higher-rank member).
+    the higher-variance member of the pair minus the lower.
     """
 
     values: np.ndarray
-    ordering: GeneOrdering
-    pair_map: tuple[tuple[int, int], ...]
     row_ids: tuple[str, ...]
     array_ids: tuple[str, ...]
 
@@ -113,12 +110,12 @@ def delta_sequence(matrix: ExpressionMatrix, ordering: GeneOrdering) -> DeltaMat
     low = perm[0::2]
     high = perm[1::2]
     values = matrix.values[high] - matrix.values[low]
-    pair_map = tuple((int(a), int(b)) for a, b in zip(low, high))
+    ids = matrix.gene_ids
     row_ids = tuple(
-        f"pair{i + 1}:{matrix.gene_ids[a]}-{matrix.gene_ids[b]}"
-        for i, (a, b) in enumerate(pair_map)
+        f"pair{i}:{ids[a]}-{ids[b]}"
+        for i, (a, b) in enumerate(zip(low.tolist(), high.tolist()), start=1)
     )
-    return DeltaMatrix(values, ordering, pair_map, row_ids, matrix.array_ids)
+    return DeltaMatrix(values, row_ids, matrix.array_ids)
 
 
 def even_rank_genes(ordering: GeneOrdering) -> np.ndarray:

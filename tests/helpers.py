@@ -169,12 +169,6 @@ def edf_eval(sample, t: float) -> float:
     return sum(1 for v in sample if v <= t) / len(sample)
 
 
-def step_distance_probe(f, g, probes) -> float:
-    """Lower bound on sup|f - g| by dense probing (right values only)."""
-    probes = np.asarray(probes, dtype=np.float64)
-    return float(np.abs(f.evaluate(probes) - g.evaluate(probes)).max())
-
-
 def _step_value(xs, ys, y0, t, left: bool) -> np.float64:
     """Value of the right-continuous step function at t, or just before t."""
     k = sum(1 for x in xs if (x < t if left else x <= t))
@@ -193,21 +187,25 @@ def step_distance_union(f_xs, f_ys, f_y0, g_xs, g_ys, g_y0) -> float:
     return float(best)
 
 
+def step_right(xs, ys, y0, t) -> np.ndarray:
+    """Right values of a step function at ``t``, by a right search."""
+    idx = np.searchsorted(xs, t, side="right") - 1
+    return np.where(idx >= 0, ys[np.maximum(idx, 0)], y0)
+
+
+def step_left(xs, ys, y0, t) -> np.ndarray:
+    """Left limits of a step function at ``t``, by a left search."""
+    idx = np.searchsorted(xs, t, side="left") - 1
+    return np.where(idx >= 0, ys[np.maximum(idx, 0)], y0)
+
+
 def step_distance_searches(a_xs, a_ys, a_y0, b_xs, b_ys, b_y0) -> float:
     """sup |a - b| for a nondecreasing ``b``, read at a's jumps and b's last
     jump with a separate right and left search of each function per side,
     plus the region before any jump."""
-    def right(xs, ys, y0, t):
-        idx = np.searchsorted(xs, t, side="right") - 1
-        return np.where(idx >= 0, ys[np.maximum(idx, 0)], y0)
-
-    def left(xs, ys, y0, t):
-        idx = np.searchsorted(xs, t, side="left") - 1
-        return np.where(idx >= 0, ys[np.maximum(idx, 0)], y0)
-
     xs = np.append(a_xs, b_xs[-1])
-    r = np.abs(right(a_xs, a_ys, a_y0, xs) - right(b_xs, b_ys, b_y0, xs)).max()
-    lo = np.abs(left(a_xs, a_ys, a_y0, a_xs) - left(b_xs, b_ys, b_y0, a_xs)).max()
+    r = np.abs(step_right(a_xs, a_ys, a_y0, xs) - step_right(b_xs, b_ys, b_y0, xs)).max()
+    lo = np.abs(step_left(a_xs, a_ys, a_y0, a_xs) - step_left(b_xs, b_ys, b_y0, a_xs)).max()
     return float(max(r, lo, abs(np.float64(a_y0) - np.float64(b_y0))))
 
 
@@ -233,34 +231,35 @@ def jackknife_distances_oracle(matrix, d: int, B: int, first_k: int, seed: int =
         keep = np.setdiff1d(np.arange(n), removed)
         sub = select_arrays(matrix, keep)
         delta = delta_sequence(sub, variance_ordering(sub))
-        S = _standardized_rows(delta.values[:first_k], None)
+        S = _standardized_rows(delta.values[:first_k])
         r = np.clip((S @ S.T)[np.triu_indices(first_k, 1)], -1.0, 1.0)
         if (np.abs(r) == 1.0).any():
             raise DomainError("duplicated increment rows give |r| = 1; z-score undefined")
         edfs.append(EDF.from_sample(np.arctanh(r)))
     center = mean_of_edfs(edfs)
     steps = [e.as_step() for e in edfs]
-    return np.asarray([step_distance_searches(s.xs, s.ys, s.y0, center.xs, center.ys, center.y0)
+    return np.asarray([step_distance_searches(s.xs, s.ys, 0.0, center.xs, center.ys, 0.0)
                        for s in steps])
 
 
 def edf_mean_searchsorted(samples):
-    """(xs, heights) of the pointwise mean of the samples' EDFs on the pooled
-    distinct values, one searchsorted pass per sample. Equal sample sizes sum
-    integer counts and divide once; unequal ones add each EDF's share."""
+    """(xs, heights) of the pointwise mean of the EDFs of equal-size samples
+    on the pooled distinct values: one searchsorted pass per sample sums
+    integer counts, divided once."""
     sorted_samples = [np.sort(np.asarray(s, dtype=np.float64)) for s in samples]
-    B = len(sorted_samples)
     xs = np.unique(np.concatenate(sorted_samples))
-    sizes = {s.size for s in sorted_samples}
-    if len(sizes) == 1:
-        counts = np.zeros(xs.shape[0], dtype=np.int64)
-        for s in sorted_samples:
-            counts += np.searchsorted(s, xs, side="right")
-        return xs, counts / (B * sizes.pop())
-    heights = np.zeros(xs.shape[0], dtype=np.float64)
+    counts = np.zeros(xs.shape[0], dtype=np.int64)
     for s in sorted_samples:
-        heights += np.searchsorted(s, xs, side="right") / (B * s.size)
-    return xs, heights
+        counts += np.searchsorted(s, xs, side="right")
+    return xs, counts / (len(sorted_samples) * sorted_samples[0].size)
+
+
+def edf_step_unique(sample):
+    """(xs, heights) of a sample's EDF from ``np.unique`` counts and their
+    cumulative sum."""
+    values = np.asarray(sample, dtype=np.float64).ravel()
+    xs, counts = np.unique(values, return_counts=True)
+    return xs, np.cumsum(counts) / values.size
 
 
 def draw_distinct_tuples_oracle(rng, m: int, size: int, want: int,

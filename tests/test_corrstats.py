@@ -108,13 +108,6 @@ class TestAllPairsSummary:
         assert a.sd_r == pytest.approx(b.sd_r, rel=1e-12)
         assert np.array_equal(a.histogram.counts, b.histogram.counts)
 
-    def test_row_subset(self):
-        values = random_matrix()
-        s = all_pairs_summary(values, rows=[0, 3, 5])
-        ref = all_pair_correlations(values[[0, 3, 5]])
-        assert s.pair_count == 3
-        assert s.mean_r == pytest.approx(ref.mean(), abs=1e-12)
-
     def test_accepts_matrix_object(self):
         values = random_matrix(m=5, n=6)
         matrix = ExpressionMatrix(tuple(f"g{i}" for i in range(5)),

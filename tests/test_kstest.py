@@ -24,10 +24,13 @@ from deltaseq.kstest import _pvalue_from_scaled, exact_pvalues_for_scaled
 from helpers import (
     edf_eval,
     edf_mean_searchsorted,
+    edf_step_unique,
     enum_cdf,
     enum_pvalue,
     ks_distance_exact,
     step_distance_union,
+    step_left,
+    step_right,
 )
 
 
@@ -212,21 +215,27 @@ class TestExactCdf:
 
 class TestStepFunctions:
     def test_edf_evaluate(self):
-        e = EDF.from_sample([1.0, 2.0, 2.0, 5.0])
+        e = EDF.from_sample([1.0, 2.0, 2.0, 5.0]).as_step()
         for t, want in [(0.5, 0.0), (1.0, 0.25), (1.5, 0.25), (2.0, 0.75), (10.0, 1.0)]:
             assert e.evaluate(t) == want
             assert want == edf_eval([1.0, 2.0, 2.0, 5.0], t)
 
     def test_step_left_limits(self):
         s = StepFunction(np.array([0.0, 1.0]), np.array([0.5, 1.0]))
+        left, right = s.evaluate_sides([-1.0, 0.0, 1.0, 2.0])
+        assert left.tolist() == [0.0, 0.0, 0.5, 1.0]
+        assert right.tolist() == [0.0, 0.5, 1.0, 1.0]
         assert s.evaluate(0.0) == 0.5
-        assert s.evaluate_left(0.0) == 0.0
-        assert s.evaluate_left(1.0) == 0.5
-        assert s.evaluate(2.0) == 1.0
 
     def test_step_requires_increasing_xs(self):
         with pytest.raises(ValidationError):
             StepFunction(np.array([1.0, 1.0]), np.array([0.1, 0.2]))
+
+    def test_step_rejects_heights_outside_a_distribution(self):
+        xs = np.array([0.0, 1.0, 2.0])
+        for ys in ([0.2, 0.1, 0.3], [-0.1, 0.5, 1.0], [0.0, 0.5, 1.5], [0.0, math.nan, 1.0]):
+            with pytest.raises(ValidationError, match="nondecreasing in \\[0, 1\\]"):
+                StepFunction(xs, np.array(ys))
 
     def test_step_rejects_repeated_infinity(self):
         with pytest.raises(ValidationError):
@@ -249,11 +258,16 @@ class TestStepFunctions:
 
     def test_mean_of_edfs_pointwise(self):
         e1 = EDF.from_sample([1.0, 3.0])
-        e2 = EDF.from_sample([2.0])
+        e2 = EDF.from_sample([2.0, 2.0])
         mean = mean_of_edfs([e1, e2])
         for t in [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]:
-            want = (edf_eval([1.0, 3.0], t) + edf_eval([2.0], t)) / 2
+            want = (edf_eval([1.0, 3.0], t) + edf_eval([2.0, 2.0], t)) / 2
             assert mean.evaluate(t) == pytest.approx(want, abs=1e-15)
+
+    def test_mean_of_edfs_rejects_mixed_sizes(self):
+        edfs = [EDF.from_sample([1.0, 3.0]), EDF.from_sample([2.0]), EDF.from_sample([4.0, 5.0])]
+        with pytest.raises(ValidationError, match="equal sample sizes, got \\[1, 2\\]"):
+            mean_of_edfs(edfs)
 
     def test_mean_of_single_edf_is_identity(self):
         e = EDF.from_sample([2.0, 7.0, 7.0, 9.0])
@@ -273,27 +287,26 @@ _VALUES = st.one_of(st.integers(-6, 6).map(lambda k: k / 4),
                     st.floats(-1e3, 1e3, allow_nan=False))
 
 
+_HEIGHTS = st.floats(0.0, 1.0, allow_nan=False)
+
+
 @st.composite
 def _sample_sets(draw):
-    """1 to 6 samples, of one common size or of independent sizes."""
+    """1 to 6 samples of one common size."""
     B = draw(st.integers(1, 6))
-    if draw(st.booleans()):
-        n = draw(st.integers(1, 12))
-        return [draw(st.lists(_VALUES, min_size=n, max_size=n)) for _ in range(B)]
-    return [draw(st.lists(_VALUES, min_size=1, max_size=12)) for _ in range(B)]
+    n = draw(st.integers(1, 12))
+    return [draw(st.lists(_VALUES, min_size=n, max_size=n)) for _ in range(B)]
+
+
+def _heights(draw, size: int) -> np.ndarray:
+    return np.array(sorted(draw(st.lists(_HEIGHTS, min_size=size, max_size=size))))
 
 
 @st.composite
 def _step_functions(draw):
-    """Step functions over the sample values, nondecreasing or not."""
+    """Distribution functions jumping at the sample values."""
     xs = sorted(draw(st.lists(_VALUES, min_size=1, max_size=10, unique=True)))
-    heights = st.floats(-2.0, 2.0, allow_nan=False)
-    ys = draw(st.lists(heights, min_size=len(xs), max_size=len(xs)))
-    y0 = draw(heights)
-    if draw(st.booleans()):
-        ys = sorted(ys)
-        y0 = min(y0, ys[0])
-    return StepFunction(np.array(xs), np.array(ys), y0)
+    return StepFunction(np.array(xs), _heights(draw, len(xs)))
 
 
 def _edf_steps(sample):
@@ -302,7 +315,7 @@ def _edf_steps(sample):
 
 
 def _steps(s: StepFunction):
-    return s.xs, s.ys, s.y0
+    return s.xs, s.ys, 0.0
 
 
 class TestDistanceOracles:
@@ -316,7 +329,14 @@ class TestDistanceOracles:
         xs, heights = edf_mean_searchsorted(samples)
         assert np.array_equal(center.xs, xs)
         assert np.array_equal(center.ys, heights)
-        assert center.y0 == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_VALUES, min_size=1, max_size=12))
+    def test_edf_step_matches_unique_counts(self, sample):
+        step = EDF.from_sample(sample).as_step()
+        xs, heights = edf_step_unique(sample)
+        assert np.array_equal(step.xs, xs)
+        assert np.array_equal(step.ys, heights)
 
     @settings(max_examples=200, deadline=None)
     @given(_sample_sets())
@@ -340,27 +360,20 @@ class TestDistanceOracles:
 
 @st.composite
 def _covering_pairs(draw):
-    """(a, b): a nondecreasing ``b`` and an ``a`` that holds every jump of
-    ``b`` plus at least one point before and one after them; both start
-    from a nonzero ``y0``, and ``a`` may step down."""
+    """(a, b): distribution functions where ``a`` holds every jump of ``b``
+    plus at least one point before and one after them."""
     b_xs = sorted(draw(st.lists(_VALUES, min_size=1, max_size=8, unique=True)))
     outside = st.floats(1e3 + 1, 2e3, allow_nan=False)
     lo = draw(st.lists(outside.map(lambda x: b_xs[0] - x), min_size=1, max_size=3, unique=True))
     hi = draw(st.lists(outside.map(lambda x: b_xs[-1] + x), min_size=1, max_size=3, unique=True))
     inner = draw(st.lists(_VALUES, max_size=6))
     a_xs = sorted(set(b_xs) | set(lo) | set(hi) | set(inner))
-    nonzero = st.floats(-2.0, 2.0, allow_nan=False).filter(lambda y: y != 0.0)
-    a_ys = draw(st.lists(st.floats(-2.0, 2.0, allow_nan=False),
-                         min_size=len(a_xs), max_size=len(a_xs)))
-    b_ys = sorted(draw(st.lists(st.floats(-2.0, 2.0, allow_nan=False),
-                                min_size=len(b_xs), max_size=len(b_xs))))
-    b_y0 = draw(st.floats(-2.0, b_ys[0], allow_nan=False).filter(lambda y: y != 0.0))
-    a = StepFunction(np.array(a_xs), np.array(a_ys), draw(nonzero))
-    return a, StepFunction(np.array(b_xs), np.array(b_ys), b_y0)
+    return (StepFunction(np.array(a_xs), _heights(draw, len(a_xs))),
+            StepFunction(np.array(b_xs), _heights(draw, len(b_xs))))
 
 
 class TestMonotoneRead:
-    """The monotone side is read at the visited jumps by one left search."""
+    """The other side is read at the visited jumps by one left search."""
 
     @settings(max_examples=300, deadline=None)
     @given(_covering_pairs())
@@ -375,8 +388,8 @@ class TestMonotoneRead:
     def test_sides_match_two_searches(self, f, probes):
         t = np.sort(np.concatenate([f.xs, np.asarray(probes, dtype=np.float64)]))
         left, right = f.evaluate_sides(t)
-        assert np.array_equal(left, f.evaluate_left(t))
-        assert np.array_equal(right, f.evaluate(t))
+        assert np.array_equal(left, step_left(f.xs, f.ys, 0.0, t))
+        assert np.array_equal(right, step_right(f.xs, f.ys, 0.0, t))
 
     def test_step_rejects_nan_xs(self):
         for xs in ([math.nan], [0.0, math.nan], [math.nan, 0.0]):
@@ -389,7 +402,7 @@ def test_edf_distance_visits_only_the_edf_jumps(monkeypatch):
     than the EDF's own jumps plus one point, never the center's whole grid;
     the center is read, through one of the recorded methods."""
     reads = []
-    for name in ("evaluate", "evaluate_left", "evaluate_sides"):
+    for name in ("evaluate", "evaluate_sides"):
         original = getattr(StepFunction, name)
 
         def recording(self, t, original=original):
