@@ -2,15 +2,33 @@
 
 all_pairs_summary histograms the Pearson correlation over every unordered row
 pair without materializing the full pair list: rows are standardized once and
-inner products are taken block by block in a fixed canonical order, so the
-result is identical regardless of how work is scheduled.
+inner products are taken block by block in a fixed canonical (row-block,
+column-block) order.
+
+One helper thread computes each block up to two blocks ahead of the caller:
+the GEMM, the upper-triangle pick of a diagonal block and an in-place finish
+(the clip, or arctanh), written into a ring of three preallocated
+``block * block`` buffers. The calling thread does all the accumulation,
+histogram, sum and dot product, in canonical order, so every float is added
+as in a serial loop and the result is the same bytes on one CPU or many.
+
+z_summary needs its histogram range, max|z|, before it can bin. A first pass
+of GEMMs alone finds the extreme correlations (and raises DomainError on
+|r| = 1); the larger |arctanh| of the two is the candidate range. The second
+pass computes arctanh once per value for the moments, the observed max|z|
+and the histogram; should the observed maximum differ from the candidate,
+the values are binned again with the observed one, so the bytes stay exact
+even where arctanh is not monotone at an extreme.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -104,21 +122,78 @@ def _standardized_rows(source) -> np.ndarray:
     return Xc / norms[:, None]
 
 
-def _iter_pair_blocks(S: np.ndarray, block: int) -> Iterator[np.ndarray]:
-    """Clamped correlation values for all unordered pairs, yielded block by
-    block in canonical (row-block, column-block) order."""
+_RING = 3  # block buffers: one the caller reads, up to two computed ahead
+
+
+def _iter_pair_blocks(S: np.ndarray, block: int,
+                      finish: Callable[[np.ndarray], object] | None = None) -> Iterator[np.ndarray]:
+    """Inner products of all unordered row pairs, yielded block by block in
+    canonical (row-block, column-block) order, with ``finish`` applied to
+    each block's values in place.
+
+    A helper thread computes the blocks into a ring of ``_RING`` buffers, so
+    each yielded array is valid only until the next one is requested. The
+    helper stops and is joined when the generator ends or is closed; an
+    exception it raises is raised here, at its block.
+    """
     k = S.shape[0]
-    for bi in range(0, k, block):
-        Si = S[bi : bi + block]
-        for bj in range(bi, k, block):
-            G = Si @ S[bj : bj + block].T
-            if bi == bj:
-                iu = np.triu_indices(G.shape[0], 1)
-                vals = G[iu]
-            else:
-                vals = G.ravel()
-            np.clip(vals, -1.0, 1.0, out=vals)
+    # a diagonal block of one row has no pairs
+    tiles = [(bi, bj) for bi in range(0, k, block) for bj in range(bi, k, block)
+             if bi != bj or min(block, k - bi) > 1]
+    side = min(block, k)
+    ring = [np.empty(side * side) for _ in range(_RING)]
+    free = threading.Semaphore(_RING)
+    ready = threading.Semaphore(0)
+    done: deque = deque()
+    stop = threading.Event()
+
+    def compute() -> None:
+        try:
+            for t, (bi, bj) in enumerate(tiles):
+                free.acquire()
+                if stop.is_set():
+                    return
+                Si = S[bi : bi + block]
+                Sj = S[bj : bj + block]
+                buf = ring[t % _RING]
+                G = buf[: Si.shape[0] * Sj.shape[0]].reshape(Si.shape[0], Sj.shape[0])
+                np.matmul(Si, Sj.T, out=G)
+                if bi == bj:
+                    upper = G[np.triu_indices(G.shape[0], 1)]
+                    vals = buf[: upper.shape[0]]
+                    vals[:] = upper
+                else:
+                    vals = buf[: G.size]
+                if finish is not None:
+                    finish(vals)
+                done.append(vals)
+                ready.release()
+        except BaseException as exc:  # re-raised on the calling thread
+            done.append(exc)
+            ready.release()
+
+    helper = threading.Thread(target=compute, name="deltaseq-pair-blocks", daemon=True)
+    helper.start()
+    try:
+        for _ in tiles:
+            ready.acquire()
+            vals = done.popleft()
+            if isinstance(vals, BaseException):
+                raise vals
             yield vals
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        helper.join()
+
+
+def _clip(vals: np.ndarray) -> None:
+    np.clip(vals, -1.0, 1.0, out=vals)
+
+
+def _arctanh(vals: np.ndarray) -> None:
+    np.arctanh(vals, out=vals)
 
 
 def all_pairs_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> CorrelationSummary:
@@ -134,15 +209,22 @@ def all_pairs_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> Cor
     total = 0
     s1 = 0.0
     s2 = 0.0
-    for vals in _iter_pair_blocks(S, block):
-        _kernels.hist_accumulate(vals, -1.0, scale, counts)
-        total += vals.shape[0]
-        s1 += float(vals.sum())
-        s2 += float(vals @ vals)
+    with closing(_iter_pair_blocks(S, block, _clip)) as blocks:
+        for vals in blocks:
+            _kernels.hist_accumulate(vals, -1.0, scale, counts)
+            total += vals.shape[0]
+            s1 += float(vals.sum())
+            s2 += float(vals @ vals)
     mean = s1 / total
     var = max(s2 / total - mean * mean, 0.0)
     edges = np.linspace(-1.0, 1.0, bins + 1)
     return CorrelationSummary(total, mean, math.sqrt(var), Histogram(edges, counts))
+
+
+def _extreme_z(lo: float, hi: float) -> float:
+    """The larger |arctanh| of the extreme correlations, by the same array
+    ufunc that transforms the blocks."""
+    return float(np.abs(np.arctanh(np.array([lo, hi]))).max())
 
 
 def z_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> ZSummary:
@@ -159,27 +241,44 @@ def z_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> ZSummary:
         raise ValidationError("need at least 4 arrays for a z summary")
     S = _standardized_rows(source)
 
-    def z_blocks() -> Iterator[np.ndarray]:
-        for vals in _iter_pair_blocks(S, block):
-            if (np.abs(vals) == 1.0).any():
+    # pass 1, GEMMs alone: the extreme correlations. fmin/fmax skip a NaN,
+    # so a block holding one still raises on |r| = 1 as a clipped block would.
+    lo = 0.0
+    hi = 0.0
+    with closing(_iter_pair_blocks(S, block)) as blocks:
+        for r in blocks:
+            rmin = float(np.fmin.reduce(r))
+            rmax = float(np.fmax.reduce(r))
+            if rmin <= -1.0 or rmax >= 1.0:
                 raise DomainError("correlation of magnitude 1 (duplicated rows?) has no finite z")
-            yield np.arctanh(vals)
+            lo = min(lo, rmin)
+            hi = max(hi, rmax)
+    candidate = _extreme_z(lo, hi)
 
+    def bin_range(zmax: float) -> tuple[float, float]:
+        zmax = zmax or 1.0
+        return zmax, bins / (2.0 * zmax)
+
+    # pass 2: arctanh once per value, for the moments, max|z| and the bins
+    zmax, scale = bin_range(candidate)
+    counts = np.zeros(bins, dtype=np.int64)
     total = 0
     s1 = 0.0
     s2 = 0.0
-    zmax = 0.0
-    for z in z_blocks():
-        total += z.shape[0]
-        s1 += float(z.sum())
-        s2 += float(z @ z)
-        zmax = max(zmax, float(np.abs(z).max()))
-    if zmax == 0.0:
-        zmax = 1.0
-    counts = np.zeros(bins, dtype=np.int64)
-    scale = bins / (2.0 * zmax)
-    for z in z_blocks():
-        _kernels.hist_accumulate(z, -zmax, scale, counts)
+    observed = 0.0
+    with closing(_iter_pair_blocks(S, block, _arctanh)) as blocks:
+        for z in blocks:
+            total += z.shape[0]
+            s1 += float(z.sum())
+            s2 += float(z @ z)
+            observed = max(observed, float(z.max()), -float(z.min()))
+            _kernels.hist_accumulate(z, -zmax, scale, counts)
+    if observed != candidate:
+        zmax, scale = bin_range(observed)
+        counts[:] = 0
+        with closing(_iter_pair_blocks(S, block, _arctanh)) as blocks:
+            for z in blocks:
+                _kernels.hist_accumulate(z, -zmax, scale, counts)
     mean = s1 / total
     var = max(s2 / total - mean * mean, 0.0)
     edges = np.linspace(-zmax, zmax, bins + 1)

@@ -169,10 +169,11 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
     mean only at that subsample's own jump points.
 
     Memory grows with the ``B*first_k*(first_k-1)/2`` z-scores held at once:
-    the EDFs, the pooled sort and the building of the center take about 50
-    bytes per z-score at peak. ``max_pair_evals`` caps that count before any
+    the EDFs, the pooled sort and the building of the center take about 35
+    bytes per z-score at peak (151/291/481 MiB for a whole run at
+    B=16/50/100, first_k=500). ``max_pair_evals`` caps that count before any
     subsample is drawn; the default of 2e7 keeps the held z-scores under
-    1 GiB (0.93 GiB at 49 bytes each).
+    1 GiB (0.65 GiB at 35 bytes each).
     """
     n = matrix.n_arrays
     if not (1 <= d <= n - 4):

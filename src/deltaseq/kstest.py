@@ -88,12 +88,28 @@ def _sorted_step(values: np.ndarray, total: int) -> StepFunction:
     """Distribution function of ``total`` equal weights at the sorted
     ``values``. The number of values at or below each distinct value is
     where the next distinct value starts; dividing that integer once puts
-    every height exactly on the k/total lattice."""
-    starts = np.concatenate(([True], values[1:] != values[:-1]))
+    every height exactly on the k/total lattice.
+
+    The heights overwrite those integer counts in place, and both fresh
+    arrays go to the StepFunction without its constructor's copies and
+    checks: distinct sorted values are strictly increasing, and counts up
+    to ``values.size <= total`` give nondecreasing heights in [0, 1]."""
+    n = values.shape[0]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
     xs = values[starts]
-    at_or_below = np.append(np.flatnonzero(starts)[1:], values.shape[0])
-    del values  # a pooled mean's sample is large; freed before StepFunction copies
-    return StepFunction(xs, at_or_below / total)
+    at_or_below = np.flatnonzero(starts)
+    del values, starts  # a pooled mean's sample is large; freed before the heights
+    at_or_below[:-1] = at_or_below[1:]
+    at_or_below[-1] = n
+    ys = at_or_below.view(np.float64)
+    np.true_divide(at_or_below, total, out=ys)
+    step = object.__new__(StepFunction)
+    for name, arr in (("xs", xs), ("ys", ys)):
+        arr.flags.writeable = False
+        object.__setattr__(step, name, arr)
+    return step
 
 
 @dataclass(frozen=True)
@@ -153,15 +169,18 @@ def kolmogorov_distance(f, g) -> float:
 
     At its own jumps the visited function needs no search: its right values
     are its heights and its left limits the heights shifted by one, 0 first.
-    The other is read there by a single search that yields both sides
-    (``StepFunction.evaluate_sides``), so against a large center each
-    distance costs one search of the center.
+    At the other's last jump it is read as its own last height: if it jumps
+    after that point, its value there against the other's final height is
+    already the left-limit difference at its next jump, and otherwise its
+    value there is its last height. The other is read at the visited jumps by
+    a single search that yields both sides (``StepFunction.evaluate_sides``),
+    so against a large center each distance costs one search of the center.
     """
     fs = _as_step(f)
     gs = _as_step(g)
     a, b = (fs, gs) if fs.xs.shape[0] <= gs.xs.shape[0] else (gs, fs)
     b_left, b_right = b.evaluate_sides(a.xs)
-    a_right = np.append(a.ys, a.evaluate(b.xs[-1]))
+    a_right = np.append(a.ys, a.ys[-1])
     right = np.abs(a_right - np.append(b_right, b.ys[-1])).max()
     left = np.abs(np.concatenate(([0.0], a.ys[:-1])) - b_left).max()
     return float(max(right, left))

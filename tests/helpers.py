@@ -3,8 +3,9 @@
 Everything here is deliberately naive: exhaustive enumeration, double loops,
 exact rational arithmetic, and superseded whole-batch forms of the package's
 computations. Nothing imports the package under test, except
-``jackknife_distances_oracle``, which replays a superseded pipeline through
-the package's own building blocks.
+``jackknife_distances_oracle`` and the serial correlation summaries
+(``all_pairs_summary_oracle``, ``z_summary_oracle``), which replay a
+superseded pipeline through the package's own building blocks.
 """
 
 from __future__ import annotations
@@ -162,6 +163,93 @@ def hist_naive(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarra
         idx = int((v - lo) * scale)
         counts[min(max(idx, 0), bins - 1)] += 1
     return counts
+
+
+def _iter_pair_blocks_serial(S: np.ndarray, block: int):
+    """Clamped correlation values for all unordered pairs, yielded block by
+    block in canonical (row-block, column-block) order."""
+    k = S.shape[0]
+    for bi in range(0, k, block):
+        Si = S[bi : bi + block]
+        for bj in range(bi, k, block):
+            G = Si @ S[bj : bj + block].T
+            if bi == bj:
+                iu = np.triu_indices(G.shape[0], 1)
+                vals = G[iu]
+            else:
+                vals = G.ravel()
+            np.clip(vals, -1.0, 1.0, out=vals)
+            yield vals
+
+
+def all_pairs_summary_oracle(source, bins: int = 50, block: int = 512):
+    """The serial all-pairs correlation summary: every block computed and
+    consumed on the calling thread, in canonical order."""
+    from deltaseq import _kernels
+    from deltaseq.corrstats import CorrelationSummary, Histogram, _standardized_rows
+    from deltaseq.errors import ValidationError
+
+    if bins < 1:
+        raise ValidationError("bins must be >= 1")
+    S = _standardized_rows(source)
+    counts = np.zeros(bins, dtype=np.int64)
+    scale = bins / 2.0
+    total = 0
+    s1 = 0.0
+    s2 = 0.0
+    for vals in _iter_pair_blocks_serial(S, block):
+        _kernels.hist_accumulate(vals, -1.0, scale, counts)
+        total += vals.shape[0]
+        s1 += float(vals.sum())
+        s2 += float(vals @ vals)
+    mean = s1 / total
+    var = max(s2 / total - mean * mean, 0.0)
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+    return CorrelationSummary(total, mean, math.sqrt(var), Histogram(edges, counts))
+
+
+def z_summary_oracle(source, bins: int = 50, block: int = 512):
+    """The serial Fisher z summary: one pass of GEMM and ``arctanh`` for the
+    moments and ``max|z|``, a second identical pass to bin with that range.
+    One change from the superseded code: the empty block of a last row
+    block with one row adds nothing to ``max|z|`` (``initial=0.0``), where
+    ``max`` of an empty array raised ValueError."""
+    from deltaseq import _kernels
+    from deltaseq.corrstats import Histogram, ZSummary, _row_values, _standardized_rows
+    from deltaseq.errors import DomainError, ValidationError
+
+    if bins < 1:
+        raise ValidationError("bins must be >= 1")
+    n = _row_values(source).shape[1]
+    if n < 4:
+        raise ValidationError("need at least 4 arrays for a z summary")
+    S = _standardized_rows(source)
+
+    def z_blocks():
+        for vals in _iter_pair_blocks_serial(S, block):
+            if (np.abs(vals) == 1.0).any():
+                raise DomainError("correlation of magnitude 1 (duplicated rows?) has no finite z")
+            yield np.arctanh(vals)
+
+    total = 0
+    s1 = 0.0
+    s2 = 0.0
+    zmax = 0.0
+    for z in z_blocks():
+        total += z.shape[0]
+        s1 += float(z.sum())
+        s2 += float(z @ z)
+        zmax = max(zmax, float(np.abs(z).max(initial=0.0)))
+    if zmax == 0.0:
+        zmax = 1.0
+    counts = np.zeros(bins, dtype=np.int64)
+    scale = bins / (2.0 * zmax)
+    for z in z_blocks():
+        _kernels.hist_accumulate(z, -zmax, scale, counts)
+    mean = s1 / total
+    var = max(s2 / total - mean * mean, 0.0)
+    edges = np.linspace(-zmax, zmax, bins + 1)
+    return ZSummary(total, mean, math.sqrt(var), 1.0 / math.sqrt(n - 3), Histogram(edges, counts))
 
 
 def edf_eval(sample, t: float) -> float:

@@ -262,6 +262,13 @@ def test_criterion_10_byte_identical_reports(tmp_path):
     matrix_path = tmp_path / "matrix.tsv"
     matrix_path.write_text(matrix_to_tsv(generate_chain_matrix(spec)), encoding="utf-8")
     mat = str(matrix_path)
+    # enough rows for several 512-row blocks, so the correlation summaries
+    # run their helper thread ahead of the caller
+    tall_spec = ChainSpec(m=1100, n=32, base_sd=0.4, increment_sd=0.4,
+                          shared_factor_sd=0.5, chain_length=4, seed=1011)
+    tall_path = tmp_path / "tall.tsv"
+    tall_path.write_text(matrix_to_tsv(generate_chain_matrix(tall_spec)), encoding="utf-8")
+    tall = str(tall_path)
 
     runs = {
         "exp-null": ["exp-null", "--in", mat, "--n1", "8", "--n2", "8",
@@ -276,6 +283,8 @@ def test_criterion_10_byte_identical_reports(tmp_path):
                        "--on", "delta"],
         "exceedance": ["exceedance", "--in", mat, "--in2", mat,
                        "--mode", "expression", "--alpha", "0.1"],
+        "corr-genes": ["corr", "--in", tall, "--on", "genes"],
+        "corr-delta-z": ["corr", "--in", tall, "--on", "delta", "--z"],
     }
 
     def collect(outdir):
@@ -288,4 +297,5 @@ def test_criterion_10_byte_identical_reports(tmp_path):
         assert cli_main(argv + ["--out", str(out2)]) == 0
         assert collect(out1) == collect(out2), f"{name} differed across reruns"
     elapsed = budget.done("criterion 10")
-    _report(10, "byte-identical reports", "5 experiments, each run twice", elapsed)
+    _report(10, "byte-identical reports",
+            "5 experiments and 2 correlation summaries, each run twice", elapsed)

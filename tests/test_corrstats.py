@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -15,9 +16,16 @@ from deltaseq import (
     pearson,
     z_summary,
 )
+from deltaseq import _kernels, corrstats
 from deltaseq.corrstats import histogram_to_csv, summary_header_json
 
-from helpers import all_pair_correlations, hist_naive, pearson_float
+from helpers import (
+    all_pair_correlations,
+    all_pairs_summary_oracle,
+    hist_naive,
+    pearson_float,
+    z_summary_oracle,
+)
 
 
 class TestPearson:
@@ -150,6 +158,130 @@ class TestZSummary:
         values[1] = values[0]
         with pytest.raises(DomainError):
             z_summary(values)
+
+
+def same_summary(a, b):
+    """Bitwise equality of two summaries: every float by its hex form, every
+    array by its bytes."""
+    assert type(a) is type(b)
+    for name, x in vars(a).items():
+        y = getattr(b, name)
+        if name == "histogram":
+            assert x.edges.tobytes() == y.edges.tobytes(), name
+            assert x.counts.tobytes() == y.counts.tobytes(), name
+        elif isinstance(x, float):
+            assert x.hex() == y.hex(), name
+        else:
+            assert x == y, name
+
+
+def helper_threads():
+    return [t for t in threading.enumerate() if t.name == "deltaseq-pair-blocks"]
+
+
+class TestBlockPipeline:
+    """The helper-thread block pipeline against the serial summaries."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=st.integers(1, 9), data=st.data(), n=st.integers(4, 12),
+           bins=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_serial(self, block, data, n, bins, seed):
+        # from one block (k <= block, fewer blocks than the look-ahead) to a
+        # little over three; block sizes that divide k and ones that do not
+        k = data.draw(st.integers(2, 3 * block + 2), label="k")
+        values = np.random.default_rng(seed).normal(size=(k, n))
+        same_summary(all_pairs_summary(values, bins, block),
+                     all_pairs_summary_oracle(values, bins, block))
+        same_summary(z_summary(values, bins, block), z_summary_oracle(values, bins, block))
+
+    @pytest.mark.parametrize("k, block", [(24, 8), (23, 8), (512, 128), (600, 512)])
+    def test_bitwise_equal_on_correlated_rows(self, k, block):
+        # a shared factor spreads r over a wide range, as raw genes do
+        rng = np.random.default_rng(k + block)
+        values = rng.normal(size=(k, 30)) + 2.0 * rng.normal(size=30)
+        same_summary(all_pairs_summary(values, 50, block),
+                     all_pairs_summary_oracle(values, 50, block))
+        same_summary(z_summary(values, 50, block), z_summary_oracle(values, 50, block))
+
+    def test_one_row_last_block(self):
+        # 513 rows at the default block: the last row block holds one row and
+        # no pair of its own; the serial z summary raised ValueError here
+        values = random_matrix(m=513, n=10, seed=5)
+        s = z_summary(values)
+        assert s.pair_count == 513 * 512 // 2
+        assert s.histogram.counts.sum() == s.pair_count
+        z = np.arctanh(np.clip(np.corrcoef(values)[np.triu_indices(513, 1)], -1.0, 1.0))
+        assert s.mean_z == pytest.approx(z.mean(), abs=1e-12)
+        same_summary(all_pairs_summary(values), all_pairs_summary_oracle(values))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_duplicated_pair_in_last_block(self, sign):
+        values = random_matrix(m=11, n=9, seed=6)
+        values[10] = sign * values[9]  # both rows in the last row block of 4
+        with pytest.raises(DomainError) as want:
+            z_summary_oracle(values, block=4)
+        with pytest.raises(DomainError) as got:
+            z_summary(values, block=4)
+        assert str(got.value) == str(want.value)
+        assert helper_threads() == []
+
+    def test_rebin_when_candidate_range_misses(self, monkeypatch):
+        # the candidate range is exact where arctanh is monotone; a wrong one
+        # must cost a third pass, never a byte
+        values = random_matrix(m=40, n=12, seed=7)
+        extreme_z = corrstats._extreme_z
+        monkeypatch.setattr(corrstats, "_extreme_z", lambda lo, hi: 0.5 * extreme_z(lo, hi))
+        passes = []
+        blocks = corrstats._iter_pair_blocks
+
+        def counted(*args):
+            passes.append(args)
+            return blocks(*args)
+
+        monkeypatch.setattr(corrstats, "_iter_pair_blocks", counted)
+        same_summary(z_summary(values, 17, 6), z_summary_oracle(values, 17, 6))
+        assert len(passes) == 3
+
+    def test_no_thread_left_after_normal_run(self):
+        z_summary(random_matrix(m=30), block=4)
+        all_pairs_summary(random_matrix(m=30), block=4)
+        assert helper_threads() == []
+
+    def test_no_thread_left_after_caller_error(self, monkeypatch):
+        calls = []
+
+        def failing(values, lo, scale, counts):
+            calls.append(values.shape[0])
+            if len(calls) == 2:
+                raise RuntimeError("caller failed")
+
+        monkeypatch.setattr(_kernels, "hist_accumulate", failing)
+        with pytest.raises(RuntimeError, match="caller failed"):
+            all_pairs_summary(random_matrix(m=40), block=4)
+        assert len(calls) == 2
+        assert helper_threads() == []
+
+    def test_helper_error_raised_at_its_block(self, monkeypatch):
+        seen = []
+
+        def failing(vals):
+            seen.append(vals.shape[0])
+            if len(seen) == 3:
+                raise FloatingPointError("helper failed")
+
+        monkeypatch.setattr(corrstats, "_clip", failing)
+        with pytest.raises(FloatingPointError, match="helper failed"):
+            all_pairs_summary(random_matrix(m=40), block=4)
+        assert helper_threads() == []
+
+    def test_closing_early_joins_the_helper(self):
+        S = corrstats._standardized_rows(random_matrix(m=40))
+        gen = corrstats._iter_pair_blocks(S, 4)
+        first = next(gen)
+        assert first.shape[0] == 6  # the upper triangle of the first 4 x 4 block
+        assert len(helper_threads()) == 1
+        gen.close()
+        assert helper_threads() == []
 
 
 class TestSerialization:
