@@ -44,6 +44,7 @@ from .dependence import (
     TypeAResult,
     increment_threshold_soundness_sweep,
     positive_increment_threshold,
+    sharp_positive_increment_threshold,
     triple_census,
     triple_stats,
     type_a_census,
@@ -110,7 +111,7 @@ __all__ = [
     "PairCensus", "SoundnessSweep", "TripleCensus", "TripleCovarianceModel",
     "TripleStats", "TypeAResult",
     "increment_threshold_soundness_sweep", "positive_increment_threshold",
-    "triple_census", "triple_stats", "type_a_census", "type_a_test",
+    "sharp_positive_increment_threshold", "triple_census", "triple_stats", "type_a_census", "type_a_test",
     "type_a_triple_consistency",
     "DegenerateInputError", "DeltaseqError", "DomainError", "ParseError",
     "ResourceError", "StateError", "ValidationError",

@@ -12,9 +12,11 @@ the GEMM, the upper-triangle pick of a diagonal block and an in-place finish
 histogram, sum and dot product, in canonical order, so every float is added
 as in a serial loop and the result is the same bytes on one CPU or many.
 
-z_summary needs its histogram range, max|z|, before it can bin. A first pass
-of GEMMs alone finds the extreme correlations (and raises DomainError on
-|r| = 1); the larger |arctanh| of the two is the candidate range. The second
+z_summary needs its histogram range, max|z|, before it can bin. Rows that
+are equal, or one the negation of the other, raise DomainError first: their
+|r| is 1 whatever the GEMM kernel rounds it to. A first pass of GEMMs alone
+finds the extreme correlations (and raises DomainError on |r| = 1 there too);
+the larger |arctanh| of the two is the candidate range. The second
 pass computes arctanh once per value for the moments, the observed max|z|
 and the histogram; should the observed maximum differ from the candidate,
 the values are binned again with the observed one, so the bytes stay exact
@@ -112,6 +114,8 @@ def _standardized_rows(source) -> np.ndarray:
     X = _row_values(source)
     if X.shape[0] < 2:
         raise ValidationError("need at least 2 rows for pairwise correlations")
+    if not np.isfinite(X).all():
+        raise ValidationError("correlations need finite values")
     Xc = X - X.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.einsum("ij,ij->i", Xc, Xc))
     if (norms == 0.0).any():
@@ -120,6 +124,23 @@ def _standardized_rows(source) -> np.ndarray:
         name = ids[bad] if ids is not None else str(bad)
         raise DegenerateInputError(f"row {name!r} has zero variance")
     return Xc / norms[:, None]
+
+
+_UNIT_R = "correlation of magnitude 1 (duplicated rows?) has no finite z"
+
+
+def _check_no_collinear_pair(S: np.ndarray) -> None:
+    """Raise DomainError when two standardized rows are equal, or one is the
+    negation of the other, in one pass over the rows.
+
+    Each row is scaled by the sign of its first nonzero value (a unit row has
+    one) and its -0.0 turned to 0.0, so such pairs become bitwise equal.
+    """
+    first = S[np.arange(S.shape[0]), np.argmax(S != 0.0, axis=1)]
+    canon = S * np.sign(first)[:, None]
+    canon += 0.0
+    if len({row.tobytes() for row in canon}) < S.shape[0]:
+        raise DomainError(_UNIT_R)
 
 
 _RING = 3  # block buffers: one the caller reads, up to two computed ahead
@@ -196,6 +217,22 @@ def _arctanh(vals: np.ndarray) -> None:
     np.arctanh(vals, out=vals)
 
 
+def _bin_unit_interval(vals: np.ndarray, counts: np.ndarray) -> None:
+    """Add the counts of ``vals``, all in [-1, 1], in ``counts.shape[0]``
+    equal bins over [-1, 1] to ``counts``, as ``_kernels.hist_accumulate``
+    would; ``vals`` is overwritten.
+
+    The bin index (r + 1) * bins/2 lies in [0, bins], with r = 1 alone
+    reaching bins; that bin folds into the last one, which is closed.
+    """
+    bins = counts.shape[0]
+    vals += 1.0
+    vals *= bins / 2.0
+    binned = np.bincount(vals.astype(np.int64), minlength=bins + 1)
+    binned[bins - 1] += binned[bins]
+    counts += binned[:bins]
+
+
 def all_pairs_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> CorrelationSummary:
     """Histogram (fixed range [-1, 1]) plus moments of r over all row pairs.
 
@@ -205,16 +242,15 @@ def all_pairs_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> Cor
         raise ValidationError("bins must be >= 1")
     S = _standardized_rows(source)
     counts = np.zeros(bins, dtype=np.int64)
-    scale = bins / 2.0
     total = 0
     s1 = 0.0
     s2 = 0.0
     with closing(_iter_pair_blocks(S, block, _clip)) as blocks:
         for vals in blocks:
-            _kernels.hist_accumulate(vals, -1.0, scale, counts)
             total += vals.shape[0]
             s1 += float(vals.sum())
             s2 += float(vals @ vals)
+            _bin_unit_interval(vals, counts)
     mean = s1 / total
     var = max(s2 / total - mean * mean, 0.0)
     edges = np.linspace(-1.0, 1.0, bins + 1)
@@ -240,6 +276,7 @@ def z_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> ZSummary:
     if n < 4:
         raise ValidationError("need at least 4 arrays for a z summary")
     S = _standardized_rows(source)
+    _check_no_collinear_pair(S)
 
     # pass 1, GEMMs alone: the extreme correlations. fmin/fmax skip a NaN,
     # so a block holding one still raises on |r| = 1 as a clipped block would.
@@ -250,7 +287,7 @@ def z_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> ZSummary:
             rmin = float(np.fmin.reduce(r))
             rmax = float(np.fmax.reduce(r))
             if rmin <= -1.0 or rmax >= 1.0:
-                raise DomainError("correlation of magnitude 1 (duplicated rows?) has no finite z")
+                raise DomainError(_UNIT_R)
             lo = min(lo, rmin)
             hi = max(hi, rmax)
     candidate = _extreme_z(lo, hi)

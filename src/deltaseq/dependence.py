@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -259,8 +259,9 @@ def triple_stats(u: Sequence[float], v: Sequence[float], w: Sequence[float],
     of the two consecutive increments.
 
     Identical rows make the triple degenerate; the covariance is still
-    returned. The threshold field is the sufficient lower bound on rho(v, w)
-    for a positive increment correlation, NaN when any sigma is zero.
+    returned. The threshold field is the paper's printed bound on rho(v, w)
+    for a positive increment correlation (positive_increment_threshold,
+    which is not sufficient), NaN when any sigma is zero.
     """
     rows = np.vstack([np.asarray(r, dtype=np.float64).ravel() for r in (u, v, w)])
     if rows.shape[1] < 4:
@@ -400,15 +401,42 @@ def triple_census(matrix: ExpressionMatrix, n_triples: int, mode: str = "type_a_
 # ---------------------------------------------------------------------------
 
 
-def positive_increment_threshold(sigma_u: float, sigma_v: float, sigma_w: float) -> float:
-    """Lower bound on rho(v, w): above it, consecutive increments of the
-    ascending-variance triple correlate positively. Requires
-    0 < sigma_u <= sigma_v <= sigma_w."""
+def _check_sigmas(sigma_u: float, sigma_v: float, sigma_w: float) -> None:
     if not (0.0 < sigma_u <= sigma_v <= sigma_w) or not math.isfinite(sigma_w):
         raise ValidationError(
             f"need 0 < sigma_u <= sigma_v <= sigma_w, got ({sigma_u}, {sigma_v}, {sigma_w})"
         )
+
+
+def positive_increment_threshold(sigma_u: float, sigma_v: float, sigma_w: float) -> float:
+    """The paper's printed lower bound on rho(v, w), meant to make the
+    consecutive increments of the ascending-variance triple correlate
+    positively. Requires 0 < sigma_u <= sigma_v <= sigma_w.
+
+    It is not sufficient once rho(u, v) and rho(u, w) range freely:
+    ``increment_threshold_soundness_sweep`` finds valid structures above it
+    whose increments do not correlate positively. The sound and sharp bound
+    is ``sharp_positive_increment_threshold``.
+    """
+    _check_sigmas(sigma_u, sigma_v, sigma_w)
     return 1.0 - 0.5 * (1.0 - sigma_v / sigma_w) ** 2 * (1.0 - sigma_v / sigma_u) ** 2
+
+
+def sharp_positive_increment_threshold(sigma_u: float, sigma_v: float, sigma_w: float) -> float:
+    """The smallest rho* such that rho(v, w) > rho* makes Cov(v - u, w - v)
+    positive whatever rho(u, v) and rho(u, w) are. Requires
+    0 < sigma_u <= sigma_v <= sigma_w.
+
+    By Cauchy-Schwarz, Cov(v - u, w - v) = Cov(v, w - v) - Cov(u, w - v)
+    >= rho sigma_v sigma_w - sigma_v^2 - sigma_u sd(w - v), with equality
+    when u is a positive multiple of w - v, so the bound is attained. The
+    right side is positive exactly when
+    rho > (sigma_v^2 - sigma_u^2 + sigma_u sqrt(sigma_u^2 + sigma_w^2 - sigma_v^2))
+    / (sigma_v sigma_w), which is 1 when sigma_v = sigma_w or sigma_u = sigma_v.
+    """
+    _check_sigmas(sigma_u, sigma_v, sigma_w)
+    su2, sv2, sw2 = sigma_u * sigma_u, sigma_v * sigma_v, sigma_w * sigma_w
+    return (sv2 - su2 + sigma_u * math.sqrt(su2 + sw2 - sv2)) / (sigma_v * sigma_w)
 
 
 @dataclass(frozen=True)
@@ -459,12 +487,14 @@ class SoundnessSweep:
         return len(self.counterexamples)
 
 
-def increment_threshold_soundness_sweep(n_cases: int = 10_000, seed: int = 0,
-                                        max_examples: int = 100) -> SoundnessSweep:
+def increment_threshold_soundness_sweep(
+        n_cases: int = 10_000, seed: int = 0, max_examples: int = 100,
+        threshold: Callable[[float, float, float], float] = positive_increment_threshold,
+) -> SoundnessSweep:
     """Sample valid covariance structures whose rho(v, w) strictly exceeds
-    the threshold and check that the population covariance of consecutive
-    increments is positive; violations are collected for reporting rather
-    than asserted away."""
+    ``threshold(sigma_u, sigma_v, sigma_w)`` and check that the population
+    covariance of consecutive increments is positive; violations are
+    collected for reporting rather than asserted away."""
     rng = np.random.default_rng(seed)
     checked = 0
     examples: list[dict] = []
@@ -476,7 +506,7 @@ def increment_threshold_soundness_sweep(n_cases: int = 10_000, seed: int = 0,
         k = 4 * (n_cases - checked) + 64
         sig = np.sort(rng.uniform(0.2, 2.0, size=(k, 3)), axis=1)
         su, sv, sw = sig[:, 0], sig[:, 1], sig[:, 2]
-        thr = 1.0 - 0.5 * (1.0 - sv / sw) ** 2 * (1.0 - sv / su) ** 2
+        thr = np.array([threshold(*s) for s in sig.tolist()])
         lo = np.maximum(thr, -0.999)
         rvw = lo + rng.uniform(0.0, 1.0, size=k) * (0.999 - lo)
         ruv = rng.uniform(-0.999, 0.999, size=k)

@@ -2,6 +2,8 @@ import threading
 
 import pytest
 
+from helpers import child_pids
+
 
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
@@ -11,3 +13,14 @@ def no_thread_left_running():
     left = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
     if left:
         pytest.fail(f"test left threads running: {left}")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process, running or unreaped, which
+    it did not find. Reaps nothing, so the leak stays visible."""
+    before = child_pids()
+    yield
+    left = sorted(child_pids() - before)
+    if left:
+        pytest.fail(f"test left child processes: {left}")

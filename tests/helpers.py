@@ -6,6 +6,9 @@ computations. Nothing imports the package under test, except
 ``jackknife_distances_oracle`` and the serial correlation summaries
 (``all_pairs_summary_oracle``, ``z_summary_oracle``), which replay a
 superseded pipeline through the package's own building blocks.
+
+``child_pids`` serves the suite's fixture that fails a test leaving a child
+process behind.
 """
 
 from __future__ import annotations
@@ -28,6 +31,75 @@ def ascii_locale_env() -> dict[str, str]:
     env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def child_pids() -> set[int]:
+    """Pids of this process's children, running or exited and not yet
+    reaped; reaps none of them.
+
+    Reads ``/proc/self/task/*/children`` where the kernel provides it, and
+    otherwise finds the processes whose parent is this one in
+    ``/proc/<pid>/stat``. Empty where there is no ``/proc``.
+    """
+    tasks = Path("/proc/self/task")
+    listed = list(tasks.glob("*/children")) if tasks.is_dir() else []
+    if listed:
+        return {int(pid) for f in listed for pid in f.read_text().split()}
+    me = os.getpid()
+    found = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text()
+        except OSError:  # the process ended while listed
+            continue
+        # "pid (comm) state ppid ...": comm may hold spaces and parentheses
+        if int(text[text.rindex(")") + 2 :].split()[1]) == me:
+            found.add(int(text[: text.index(" ")]))
+    return found
+
+
+def table_to_tsv_oracle(row_ids, col_ids, values) -> str:
+    """The serial TSV writer: every row formatted by ``repr`` in one
+    process, lines joined once."""
+    lines = ["gene_id\t" + "\t".join(col_ids)]
+    lines.extend(rid + "\t" + "\t".join(map(repr, row))
+                 for rid, row in zip(row_ids, np.asarray(values, dtype=np.float64).tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def bulk_load_oracle(data: bytes, has_header: bool):
+    """The serial bulk loader: (gene ids, array ids, values) of a UTF-8
+    table, or None where the line parser must read it. The whole file is
+    decoded and split into lines at once, trailing blank lines dropped, and
+    one np.loadtxt call parses every value; the result stands only when every
+    line gave a row of finite values as wide as the header."""
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return None
+    while lines and lines[-1].strip() == "":
+        lines.pop()
+    body = lines[1:] if has_header else lines
+    gene_ids, rests = [], []
+    try:
+        for line in body:
+            gid, rest = line.split("\t", 1)
+            gene_ids.append(gid.strip())
+            rests.append(rest)
+        if not any(rests):
+            return None
+        values = np.loadtxt(rests, delimiter="\t", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[0] != len(body) or not np.isfinite(values).all():
+        return None
+    if has_header:
+        array_ids = [c.strip() for c in lines[0].split("\t")[1:]]
+    else:
+        array_ids = [f"A{i + 1}" for i in range(values.shape[1])]
+    if values.shape[1] != len(array_ids):
+        return None
+    return tuple(gene_ids), tuple(array_ids), values
 
 
 @lru_cache(maxsize=None)

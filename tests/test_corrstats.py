@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -22,6 +24,7 @@ from deltaseq.corrstats import histogram_to_csv, summary_header_json
 from helpers import (
     all_pair_correlations,
     all_pairs_summary_oracle,
+    ascii_locale_env,
     hist_naive,
     pearson_float,
     z_summary_oracle,
@@ -78,12 +81,82 @@ class TestFisherZ:
             fisher_z(r)
 
 
+UNIT_R = "correlation of magnitude 1 (duplicated rows?) has no finite z"
+
+# (OPENBLAS_CORETYPE, the CPU flag it needs), newest first
+BLAS_KERNELS = [("SkylakeX", "avx512f"), ("Haswell", "avx2"), ("Sandybridge", "avx"),
+                ("Prescott", "pni")]  # pni: SSE3
+
+DUPLICATED_PAIR_SCRIPT = f"""
+import ctypes, glob, os
+import numpy as np
+from deltaseq import DomainError, z_summary
+for sign in (1.0, -1.0):
+    values = np.random.default_rng(6).normal(size=(11, 9))
+    values[10] = sign * values[9]
+    try:
+        z_summary(values, block=4)
+    except DomainError as exc:
+        assert str(exc) == {UNIT_R!r}, exc
+    else:
+        raise SystemExit(f"no DomainError for sign {{sign}}")
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
+if corename is None:
+    print("unknown")
+else:
+    corename.restype = ctypes.c_char_p
+    print(corename().decode())
+"""
+
+
+def cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
 def random_matrix(m=12, n=9, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(m, n))
 
 
+UNIT_EDGES = [-1.0, 1.0, np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0), -0.0, 0.0]
+
+
+class TestUnitIntervalBins:
+    @settings(max_examples=200, deadline=None)
+    @given(vals=st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(UNIT_EDGES)),
+                         min_size=0, max_size=200),
+           bins=st.integers(1, 64))
+    def test_counts_equal_hist_accumulate(self, vals, bins):
+        vals = np.array(vals, dtype=np.float64)
+        want = np.arange(bins, dtype=np.int64)  # counts already there add up
+        got = want.copy()
+        _kernels.hist_accumulate(vals, -1.0, bins / 2.0, want)
+        corrstats._bin_unit_interval(vals.copy(), got)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+    def test_edges_land_in_the_end_bins(self):
+        counts = np.zeros(50, dtype=np.int64)
+        corrstats._bin_unit_interval(np.array(UNIT_EDGES), counts)
+        assert counts[0] == 2 and counts[-1] == 2 and counts[25] == 2
+
+
 class TestAllPairsSummary:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        values = random_matrix()
+        values[3, 2] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            all_pairs_summary(values)
+        with pytest.raises(ValidationError, match="finite"):
+            z_summary(values)
+
     def test_matches_double_loop(self):
         values = random_matrix()
         s = all_pairs_summary(values, bins=20)
@@ -218,12 +291,37 @@ class TestBlockPipeline:
     def test_duplicated_pair_in_last_block(self, sign):
         values = random_matrix(m=11, n=9, seed=6)
         values[10] = sign * values[9]  # both rows in the last row block of 4
-        with pytest.raises(DomainError) as want:
-            z_summary_oracle(values, block=4)
+        # raised before any GEMM, whose |r| for the pair depends on the kernel
         with pytest.raises(DomainError) as got:
             z_summary(values, block=4)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == UNIT_R
         assert helper_threads() == []
+
+    def test_negated_row_with_a_zero_found_before_any_gemm(self, monkeypatch):
+        # centering leaves an exact 0.0 in both rows, -0.0 once one is negated
+        values = random_matrix(m=6, n=5, seed=8)
+        values[2] = [1.0, 2.0, 3.0, 4.0, 5.0]
+        values[4] = -values[2]
+        monkeypatch.setattr(corrstats, "_iter_pair_blocks", None)
+        with pytest.raises(DomainError, match="magnitude 1"):
+            z_summary(values)
+
+    def test_duplicated_pair_under_every_blas_kernel(self):
+        # OpenBLAS picks its GEMM kernel by CPU; OPENBLAS_CORETYPE forces one
+        # in a child. Only kernels the CPU can run are tried.
+        flags = cpu_flags()
+        kernels = [name for name, flag in BLAS_KERNELS if flag in flags]
+        if not kernels:
+            pytest.skip("no /proc/cpuinfo flags to choose kernels by")
+        names = []
+        for name in kernels:
+            env = dict(ascii_locale_env(), OPENBLAS_CORETYPE=name)
+            proc = subprocess.run([sys.executable, "-c", DUPLICATED_PAIR_SCRIPT],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, f"{name}: {proc.stderr}"
+            names.append(proc.stdout.strip())
+        if "unknown" not in names:  # each child really ran its own kernel
+            assert len(set(names)) == len(kernels), names
 
     def test_rebin_when_candidate_range_misses(self, monkeypatch):
         # the candidate range is exact where arctanh is monotone; a wrong one
@@ -255,9 +353,10 @@ class TestBlockPipeline:
             if len(calls) == 2:
                 raise RuntimeError("caller failed")
 
+        # z_summary bins through hist_accumulate on the calling thread
         monkeypatch.setattr(_kernels, "hist_accumulate", failing)
         with pytest.raises(RuntimeError, match="caller failed"):
-            all_pairs_summary(random_matrix(m=40), block=4)
+            z_summary(random_matrix(m=40), block=4)
         assert len(calls) == 2
         assert helper_threads() == []
 

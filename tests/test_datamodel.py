@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -23,7 +25,7 @@ from deltaseq import (
     select_arrays,
 )
 from deltaseq.datamodel import NoiseModel
-from helpers import ascii_locale_env
+from helpers import ascii_locale_env, bulk_load_oracle, table_to_tsv_oracle
 
 
 def small_matrix():
@@ -196,7 +198,7 @@ def write_table(path, lines, eol="\n", trailing=""):
 
 
 def reference_load(path, has_header):
-    return datamodel._load_lines(path, datamodel._read_lines(path), has_header=has_header,
+    return datamodel._load_lines(path, datamodel._text_lines(path, path.read_bytes()), has_header=has_header,
                                  log_scale=False)
 
 
@@ -247,36 +249,201 @@ def broken_tables(draw):
     return lines, has_header
 
 
-class TestBulkLoaderOracle:
-    """load_matrix against the line parser it falls back to."""
+def cut_into(k):
+    """Cut every table into k parts, if it has the rows: the thread gate
+    still applies, and k - 1 children fork."""
+    return mock.patch.multiple(datamodel, _usable_cpus=lambda: k, _LOAD_PART_BYTES=1,
+                               _WRITE_PART_CELLS=1)
 
-    @settings(max_examples=150, deadline=None)
+
+def part_counts():
+    """Patch recording the part count of every split."""
+    counts = []
+    in_parts = datamodel._in_parts
+
+    def recorded(part, k):
+        counts.append(k)
+        return in_parts(part, k)
+
+    return counts, mock.patch.object(datamodel, "_in_parts", recorded)
+
+
+def in_child_raise(fn, parent):
+    """``fn`` that raises in every process but ``parent``."""
+    def wrapped(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("part failed")
+        return fn(*args)
+    return wrapped
+
+
+class TestBulkLoaderOracle:
+    """load_matrix, cut into k = 1..4 parts, against the serial bulk loader
+    and the line parser it falls back to."""
+
+    @settings(max_examples=200, deadline=None)
     @given(table=tsv_tables(), eol=st.sampled_from(["\n", "\r\n"]),
-           trailing=st.sampled_from(["", "\n", "\r\n  \n", " \t\n\n"]))
-    def test_valid_tables_load_bitwise_equal(self, table, eol, trailing, tmp_path_factory):
+           trailing=st.sampled_from([None, "", "\n", "\r\n  \n", " \t\n\n"]),
+           k=st.integers(1, 4))
+    def test_valid_tables_load_bitwise_equal(self, table, eol, trailing, k, tmp_path_factory):
         lines, has_header = table
         path = tmp_path_factory.mktemp("oracle") / "m.tsv"
-        write_table(path, lines, eol, trailing)
+        if trailing is None:  # no newline after the last line
+            path.write_bytes(eol.join(lines).encode("utf-8"))
+        else:
+            write_table(path, lines, eol, trailing)
         want = bits(reference_load(path, has_header))
+        gene_ids, array_ids, values = bulk_load_oracle(path.read_bytes(), has_header)
+        assert (gene_ids, array_ids, values.view(np.int64).tolist()) == want
         # the line parser must not run: the bulk path alone gives the result
-        with mock.patch.object(datamodel, "_load_lines", side_effect=AssertionError):
+        with cut_into(k), mock.patch.object(datamodel, "_load_lines", side_effect=AssertionError):
             got = bits(load_matrix(path, has_header=has_header))
         assert got == want
 
     @settings(max_examples=300, deadline=None)
-    @given(table=broken_tables())
-    def test_faulty_tables_match_the_line_parser(self, table, tmp_path_factory):
+    @given(table=broken_tables(), k=st.integers(1, 4))
+    def test_faulty_tables_match_the_line_parser(self, table, k, tmp_path_factory):
         lines, has_header = table
         path = tmp_path_factory.mktemp("oracle") / "m.tsv"
         write_table(path, lines)
-        assert outcome(lambda: load_matrix(path, has_header=has_header)) == \
-            outcome(lambda: reference_load(path, has_header))
+        with cut_into(k):
+            got = outcome(lambda: load_matrix(path, has_header=has_header))
+        assert got == outcome(lambda: reference_load(path, has_header))
 
     @pytest.mark.parametrize("cell", ["1_0", "\u0663", "\uff11", " 1_000.5\xa0"])
     def test_cells_only_float_reads_take_the_fallback(self, cell, tmp_path):
         path = tmp_path / "m.tsv"
         write_table(path, ["gene_id\ta\tb\tc\td", f"g1\t1\t{cell}\t3\t4", "g2\t5\t6\t7\t8"])
         assert load_matrix(path).values[0, 1] == float(cell)
+
+
+VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(AWKWARD),
+                   st.integers(-999, 999).map(lambda i: i / 8))  # short reprs
+
+
+class TestRowParts:
+    """Saving in k = 1..4 parts against the serial writer, and how a split
+    load or save fails, falls back and stays serial."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), m=st.integers(0, 6), n=st.integers(1, 5), k=st.integers(1, 4))
+    def test_save_bitwise_equal_to_serial(self, data, m, n, k):
+        values = np.array(data.draw(st.lists(st.lists(VALUES, min_size=n, max_size=n),
+                                             min_size=m, max_size=m)), dtype=np.float64)
+        values = values.reshape(m, n)
+        row_ids = [f"g\u00e9{i}" for i in range(m)]
+        col_ids = [f"a{j}" for j in range(n)]
+        with cut_into(k):
+            got = datamodel.table_to_tsv(row_ids, col_ids, values)
+        assert got == table_to_tsv_oracle(row_ids, col_ids, values)
+
+    @pytest.mark.parametrize("has_header", [True, False])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_parts_of_one_row(self, has_header, eol, tmp_path):
+        values = np.arange(16, dtype=np.float64).reshape(4, 4) / 4
+        m = ExpressionMatrix(("g0", "g1", "g2", "g3"), ("a", "b", "c", "d"), values, True)
+        text = matrix_to_tsv(m)
+        lines = text.splitlines()[0 if has_header else 1:]
+        path = tmp_path / "m.tsv"
+        write_table(path, lines, eol)
+        counts, recorded = part_counts()
+        with cut_into(4), recorded:
+            assert matrix_to_tsv(m) == text
+            back = load_matrix(path, has_header=has_header, log_scale=True)
+        assert counts == [4, 4]
+        assert back.gene_ids == m.gene_ids
+        assert np.array_equal(back.values, values)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_more_parts_than_rows(self, m):
+        values = np.arange(4.0 * m).reshape(m, 4)
+        ids = [f"g{i}" for i in range(m)]
+        counts, recorded = part_counts()
+        with cut_into(4), recorded:
+            got = datamodel.table_to_tsv(ids, ["a", "b", "c", "d"], values)
+        assert counts == [m]  # one part per row, none empty
+        assert got == table_to_tsv_oracle(ids, ["a", "b", "c", "d"], values)
+
+    def test_large_tables_split_and_small_ones_do_not(self):
+        # the benchmark's KS inputs are 6 and 12 MB of text, the paper-scale
+        # matrix 35 MB: only the last is worth a child
+        cpus = datamodel._usable_cpus()
+        assert datamodel._part_count(12 << 20, datamodel._LOAD_PART_BYTES) == 1
+        assert datamodel._part_count(35 << 20, datamodel._LOAD_PART_BYTES) == min(cpus, 2)
+        assert datamodel._part_count(22_000 * 88, datamodel._WRITE_PART_CELLS) == min(cpus, 3)
+
+    def rows_table(self, tmp_path, last=None, m=40):
+        lines = ["gene_id\ta\tb\tc\td"] + [f"g{i}\t{i}\t1.5\t2.5\t3.5" for i in range(m)]
+        if last is not None:
+            lines[-1] = last
+        path = tmp_path / "m.tsv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+        return path
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("last, message", [
+        ("g39\t39\t1.5\tx\t3.5", "line 41: column 4: not a number: 'x'"),
+        ("g39\t39\t1.5\t2.5", "line 41: row has 3 values, expected 4"),
+        ("g\udce939\t39\t1.5\t2.5\t3.5", "not UTF-8 text: byte 0xe9 at offset {}"),
+    ], ids=["cell", "short", "utf8"])
+    def test_fault_in_the_last_part_reads_as_serial(self, k, last, message, tmp_path):
+        path = self.rows_table(tmp_path, last)
+        message = message.format(path.read_bytes().find(b"\xe9"))
+        with pytest.raises(ParseError) as want:
+            reference_load(path, True)
+        counts, recorded = part_counts()
+        with cut_into(k), recorded, pytest.raises(ParseError) as got:
+            load_matrix(path)
+        assert counts == [k]
+        assert str(got.value) == str(want.value) == f"{path}: {message}"
+
+    def test_child_that_raises_makes_the_load_fall_back(self, tmp_path):
+        path = self.rows_table(tmp_path)
+        parse_rows = in_child_raise(datamodel._parse_rows, os.getpid())
+        with cut_into(2), mock.patch.object(datamodel, "_parse_rows", parse_rows), \
+                mock.patch.object(datamodel, "_load_lines", wraps=datamodel._load_lines) as lines:
+            got = load_matrix(path)
+        assert lines.call_count == 1
+        assert bits(got) == bits(reference_load(path, True))
+
+    def test_child_that_raises_makes_the_save_format_serially(self):
+        values = np.arange(40, dtype=np.float64).reshape(10, 4) / 3
+
+        class Ids(list):
+            parent = os.getpid()
+
+            def __getitem__(self, index):
+                if os.getpid() != self.parent:
+                    raise RuntimeError("part failed")
+                return super().__getitem__(index)
+
+        row_ids = Ids(f"g{i}" for i in range(10))
+        counts, recorded = part_counts()
+        with cut_into(2), recorded:
+            got = datamodel.table_to_tsv(row_ids, ["a", "b", "c", "d"], values)
+        assert counts == [2]
+        assert got == table_to_tsv_oracle(list(row_ids), ["a", "b", "c", "d"], values)
+
+    def test_no_fork_while_another_thread_runs(self, tmp_path):
+        path = self.rows_table(tmp_path)
+        m = load_matrix(path)
+        with cut_into(2), mock.patch("os.fork", wraps=os.fork) as fork:
+            load_matrix(path)
+            save_matrix(m, tmp_path / "out.tsv")
+            assert fork.call_count == 2  # one child each, with this thread alone
+            stop = threading.Event()
+            other = threading.Thread(target=stop.wait)
+            other.start()
+            try:
+                load_matrix(path)
+                save_matrix(m, tmp_path / "out.tsv")
+            finally:
+                stop.set()
+                other.join(timeout=10)
+            assert not other.is_alive()
+            assert fork.call_count == 2
+        assert (tmp_path / "out.tsv").read_text() == table_to_tsv_oracle(
+            m.gene_ids, m.array_ids, m.values)
 
 
 class TestLogTransform:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from deltaseq import (
@@ -15,6 +15,7 @@ from deltaseq import (
     ValidationError,
     increment_threshold_soundness_sweep,
     positive_increment_threshold,
+    sharp_positive_increment_threshold,
     triple_census,
     triple_stats,
     type_a_census,
@@ -474,3 +475,50 @@ class TestSoundnessSweep:
         a = increment_threshold_soundness_sweep(n_cases=1000, seed=5)
         b = increment_threshold_soundness_sweep(n_cases=1000, seed=5)
         assert a.counterexamples == b.counterexamples
+
+    def test_sharp_threshold_has_no_counterexample(self):
+        sweep = increment_threshold_soundness_sweep(
+            n_cases=5000, seed=0, threshold=sharp_positive_increment_threshold)
+        assert sweep.checked == 5000
+        assert sweep.n_counterexamples == 0
+
+
+def extreme_increment_covariance(su, sv, sw, rho_vw):
+    """Cov(v - u, w - v) of the structure that minimises it for the given
+    rho(v, w): u a positive multiple of w - v. Also its correlation matrix
+    of (u, v, w)."""
+    sd = math.sqrt(sv * sv + sw * sw - 2.0 * rho_vw * sv * sw)
+    rho_uv = (rho_vw * sv * sw - sv * sv) / (sd * sv)
+    rho_uw = (sw * sw - rho_vw * sv * sw) / (sd * sw)
+    cov = rho_vw * sv * sw - sv ** 2 - rho_uw * su * sw + rho_uv * su * sv
+    R = np.array([[1.0, rho_uv, rho_uw], [rho_uv, 1.0, rho_vw], [rho_uw, rho_vw, 1.0]])
+    return cov, R
+
+
+class TestSharpThreshold:
+    def test_equal_sigmas_give_one(self):
+        assert sharp_positive_increment_threshold(0.5, 1.5, 1.5) == 1.0
+        assert sharp_positive_increment_threshold(0.5, 0.5, 1.0) == 1.0
+
+    def test_ordering_enforced(self):
+        with pytest.raises(ValidationError):
+            sharp_positive_increment_threshold(2.0, 1.0, 3.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(sig=st.lists(st.floats(0.2, 2.0), min_size=3, max_size=3).map(sorted))
+    def test_tight_at_the_threshold(self, sig):
+        su, sv, sw = sig
+        assume(sw - sv > 1e-3)
+        rho = sharp_positive_increment_threshold(su, sv, sw)
+        assume(rho < 1.0 - 1e-6)  # rho* = 1 when sigma_u = sigma_v: nothing lies above
+        cov, R = extreme_increment_covariance(su, sv, sw, rho)
+        assert abs(cov) <= 1e-12
+        assert np.linalg.eigvalsh(R)[0] >= -1e-9  # a valid structure
+        above, _ = extreme_increment_covariance(su, sv, sw, rho + 1e-7)
+        assert above > 0.0
+
+    def test_printed_bound_is_below_the_sharp_one_at_a_counterexample(self):
+        sweep = increment_threshold_soundness_sweep(n_cases=5000, seed=0)
+        ex = sweep.counterexamples[0]
+        sigmas = ex["sigma_u"], ex["sigma_v"], ex["sigma_w"]
+        assert ex["rho_vw"] <= sharp_positive_increment_threshold(*sigmas)
