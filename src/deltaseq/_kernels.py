@@ -99,14 +99,18 @@ def ks_scaled_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Fixed-width histogram accumulation.
+# Fixed-width histogram accumulation, in place in the values.
 #
-# Bin index is floor((v - lo) * scale) with scale = nbins / (hi - lo),
-# clipped into [0, nbins-1]; the last bin is therefore closed on the right.
+# Bin index is floor((v - lo) * scale) with scale = nbins / (hi - lo). Every
+# value must lie in [lo, hi]; index nbins, reached by hi alone, folds into the
+# last bin, which is therefore closed on the right.
 # ---------------------------------------------------------------------------
 
 
 def hist_accumulate(values: np.ndarray, lo: float, scale: float, counts: np.ndarray) -> None:
-    idx = ((values - lo) * scale).astype(np.int64)
-    np.clip(idx, 0, counts.shape[0] - 1, out=idx)
-    counts += np.bincount(idx, minlength=counts.shape[0]).astype(np.int64)
+    bins = counts.shape[0]
+    values -= lo
+    values *= scale
+    binned = np.bincount(values.astype(np.int64), minlength=bins + 1)
+    binned[bins - 1] += binned[bins]
+    counts += binned[:bins]

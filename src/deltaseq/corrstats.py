@@ -5,29 +5,31 @@ pair without materializing the full pair list: rows are standardized once and
 inner products are taken block by block in a fixed canonical (row-block,
 column-block) order.
 
-One helper thread computes each block up to two blocks ahead of the caller:
-the GEMM, the upper-triangle pick of a diagonal block and an in-place finish
-(the clip, or arctanh), written into a ring of three preallocated
+A one-worker executor computes each block up to two blocks ahead of the
+caller: the GEMM, the upper-triangle pick of a diagonal block and an in-place
+finish (the clip, or arctanh), written into a ring of three preallocated
 ``block * block`` buffers. The calling thread does all the accumulation,
 histogram, sum and dot product, in canonical order, so every float is added
-as in a serial loop and the result is the same bytes on one CPU or many.
+as in a serial loop. The result is the same bytes on one CPU or many as long
+as BLAS runs one thread: OpenBLAS splits a dot product of more than about 10k
+values across its threads, which moves the last bits of the sums.
 
-z_summary needs its histogram range, max|z|, before it can bin. Rows that
-are equal, or one the negation of the other, raise DomainError first: their
-|r| is 1 whatever the GEMM kernel rounds it to. A first pass of GEMMs alone
-finds the extreme correlations (and raises DomainError on |r| = 1 there too);
-the larger |arctanh| of the two is the candidate range. The second
-pass computes arctanh once per value for the moments, the observed max|z|
-and the histogram; should the observed maximum differ from the candidate,
-the values are binned again with the observed one, so the bytes stay exact
-even where arctanh is not monotone at an extreme.
+Both summaries bin with ``_kernels.hist_accumulate``, which needs every value
+inside its range. z_summary needs its histogram range, max|z|, before it can
+bin. Rows that are equal, or one the negation of the other, raise DomainError
+first: their |r| is 1 whatever the GEMM kernel rounds it to. A first pass of
+GEMMs alone finds the extreme correlations (and raises DomainError on |r| = 1
+there too); the larger |arctanh| of the two is the candidate range. The
+second pass computes arctanh once per value for the moments, the observed
+max|z| and the histogram, binning a block only while the running max|z| is
+within the candidate range. Should the observed maximum differ from the
+candidate, a third pass bins every value again with the observed range, so
+the bytes stay exact even where arctanh is not monotone at an extreme.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -129,9 +131,9 @@ def _standardized_rows(source) -> np.ndarray:
 _UNIT_R = "correlation of magnitude 1 (duplicated rows?) has no finite z"
 
 
-def _check_no_collinear_pair(S: np.ndarray) -> None:
-    """Raise DomainError when two standardized rows are equal, or one is the
-    negation of the other, in one pass over the rows.
+def _has_collinear_pair(S: np.ndarray) -> bool:
+    """Whether two standardized rows are equal, or one is the negation of the
+    other, found in one pass over the rows.
 
     Each row is scaled by the sign of its first nonzero value (a unit row has
     one) and its -0.0 turned to 0.0, so such pairs become bitwise equal.
@@ -139,8 +141,7 @@ def _check_no_collinear_pair(S: np.ndarray) -> None:
     first = S[np.arange(S.shape[0]), np.argmax(S != 0.0, axis=1)]
     canon = S * np.sign(first)[:, None]
     canon += 0.0
-    if len({row.tobytes() for row in canon}) < S.shape[0]:
-        raise DomainError(_UNIT_R)
+    return len({row.tobytes() for row in canon}) < S.shape[0]
 
 
 _RING = 3  # block buffers: one the caller reads, up to two computed ahead
@@ -152,10 +153,12 @@ def _iter_pair_blocks(S: np.ndarray, block: int,
     canonical (row-block, column-block) order, with ``finish`` applied to
     each block's values in place.
 
-    A helper thread computes the blocks into a ring of ``_RING`` buffers, so
-    each yielded array is valid only until the next one is requested. The
-    helper stops and is joined when the generator ends or is closed; an
-    exception it raises is raised here, at its block.
+    A one-worker executor computes the blocks into a ring of ``_RING``
+    buffers, so each yielded array is valid only until the next one is
+    requested. Just before block t is yielded, block t + 2 is queued into the
+    buffer of block t - 1, which the caller has released. An exception the
+    worker raises is raised here, at its block; on close the queued blocks
+    are cancelled and the worker is joined.
     """
     k = S.shape[0]
     # a diagonal block of one row has no pairs
@@ -163,50 +166,37 @@ def _iter_pair_blocks(S: np.ndarray, block: int,
              if bi != bj or min(block, k - bi) > 1]
     side = min(block, k)
     ring = [np.empty(side * side) for _ in range(_RING)]
-    free = threading.Semaphore(_RING)
-    ready = threading.Semaphore(0)
-    done: deque = deque()
-    stop = threading.Event()
+    # imported here: with logging it adds 6-9 ms to every command's start
+    from concurrent.futures import ThreadPoolExecutor
 
-    def compute() -> None:
+    def compute(t: int) -> np.ndarray:
+        bi, bj = tiles[t]
+        Si = S[bi : bi + block]
+        Sj = S[bj : bj + block]
+        buf = ring[t % _RING]
+        G = buf[: Si.shape[0] * Sj.shape[0]].reshape(Si.shape[0], Sj.shape[0])
+        np.matmul(Si, Sj.T, out=G)
+        if bi == bj:
+            upper = G[np.triu_indices(G.shape[0], 1)]
+            vals = buf[: upper.shape[0]]
+            vals[:] = upper
+        else:
+            vals = buf[: G.size]
+        if finish is not None:
+            finish(vals)
+        return vals
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="deltaseq-pair-blocks") as pool:
+        ahead = _RING - 1
+        futures = [pool.submit(compute, t) for t in range(min(ahead, len(tiles)))]
         try:
-            for t, (bi, bj) in enumerate(tiles):
-                free.acquire()
-                if stop.is_set():
-                    return
-                Si = S[bi : bi + block]
-                Sj = S[bj : bj + block]
-                buf = ring[t % _RING]
-                G = buf[: Si.shape[0] * Sj.shape[0]].reshape(Si.shape[0], Sj.shape[0])
-                np.matmul(Si, Sj.T, out=G)
-                if bi == bj:
-                    upper = G[np.triu_indices(G.shape[0], 1)]
-                    vals = buf[: upper.shape[0]]
-                    vals[:] = upper
-                else:
-                    vals = buf[: G.size]
-                if finish is not None:
-                    finish(vals)
-                done.append(vals)
-                ready.release()
-        except BaseException as exc:  # re-raised on the calling thread
-            done.append(exc)
-            ready.release()
-
-    helper = threading.Thread(target=compute, name="deltaseq-pair-blocks", daemon=True)
-    helper.start()
-    try:
-        for _ in tiles:
-            ready.acquire()
-            vals = done.popleft()
-            if isinstance(vals, BaseException):
-                raise vals
-            yield vals
-            free.release()
-    finally:
-        stop.set()
-        free.release()
-        helper.join()
+            for t in range(len(tiles)):
+                if t + ahead < len(tiles):
+                    futures.append(pool.submit(compute, t + ahead))
+                yield futures[t].result()
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def _clip(vals: np.ndarray) -> None:
@@ -215,22 +205,6 @@ def _clip(vals: np.ndarray) -> None:
 
 def _arctanh(vals: np.ndarray) -> None:
     np.arctanh(vals, out=vals)
-
-
-def _bin_unit_interval(vals: np.ndarray, counts: np.ndarray) -> None:
-    """Add the counts of ``vals``, all in [-1, 1], in ``counts.shape[0]``
-    equal bins over [-1, 1] to ``counts``, as ``_kernels.hist_accumulate``
-    would; ``vals`` is overwritten.
-
-    The bin index (r + 1) * bins/2 lies in [0, bins], with r = 1 alone
-    reaching bins; that bin folds into the last one, which is closed.
-    """
-    bins = counts.shape[0]
-    vals += 1.0
-    vals *= bins / 2.0
-    binned = np.bincount(vals.astype(np.int64), minlength=bins + 1)
-    binned[bins - 1] += binned[bins]
-    counts += binned[:bins]
 
 
 def all_pairs_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> CorrelationSummary:
@@ -250,7 +224,7 @@ def all_pairs_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> Cor
             total += vals.shape[0]
             s1 += float(vals.sum())
             s2 += float(vals @ vals)
-            _bin_unit_interval(vals, counts)
+            _kernels.hist_accumulate(vals, -1.0, bins / 2, counts)
     mean = s1 / total
     var = max(s2 / total - mean * mean, 0.0)
     edges = np.linspace(-1.0, 1.0, bins + 1)
@@ -276,7 +250,8 @@ def z_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> ZSummary:
     if n < 4:
         raise ValidationError("need at least 4 arrays for a z summary")
     S = _standardized_rows(source)
-    _check_no_collinear_pair(S)
+    if _has_collinear_pair(S):
+        raise DomainError(_UNIT_R)
 
     # pass 1, GEMMs alone: the extreme correlations. fmin/fmax skip a NaN,
     # so a block holding one still raises on |r| = 1 as a clipped block would.
@@ -309,7 +284,8 @@ def z_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> ZSummary:
             s1 += float(z.sum())
             s2 += float(z @ z)
             observed = max(observed, float(z.max()), -float(z.min()))
-            _kernels.hist_accumulate(z, -zmax, scale, counts)
+            if observed <= candidate:  # else the third pass bins every value
+                _kernels.hist_accumulate(z, -zmax, scale, counts)
     if observed != candidate:
         zmax, scale = bin_range(observed)
         counts[:] = 0

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .corrstats import _standardized_rows
+from .corrstats import _has_collinear_pair, _standardized_rows
 from .datamodel import ExpressionMatrix, select_arrays
 from .errors import DomainError, ResourceError, ValidationError
 from .kstest import (
@@ -154,6 +154,9 @@ class StabilityReport:
                         self.distances)
 
 
+_DUPLICATED_INCREMENTS = "duplicated increment rows give |r| = 1; z-score undefined"
+
+
 def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
                         seed: int = 0, max_pair_evals: int = 20_000_000) -> StabilityReport:
     """Delete-d jackknife: for each of B subsamples, recompute the variance
@@ -167,6 +170,10 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
     beyond those is built or labelled. The cost is linear in B: the mean
     comes from one sort of the pooled z-scores, and each distance reads the
     mean only at that subsample's own jump points.
+
+    Increment rows that are equal, or one the negation of another, have no
+    finite z and raise DomainError before their product, whatever the GEMM
+    would round their r to.
 
     Memory grows with the ``B*first_k*(first_k-1)/2`` z-scores held at once:
     the EDFs, the pooled sort and the building of the center take about 35
@@ -200,9 +207,11 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
         sub = matrix.values[:, keep]
         perm = variance_ordering(sub).permutation[: 2 * first_k]
         S = _standardized_rows(sub[perm[1::2]] - sub[perm[0::2]])
+        if _has_collinear_pair(S):
+            raise DomainError(_DUPLICATED_INCREMENTS)
         r = np.clip((S @ S.T)[iu], -1.0, 1.0)
         if (np.abs(r) == 1.0).any():
-            raise DomainError("duplicated increment rows give |r| = 1; z-score undefined")
+            raise DomainError(_DUPLICATED_INCREMENTS)
         edfs.append(EDF.from_sample(np.arctanh(r)))
     center = mean_of_edfs(edfs)
     distances = np.asarray([kolmogorov_distance(e, center) for e in edfs])

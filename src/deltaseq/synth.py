@@ -115,6 +115,25 @@ def add_noise(matrix: ExpressionMatrix, model: NoiseModel, seed: int) -> Express
                             matrix.log_scale)
 
 
+_INT_KEYS = {"m", "n", "chain_length", "seed"}
+_NUMBER_KEYS = {"base_sd", "increment_sd", "shared_factor_sd", "base_mean", "increment_mean",
+                "gene_sd", "mean"}
+
+
+def _check_spec_types(kind: str, raw: dict) -> None:
+    """Integers (not bool) for the sizes and the seed, numbers (not bool)
+    for the sds and means; keys the generator does not take are left to it."""
+    for key, value in raw.items():
+        if key in _INT_KEYS:
+            ok, want = isinstance(value, int), "an integer"
+        elif key in _NUMBER_KEYS:
+            ok, want = isinstance(value, (int, float)), "a number"
+        else:
+            continue
+        if isinstance(value, bool) or not ok:
+            raise ValidationError(f"{kind} spec: {key} must be {want}, got {value!r}")
+
+
 def spec_from_json(path: str | Path):
     """Read a generator spec: {"kind": "chain", ...} or {"kind": "null", ...}.
 
@@ -129,6 +148,7 @@ def spec_from_json(path: str | Path):
         raise ValidationError(f"generator spec {path} must be an object with a 'kind' key")
     kind = raw.pop("kind")
     if kind == "chain":
+        _check_spec_types(kind, raw)
         try:
             return kind, ChainSpec(**raw)
         except TypeError as exc:
@@ -140,6 +160,7 @@ def spec_from_json(path: str | Path):
             raise ValidationError(
                 f"null spec needs m, n, shared_factor_sd, gene_sd, seed; got {sorted(raw)}"
             )
+        _check_spec_types(kind, raw)
         return kind, raw
     raise ValidationError(f"unknown generator kind {kind!r}")
 

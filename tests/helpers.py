@@ -5,16 +5,20 @@ exact rational arithmetic, and superseded whole-batch forms of the package's
 computations. Nothing imports the package under test, except
 ``jackknife_distances_oracle`` and the serial correlation summaries
 (``all_pairs_summary_oracle``, ``z_summary_oracle``), which replay a
-superseded pipeline through the package's own building blocks.
+superseded pipeline through the package's own building blocks, and
+``duplicated_increment_matrix``, an input built as a package matrix.
 
 ``child_pids`` serves the suite's fixture that fails a test leaving a child
-process behind.
+process behind; ``run_under_every_blas_kernel`` runs a script in children
+under each OpenBLAS GEMM kernel the CPU can run.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -56,6 +60,78 @@ def child_pids() -> set[int]:
         if int(text[text.rindex(")") + 2 :].split()[1]) == me:
             found.add(int(text[: text.index(" ")]))
     return found
+
+
+# (OPENBLAS_CORETYPE, the CPU flag it needs), newest first
+BLAS_KERNELS = [("SkylakeX", "avx512f"), ("Haswell", "avx2"), ("Sandybridge", "avx"),
+                ("Prescott", "pni")]  # pni: SSE3
+
+# appended to each child's script: prints the name of the core OpenBLAS runs
+_PRINT_BLAS_CORE = """
+import ctypes as _ctypes, glob as _glob, os as _os
+import numpy as _np
+_libs = _glob.glob(_os.path.join(_os.path.dirname(_np.__file__), _os.pardir, "numpy.libs",
+                                 "*openblas*"))
+_corename = (getattr(_ctypes.CDLL(_libs[0]), "scipy_openblas_get_corename64_", None)
+             if _libs else None)
+if _corename is None:
+    print("unknown")
+else:
+    _corename.restype = _ctypes.c_char_p
+    print(_corename().decode())
+"""
+
+
+def cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+def run_under_every_blas_kernel(script: str) -> None:
+    """Run ``script`` in a child interpreter under each OpenBLAS GEMM kernel
+    the CPU can run (OPENBLAS_CORETYPE forces one) and assert that each child
+    exits 0. Where every child could name its core, assert that the names
+    differ, so each child really ran its own kernel. Skips the calling test
+    where no CPU flags are readable."""
+    import pytest
+
+    flags = cpu_flags()
+    kernels = [name for name, flag in BLAS_KERNELS if flag in flags]
+    if not kernels:
+        pytest.skip("no /proc/cpuinfo flags to choose kernels by")
+    names = []
+    for name in kernels:
+        env = dict(ascii_locale_env(), OPENBLAS_CORETYPE=name)
+        proc = subprocess.run([sys.executable, "-c", script + _PRINT_BLAS_CORE],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, f"{name}: {proc.stderr}"
+        names.append(proc.stdout.strip().splitlines()[-1])
+    if "unknown" not in names:
+        assert len(set(names)) == len(kernels), names
+
+
+def duplicated_increment_matrix():
+    """A 40 x 88 matrix whose genes 0-3, a, a + u, b, b + u, have the four
+    lowest variances, so that every subsample of at least 80 arrays
+    differences them into two increment rows, each u or -u by the order of
+    the pair's variances. Each value is a multiple of 1/1024 below 16 in
+    magnitude, so every difference is exact and the two rows are bitwise
+    equal or negated."""
+    from deltaseq import ExpressionMatrix
+
+    rng = np.random.default_rng(13)
+    n = 88
+    a = rng.integers(-1024, 1024, size=n) / 1024
+    b = 2 * rng.integers(-1024, 1024, size=n) / 1024
+    u = rng.integers(-64, 64, size=n) / 512
+    rest = 8 * rng.integers(-1024, 1024, size=(36, n)) / 1024
+    values = np.vstack([a, a + u, b, b + u, rest])
+    return ExpressionMatrix(tuple(f"g{i}" for i in range(40)),
+                            tuple(f"a{j}" for j in range(n)), values)
 
 
 def table_to_tsv_oracle(row_ids, col_ids, values) -> str:
@@ -237,6 +313,15 @@ def hist_naive(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarra
     return counts
 
 
+def hist_accumulate_clip(values: np.ndarray, lo: float, scale: float, counts: np.ndarray) -> None:
+    """The superseded clipping histogram kernel: bin index
+    floor((v - lo) * scale) clipped into [0, nbins-1]; ``values`` is left
+    as it was, and values out of range land in the end bins."""
+    idx = ((values - lo) * scale).astype(np.int64)
+    np.clip(idx, 0, counts.shape[0] - 1, out=idx)
+    counts += np.bincount(idx, minlength=counts.shape[0]).astype(np.int64)
+
+
 def _iter_pair_blocks_serial(S: np.ndarray, block: int):
     """Clamped correlation values for all unordered pairs, yielded block by
     block in canonical (row-block, column-block) order."""
@@ -257,7 +342,6 @@ def _iter_pair_blocks_serial(S: np.ndarray, block: int):
 def all_pairs_summary_oracle(source, bins: int = 50, block: int = 512):
     """The serial all-pairs correlation summary: every block computed and
     consumed on the calling thread, in canonical order."""
-    from deltaseq import _kernels
     from deltaseq.corrstats import CorrelationSummary, Histogram, _standardized_rows
     from deltaseq.errors import ValidationError
 
@@ -270,7 +354,7 @@ def all_pairs_summary_oracle(source, bins: int = 50, block: int = 512):
     s1 = 0.0
     s2 = 0.0
     for vals in _iter_pair_blocks_serial(S, block):
-        _kernels.hist_accumulate(vals, -1.0, scale, counts)
+        hist_accumulate_clip(vals, -1.0, scale, counts)
         total += vals.shape[0]
         s1 += float(vals.sum())
         s2 += float(vals @ vals)
@@ -286,7 +370,6 @@ def z_summary_oracle(source, bins: int = 50, block: int = 512):
     One change from the superseded code: the empty block of a last row
     block with one row adds nothing to ``max|z|`` (``initial=0.0``), where
     ``max`` of an empty array raised ValueError."""
-    from deltaseq import _kernels
     from deltaseq.corrstats import Histogram, ZSummary, _row_values, _standardized_rows
     from deltaseq.errors import DomainError, ValidationError
 
@@ -317,7 +400,7 @@ def z_summary_oracle(source, bins: int = 50, block: int = 512):
     counts = np.zeros(bins, dtype=np.int64)
     scale = bins / (2.0 * zmax)
     for z in z_blocks():
-        _kernels.hist_accumulate(z, -zmax, scale, counts)
+        hist_accumulate_clip(z, -zmax, scale, counts)
     mean = s1 / total
     var = max(s2 / total - mean * mean, 0.0)
     edges = np.linspace(-zmax, zmax, bins + 1)
@@ -375,7 +458,8 @@ def jackknife_distances_oracle(matrix, d: int, B: int, first_k: int, seed: int =
     every labelled increment row (``delta_sequence``), then the first
     ``first_k`` rows; each EDF's distance to the mean of all B EDFs comes
     from ``step_distance_searches``. Same seeds and draws as
-    ``jackknife_stability``, and the same ``DomainError`` when a correlation
+    ``jackknife_stability``, and the same ``DomainError`` when two
+    standardized rows are equal or negated (a double loop) or a correlation
     reaches |r| = 1; no budget check."""
     from deltaseq.corrstats import _standardized_rows
     from deltaseq.datamodel import select_arrays
@@ -393,7 +477,9 @@ def jackknife_distances_oracle(matrix, d: int, B: int, first_k: int, seed: int =
         delta = delta_sequence(sub, variance_ordering(sub))
         S = _standardized_rows(delta.values[:first_k])
         r = np.clip((S @ S.T)[np.triu_indices(first_k, 1)], -1.0, 1.0)
-        if (np.abs(r) == 1.0).any():
+        collinear = any(np.array_equal(S[i], S[j]) or np.array_equal(S[i], -S[j])
+                        for i, j in combinations(range(first_k), 2))
+        if collinear or (np.abs(r) == 1.0).any():
             raise DomainError("duplicated increment rows give |r| = 1; z-score undefined")
         edfs.append(EDF.from_sample(np.arctanh(r)))
     center = mean_of_edfs(edfs)

@@ -127,6 +127,23 @@ class TestExitCodes:
             f"max_pair_evals argument of jackknife_stability"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", [
+        pytest.param({"kind": "chain", "m": 2000.0, "n": 8, "chain_length": 4, "base_sd": 0.3,
+                      "increment_sd": 0.3, "shared_factor_sd": 1.0, "seed": 7}, id="float-m"),
+        pytest.param({"kind": "chain", "m": 16, "n": 8, "chain_length": 4, "base_sd": 0.3,
+                      "increment_sd": 0.3, "shared_factor_sd": 1.0, "seed": 7.5}, id="float-seed"),
+        pytest.param({"kind": "null", "m": 12, "n": 8, "shared_factor_sd": 0.5,
+                      "gene_sd": "x", "seed": 21}, id="str-sd"),
+    ])
+    def test_synth_mistyped_spec(self, spec, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["synth", "--spec", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (out / "synth.tsv").exists()
+
     @pytest.mark.parametrize("sd", ["-1", "nan"])
     def test_synth_bad_noise_sd(self, sd, tmp_path, capsys):
         # rejected even though a non-positive sd means no noise is drawn

@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 import threading
 
 import numpy as np
@@ -24,9 +22,10 @@ from deltaseq.corrstats import histogram_to_csv, summary_header_json
 from helpers import (
     all_pair_correlations,
     all_pairs_summary_oracle,
-    ascii_locale_env,
+    hist_accumulate_clip,
     hist_naive,
     pearson_float,
+    run_under_every_blas_kernel,
     z_summary_oracle,
 )
 
@@ -83,12 +82,7 @@ class TestFisherZ:
 
 UNIT_R = "correlation of magnitude 1 (duplicated rows?) has no finite z"
 
-# (OPENBLAS_CORETYPE, the CPU flag it needs), newest first
-BLAS_KERNELS = [("SkylakeX", "avx512f"), ("Haswell", "avx2"), ("Sandybridge", "avx"),
-                ("Prescott", "pni")]  # pni: SSE3
-
 DUPLICATED_PAIR_SCRIPT = f"""
-import ctypes, glob, os
 import numpy as np
 from deltaseq import DomainError, z_summary
 for sign in (1.0, -1.0):
@@ -100,23 +94,7 @@ for sign in (1.0, -1.0):
         assert str(exc) == {UNIT_R!r}, exc
     else:
         raise SystemExit(f"no DomainError for sign {{sign}}")
-libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
-corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
-if corename is None:
-    print("unknown")
-else:
-    corename.restype = ctypes.c_char_p
-    print(corename().decode())
 """
-
-
-def cpu_flags() -> set[str]:
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            return next((set(line.split(":", 1)[1].split()) for line in fh
-                         if line.startswith("flags")), set())
-    except OSError:
-        return set()
 
 
 def random_matrix(m=12, n=9, seed=0):
@@ -128,6 +106,8 @@ UNIT_EDGES = [-1.0, 1.0, np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0), -0.0, 
 
 
 class TestUnitIntervalBins:
+    """The r histogram's case of the in-place kernel: [-1, 1], scale bins/2."""
+
     @settings(max_examples=200, deadline=None)
     @given(vals=st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(UNIT_EDGES)),
                          min_size=0, max_size=200),
@@ -136,14 +116,14 @@ class TestUnitIntervalBins:
         vals = np.array(vals, dtype=np.float64)
         want = np.arange(bins, dtype=np.int64)  # counts already there add up
         got = want.copy()
-        _kernels.hist_accumulate(vals, -1.0, bins / 2.0, want)
-        corrstats._bin_unit_interval(vals.copy(), got)
+        hist_accumulate_clip(vals, -1.0, bins / 2, want)
+        _kernels.hist_accumulate(vals.copy(), -1.0, bins / 2, got)
         assert got.dtype == want.dtype
         assert got.tolist() == want.tolist()
 
     def test_edges_land_in_the_end_bins(self):
         counts = np.zeros(50, dtype=np.int64)
-        corrstats._bin_unit_interval(np.array(UNIT_EDGES), counts)
+        _kernels.hist_accumulate(np.array(UNIT_EDGES), -1.0, 25.0, counts)
         assert counts[0] == 2 and counts[-1] == 2 and counts[25] == 2
 
 
@@ -249,7 +229,8 @@ def same_summary(a, b):
 
 
 def helper_threads():
-    return [t for t in threading.enumerate() if t.name == "deltaseq-pair-blocks"]
+    # ThreadPoolExecutor names its workers <prefix>_<index>
+    return [t for t in threading.enumerate() if t.name.startswith("deltaseq-pair-blocks_")]
 
 
 class TestBlockPipeline:
@@ -307,21 +288,8 @@ class TestBlockPipeline:
             z_summary(values)
 
     def test_duplicated_pair_under_every_blas_kernel(self):
-        # OpenBLAS picks its GEMM kernel by CPU; OPENBLAS_CORETYPE forces one
-        # in a child. Only kernels the CPU can run are tried.
-        flags = cpu_flags()
-        kernels = [name for name, flag in BLAS_KERNELS if flag in flags]
-        if not kernels:
-            pytest.skip("no /proc/cpuinfo flags to choose kernels by")
-        names = []
-        for name in kernels:
-            env = dict(ascii_locale_env(), OPENBLAS_CORETYPE=name)
-            proc = subprocess.run([sys.executable, "-c", DUPLICATED_PAIR_SCRIPT],
-                                  env=env, capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, f"{name}: {proc.stderr}"
-            names.append(proc.stdout.strip())
-        if "unknown" not in names:  # each child really ran its own kernel
-            assert len(set(names)) == len(kernels), names
+        # OpenBLAS picks its GEMM kernel by CPU; each child forces one
+        run_under_every_blas_kernel(DUPLICATED_PAIR_SCRIPT)
 
     def test_rebin_when_candidate_range_misses(self, monkeypatch):
         # the candidate range is exact where arctanh is monotone; a wrong one
@@ -337,6 +305,15 @@ class TestBlockPipeline:
             return blocks(*args)
 
         monkeypatch.setattr(corrstats, "_iter_pair_blocks", counted)
+        hist = _kernels.hist_accumulate
+
+        def in_range(z, lo, scale, counts):
+            # the kernel's precondition: every value's bin index lies in [0, bins]
+            idx = (z - lo) * scale
+            assert 0.0 <= idx.min(initial=0.0) and idx.max(initial=0.0) < counts.shape[0] + 1
+            hist(z, lo, scale, counts)
+
+        monkeypatch.setattr(_kernels, "hist_accumulate", in_range)
         same_summary(z_summary(values, 17, 6), z_summary_oracle(values, 17, 6))
         assert len(passes) == 3
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from deltaseq import (
     DeltaseqError,
+    DomainError,
     ExpressionMatrix,
     InjectionConfig,
     ResourceError,
@@ -26,7 +28,27 @@ from deltaseq.kstest import exact_pvalues_for_scaled
 from deltaseq.mtp import confusion_counts, extended_bonferroni, report_to_json
 from deltaseq.ordering import delta_sequence
 
-from helpers import jackknife_distances_oracle, ks_scaled_oracle
+from helpers import (
+    duplicated_increment_matrix,
+    jackknife_distances_oracle,
+    ks_scaled_oracle,
+    run_under_every_blas_kernel,
+)
+
+TESTS = str(Path(__file__).resolve().parent)
+
+DUPLICATED_INCREMENTS_SCRIPT = f"""
+import sys
+sys.path.insert(0, {TESTS!r})
+from deltaseq import DomainError, jackknife_stability
+from helpers import duplicated_increment_matrix
+try:
+    jackknife_stability(duplicated_increment_matrix(), d=8, B=4, first_k=5, seed=8)
+except DomainError as exc:
+    assert "duplicated increment rows" in str(exc), exc
+else:
+    raise SystemExit("no DomainError")
+"""
 
 
 def null_matrix(m=60, n=40, seed=0, sf=0.0):
@@ -128,6 +150,21 @@ class TestJackknife:
         assert rep.distances.shape == (3,)
         with pytest.raises(ResourceError, match="18 pairwise correlations"):
             jackknife_stability(m, d=2, B=3, first_k=4, seed=17, max_pair_evals=17)
+
+    def test_duplicated_increment_rows_are_domain_error(self):
+        # the two lowest increment rows of every subsample are bitwise equal
+        # or negated; at seed 8 the AVX-512 GEMM gives their r as
+        # -0.9999999999999992 to -0.9999999999999999 in the four subsamples,
+        # which a check of the product alone for |r| = 1 lets through
+        matrix = duplicated_increment_matrix()
+        v = matrix.values
+        assert np.array_equal(v[1] - v[0], v[3] - v[2])
+        assert sorted(variance_ordering(matrix).permutation[:4]) == [0, 1, 2, 3]
+        with pytest.raises(DomainError, match="duplicated increment rows"):
+            jackknife_stability(matrix, d=8, B=4, first_k=5, seed=8)
+
+    def test_duplicated_increment_rows_under_every_blas_kernel(self):
+        run_under_every_blas_kernel(DUPLICATED_INCREMENTS_SCRIPT)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())

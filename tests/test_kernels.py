@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from deltaseq import _kernels
 
-from helpers import hist_naive, ks_scaled_oracle
+from helpers import hist_accumulate_clip, hist_naive, ks_scaled_oracle
 
 # few distinct values, so most rows tie within and across samples; -0.0 and
 # 0.0 are one value
@@ -172,6 +172,19 @@ class TestKsScaledBatch:
         assert ties.all()
 
 
+@st.composite
+def binned_values(draw):
+    """(values, lo, scale, bins) with every value in [lo, lo + bins/scale],
+    both ends and one ULP inside each among the candidates."""
+    bins = draw(st.integers(1, 64))
+    lo = draw(st.floats(-100.0, 100.0))
+    scale = draw(st.floats(0.01, 100.0))
+    hi = lo + bins / scale
+    ends = [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo)]
+    vals = draw(st.lists(st.one_of(st.floats(lo, hi), st.sampled_from(ends)), max_size=200))
+    return np.array(vals, dtype=np.float64), lo, scale, bins
+
+
 class TestHistAccumulate:
     def test_matches_naive_including_edges(self):
         # values sitting exactly on bin boundaries are the risky ones
@@ -179,13 +192,17 @@ class TestHistAccumulate:
         rng = np.random.default_rng(9)
         values = np.concatenate([edges, rng.uniform(-1, 1, size=500), [-1.0, 1.0]])
         counts = np.zeros(10, dtype=np.int64)
-        _kernels.hist_accumulate(values, -1.0, 10 / 2.0, counts)
+        _kernels.hist_accumulate(values.copy(), -1.0, 10 / 2.0, counts)
         assert counts.sum() == values.size
         assert np.array_equal(counts, hist_naive(values, -1.0, 1.0, 10))
 
-    def test_out_of_range_values_clip(self):
-        values = np.array([-5.0, 5.0, 0.5])
-        counts = np.zeros(4, dtype=np.int64)
-        _kernels.hist_accumulate(values, 0.0, 4.0, counts)
-        assert counts[0] == 1 and counts[-1] == 1
-        assert counts.sum() == 3
+    @settings(max_examples=300, deadline=None)
+    @given(binned_values())
+    def test_equals_clipping_kernel_in_range(self, case):
+        values, lo, scale, bins = case
+        want = np.arange(bins, dtype=np.int64)  # counts already there add up
+        got = want.copy()
+        hist_accumulate_clip(values, lo, scale, want)
+        _kernels.hist_accumulate(values, lo, scale, got)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()

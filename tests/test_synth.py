@@ -167,6 +167,22 @@ class TestSpecIO:
         with pytest.raises(ValidationError):
             spec_from_json(path)
 
+    @pytest.mark.parametrize("key, value", [("m", 8.0), ("chain_length", True), ("seed", "3"),
+                                            ("base_sd", False), ("increment_sd", None)])
+    def test_mistyped_chain_value(self, key, value, tmp_path):
+        path = tmp_path / "spec.json"
+        payload = {"kind": "chain", "m": 8, "n": 6, "chain_length": 2, "base_sd": 0.1,
+                   "increment_sd": 0.2, "shared_factor_sd": 0.0, "seed": 3, key: value}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=f"chain spec: {key} must be"):
+            spec_from_json(path)
+
+    def test_integer_sd_is_a_number(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "null", "m": 8, "n": 6, "shared_factor_sd": 0,
+                                    "gene_sd": 1, "seed": 4, "mean": 8}))
+        assert spec_from_json(path)[1]["gene_sd"] == 1
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text("{")
