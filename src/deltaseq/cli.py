@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import __version__
 from .corrstats import all_pairs_summary, histogram_to_csv, summary_header_json, z_summary
-from .datamodel import load_matrix, log_transform, matrix_to_tsv
+from .datamodel import load_matrix, log_transform, table_to_tsv
 from .dependence import (
     pair_census_to_csv,
     triple_census_to_csv,
@@ -99,11 +99,12 @@ class Param:
 @dataclass(frozen=True)
 class Output:
     """What a compute function returns: the line printed on stdout, the files
-    written under ``--out`` (name -> text), and for the manifest the seed of a
-    command without a ``--seed`` parameter plus extra config entries."""
+    written under ``--out`` (name -> text, or bytes written as they are), and
+    for the manifest the seed of a command without a ``--seed`` parameter
+    plus extra config entries."""
 
     stdout: str
-    files: dict[str, str]
+    files: dict[str, str | bytes]
     seed: int | None = None
     config: dict = field(default_factory=dict)
 
@@ -227,7 +228,10 @@ def _run(command: Command, ns) -> int:
         outdir = Path(ns.out)
         outdir.mkdir(parents=True, exist_ok=True)
         for name, text in result.files.items():
-            (outdir / name).write_text(text, encoding="utf-8")
+            if isinstance(text, bytes):
+                (outdir / name).write_bytes(text)
+            else:
+                (outdir / name).write_text(text, encoding="utf-8")
         _manifest(outdir, command.name, {**cfg, **result.config},
                   [path for _, path in paths if path], seed=cfg.get("seed", result.seed))
     print(result.stdout)
@@ -380,8 +384,9 @@ def _synth(cfg, spec_path) -> Output:
         matrix, seed = generate_null_matrix(**spec), spec["seed"]
     if noise.sd > 0.0:
         matrix = add_noise(matrix, noise, seed=cfg["noise_seed"])
+    text = table_to_tsv(matrix.gene_ids, matrix.array_ids, matrix.values)
     return Output(f"wrote {matrix.n_genes} genes x {matrix.n_arrays} arrays",
-                  {"synth.tsv": matrix_to_tsv(matrix)}, seed=seed,
+                  {"synth.tsv": text}, seed=seed,
                   config={"kind": kind, "spec": spec_to_dict(kind, spec)})
 
 

@@ -3,14 +3,27 @@
 Matrices are genes-as-rows, arrays-as-columns. The TSV layout is UTF-8 text,
 one gene per line, first column the gene id, remaining columns float values,
 with an optional header row naming the arrays. The writer emits shortest
-round-tripping float representations, so write/load is an exact identity.
+round-tripping float representations and refuses, with ValidationError, an
+id the loader would not read back (one holding a tab, a line break or a lone
+surrogate, or beginning or ending with whitespace), so write/load is an
+exact identity.
 
 The loader splits each line once into gene id and value text and parses all
-values with one np.loadtxt call. It keeps that result only when every line
-gave a row, the width matches the header, and every value is finite; then
-the values are exactly those float() gives. Otherwise the line-by-line
-parser parses the lines again, and it alone raises ParseError with the line
-and column of the first fault.
+values with one np.loadtxt call per chunk of lines. It keeps that result
+only when every line gave a row, the width matches the header, and every
+value is finite; then the values are exactly those float() gives. Otherwise
+the line-by-line parser parses the lines again, and it alone raises
+ParseError with the line and column of the first fault.
+
+Both directions work in row chunks, so neither holds a second copy of the
+table. A load parses about _LOAD_BLOCK_BYTES of text at a time straight into
+one values array, which the matrix then keeps without a copy: at its peak it
+holds the file's bytes, the values and one chunk's temporaries. A save
+(``table_to_tsv``, which returns the UTF-8 bytes) formats _WRITE_BLOCK_CELLS
+values at a time into one buffer sized once for the whole text: at its peak
+it holds the values, the text's bytes (up to 1/32 more, reserved) and one
+chunk's temporaries. ``matrix_to_tsv`` decodes the bytes for callers that
+want a string.
 
 A large table is parsed and formatted in contiguous row parts, one per
 usable CPU, the parts after the first in forked children (see "Large tables
@@ -20,9 +33,12 @@ parts; one part forks nothing.
 
 from __future__ import annotations
 
+import io
 import math
 import mmap
 import os
+import re
+import shutil
 import signal
 import threading
 import warnings
@@ -66,9 +82,26 @@ class ExpressionMatrix:
     log_scale: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gene_ids", _check_ids(self.gene_ids, "gene"))
-        object.__setattr__(self, "array_ids", _check_ids(self.array_ids, "array"))
-        values = np.array(self.values, dtype=np.float64, copy=True)
+        self._seal(self.gene_ids, self.array_ids, self.values, adopt=False)
+
+    @classmethod
+    def _adopt(cls, gene_ids: Sequence[str], array_ids: Sequence[str], values: np.ndarray,
+               log_scale: bool) -> ExpressionMatrix:
+        """A matrix over ``values`` itself: a float64 array that nothing else
+        holds, every value already checked finite (the loader's). The id and
+        shape checks still run; the copy and the finiteness pass do not."""
+        matrix = cls.__new__(cls)
+        object.__setattr__(matrix, "log_scale", log_scale)
+        matrix._seal(gene_ids, array_ids, values, adopt=True)
+        return matrix
+
+    def _seal(self, gene_ids: Sequence[str], array_ids: Sequence[str], values, adopt: bool) -> None:
+        gene_ids = _check_ids(gene_ids, "gene")
+        array_ids = _check_ids(array_ids, "array")
+        object.__setattr__(self, "gene_ids", gene_ids)
+        object.__setattr__(self, "array_ids", array_ids)
+        if not adopt:
+            values = np.array(values, dtype=np.float64, copy=True)
         if values.ndim != 2:
             raise ValidationError("values must be a 2-d array")
         m, n = values.shape
@@ -76,15 +109,15 @@ class ExpressionMatrix:
             raise ValidationError(f"need at least {MIN_GENES} genes, got {m}")
         if n < MIN_ARRAYS:
             raise ValidationError(f"need at least {MIN_ARRAYS} arrays, got {n}")
-        if m != len(self.gene_ids):
+        if m != len(gene_ids):
             raise ValidationError("gene_ids length does not match row count")
-        if n != len(self.array_ids):
+        if n != len(array_ids):
             raise ValidationError("array_ids length does not match column count")
-        if not np.isfinite(values).all():
+        if not adopt and not np.isfinite(values).all():
             bad = np.argwhere(~np.isfinite(values))[0]
             raise ValidationError(
-                f"non-finite value at gene {self.gene_ids[bad[0]]!r}, "
-                f"array {self.array_ids[bad[1]]!r}"
+                f"non-finite value at gene {gene_ids[bad[0]]!r}, "
+                f"array {array_ids[bad[1]]!r}"
             )
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -131,9 +164,7 @@ def load_matrix(path: str | Path, *, has_header: bool = True, log_scale: bool = 
         raise ParseError(f"cannot read {path}: {exc}") from exc
     bulk = _parse_bulk(data, has_header)
     if bulk is not None:
-        gene_ids, array_ids, values = bulk
-        del data  # free the text before ExpressionMatrix copies the values
-        return ExpressionMatrix(gene_ids, array_ids, values, log_scale)
+        return ExpressionMatrix._adopt(*bulk, log_scale)
     return _load_lines(path, _text_lines(path, data), has_header=has_header, log_scale=log_scale)
 
 
@@ -158,12 +189,17 @@ def _parse_bulk(data: bytes, has_header: bool) -> tuple[tuple[str, ...], tuple[s
     the line parser's diagnosis.
 
     The body runs from the line after the header to the end of the last line
-    holding a non-blank byte; it is cut into parts right after a newline, and
-    each part is decoded, split and parsed on its own (``_parse_rows``), in
-    forked children for a large table. Cutting after a newline keeps UTF-8
-    characters and CRLF pairs whole, so the parts' lines are the table's
-    lines. A part whose lines are not one per newline (another line
-    separator, a blank line) gives None like any other fault.
+    holding a non-blank byte; it is cut into parts right after a newline, in
+    forked children for a large table, and each part into chunks of about
+    _LOAD_BLOCK_BYTES, again right after a newline. Each chunk is decoded,
+    split and parsed on its own (``_parse_rows``) and its values copied
+    into the one output array at the chunk's row, so a part holds one chunk
+    of temporaries at a time. Cutting after a newline keeps UTF-8
+    characters and CRLF pairs whole, so the chunks' lines are the table's
+    lines. Each newline ends one line, so a chunk gives at least one row per
+    newline it holds; a part whose chunks give more rows than its newlines
+    (another line separator) gives None like any other fault, as does a
+    blank line in ``_parse_rows``.
     """
     stop = _content_end(data)
     if stop == 0:
@@ -197,37 +233,41 @@ def _parse_bulk(data: bytes, has_header: bool) -> tuple[tuple[str, ...], tuple[s
         if cuts[-1] < cut < stop:
             cuts.append(cut)
     cuts.append(stop)
-    # rows of the parts after the first, which children parse into shared memory
+    # each part's first row: one row per newline, one more for a last line without
     ends = [0]
-    for lo, hi in zip(cuts[1:], cuts[2:]):
+    for lo, hi in zip(cuts, cuts[1:]):
         ends.append(ends[-1] + data.count(b"\n", lo, hi))
-    shared = None
-    if len(cuts) > 2:
-        if data[stop - 1] != 0x0A:  # the last line has no newline
-            ends[-1] += 1
-        shared = np.frombuffer(mmap.mmap(-1, ends[-1] * width * 8), dtype=np.float64)
-        shared = shared.reshape(ends[-1], width)
-    head: list[np.ndarray] = []  # the first part's values, parsed in this process
+    if data[stop - 1] != 0x0A:
+        ends[-1] += 1
+    if len(cuts) > 2:  # children write their rows into memory shared with this process
+        values = np.frombuffer(mmap.mmap(-1, ends[-1] * width * 8), dtype=np.float64)
+        values = values.reshape(ends[-1], width)
+    else:
+        values = np.empty((ends[-1], width))
+    view = memoryview(data)
 
-    def part(i: int) -> str | None:
-        parsed = _parse_rows(memoryview(data)[cuts[i] : cuts[i + 1]], width)
-        if parsed is None:
-            return None
-        ids, values = parsed
-        if i == 0:
-            head.append(values)
-        elif values.shape[0] == ends[i] - ends[i - 1]:
-            shared[ends[i - 1] : ends[i]] = values
-        else:
-            return None
-        return "\n".join(ids)
+    def part(i: int, out: io.BytesIO) -> bool:
+        lo, hi = cuts[i], cuts[i + 1]
+        row, end = ends[i], ends[i + 1]
+        while lo < hi:
+            cut = data.find(b"\n", lo + _LOAD_BLOCK_BYTES - 1, hi) + 1 or hi
+            parsed = _parse_rows(view[lo:cut], width)
+            if parsed is None:
+                return False
+            ids, rows = parsed
+            if row + rows.shape[0] > end:
+                return False
+            values[row : row + rows.shape[0]] = rows
+            row += rows.shape[0]
+            out.write(("\n".join(ids) + "\n").encode("utf-8"))
+            lo = cut
+        return row == end
 
-    parts = _in_parts(part, len(cuts) - 1)
-    if parts is None:
+    ids = _in_parts(part, len(cuts) - 1)
+    if ids is None:
         return None
     # gene ids come from split lines, so none holds a newline
-    gene_ids = tuple("\n".join(parts).split("\n"))
-    return gene_ids, array_ids, head[0] if shared is None else np.concatenate([head[0], shared])
+    return tuple(ids.decode("utf-8").split("\n")[:-1]), array_ids, values
 
 
 def _content_end(data: bytes) -> int:
@@ -323,33 +363,83 @@ def _load_lines(path: Path, lines: list[str], *, has_header: bool, log_scale: bo
 
 
 def matrix_to_tsv(matrix: ExpressionMatrix) -> str:
-    """Serialize to the TSV layout accepted by load_matrix; byte-stable."""
-    return table_to_tsv(matrix.gene_ids, matrix.array_ids, matrix.values)
+    """The text save_matrix writes, as a string; byte-stable."""
+    return table_to_tsv(matrix.gene_ids, matrix.array_ids, matrix.values).decode("utf-8")
 
 
-def table_to_tsv(row_ids: Sequence[str], col_ids: Sequence[str], values: np.ndarray) -> str:
+def table_to_tsv(row_ids: Sequence[str], col_ids: Sequence[str], values: np.ndarray) -> bytes:
+    """The UTF-8 TSV layout load_matrix reads: a ``gene_id`` header naming
+    the columns, then one line per row, each value by ``repr``.
+
+    Rows are formatted _WRITE_BLOCK_CELLS values at a time, each chunk
+    encoded and appended to the result, so the text exists once, as bytes.
+    Raises ValidationError, before formatting anything, for the first
+    column or row id the loader would not read back.
+    """
+    _check_writable_ids(col_ids, "column")
+    _check_writable_ids(row_ids, "row")
     values = np.asarray(values, dtype=np.float64)
     m = values.shape[0]
     k = max(1, min(_part_count(values.size, _WRITE_PART_CELLS), m))  # no part without rows
     bounds = [m * i // k for i in range(k + 1)]
+    step = max(1, _WRITE_BLOCK_CELLS // max(1, values.shape[1]))
 
-    def rows_text(i: int) -> str:
-        lo, hi = bounds[i], bounds[i + 1]
-        lines = ["gene_id\t" + "\t".join(col_ids)] if i == 0 else []
-        # repr of a Python float is the shortest string that reads back exactly.
-        lines.extend(rid + "\t" + "\t".join(map(repr, row))
-                     for rid, row in zip(row_ids[lo:hi], values[lo:hi].tolist()))
-        return "\n".join(lines) + "\n"
+    def rows_text(i: int, out: io.BytesIO) -> bool:
+        if i == 0:
+            out.write(("gene_id\t" + "\t".join(col_ids) + "\n").encode("utf-8"))
+        # Room, in one allocation, for the rows this buffer ends up holding
+        # (part 0's gets every part's), at the bytes a row of an evenly
+        # spaced sample of them, plus 1/32.
+        held = range(m) if i == 0 else range(bounds[i], bounds[i + 1])
+        if len(held) > step:
+            sample = list(held[:: max(1, len(held) // 64)])
+            probe = io.BytesIO()
+            _write_rows(probe, [row_ids[r] for r in sample], values[sample])
+            size = probe.tell() * len(held) // len(sample)
+            _reserve(out, out.tell() + size + size // 32)
+        for lo in range(bounds[i], bounds[i + 1], step):
+            hi = min(lo + step, bounds[i + 1])
+            _write_rows(out, row_ids[lo:hi], values[lo:hi])
+        return True
 
-    parts = _in_parts(rows_text, k)
-    if parts is None:  # a child failed: format the rows here, in one part
+    text = _in_parts(rows_text, k)
+    if text is None:  # a child failed: format the rows here, in one part
         bounds = [0, m]
-        parts = [rows_text(0)]
-    return "".join(parts)
+        out = io.BytesIO()
+        rows_text(0, out)
+        out.truncate()
+        text = out.getvalue()
+    return text
+
+
+def _write_rows(out: io.BytesIO, row_ids: Sequence[str], values: np.ndarray) -> None:
+    """Append the TSV lines of some rows to ``out``, one encoded line at a time."""
+    # repr of a Python float is the shortest string that reads back exactly.
+    out.writelines((rid + "\t" + "\t".join(map(repr, row)) + "\n").encode("utf-8")
+                   for rid, row in zip(row_ids, values.tolist()))
+
+
+# An id the loader would not read back: one holding a character its line
+# split splits at (a tab, or a line break as str.splitlines knows them) or a
+# lone surrogate, which UTF-8 cannot encode, or one beginning or ending with
+# whitespace, which its strip drops.
+_UNWRITABLE_ID = re.compile(
+    r"[\t\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]|^\s|\s\Z")
+
+
+def _check_writable_ids(ids: Sequence[str], kind: str) -> None:
+    joined = "".join(ids)
+    if joined.isascii() and joined.split(maxsplit=1) == [joined]:  # no whitespace at all
+        return
+    for i in ids:
+        if _UNWRITABLE_ID.search(i):
+            raise ValidationError(
+                f"{kind} id {i!r} would not read back: an id may not hold a tab, a line "
+                "break or a lone surrogate, nor begin or end with whitespace")
 
 
 def save_matrix(matrix: ExpressionMatrix, path: str | Path) -> None:
-    Path(path).write_text(matrix_to_tsv(matrix), encoding="utf-8")
+    Path(path).write_bytes(table_to_tsv(matrix.gene_ids, matrix.array_ids, matrix.values))
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +461,11 @@ def save_matrix(matrix: ExpressionMatrix, path: str | Path) -> None:
 # _LOAD_PART_BYTES of file text, _WRITE_PART_CELLS of values to format.
 # Smaller tables stay serial.
 #
+# A child formats or parses its part into its own buffer and sends the bytes
+# (the text, or a loaded part's gene ids) only once done: streamed through a
+# pipe of 64 KiB, it would wait on the parent's part 0 after its first chunks.
+# A child's peak is the parent's memory at the fork plus its own part.
+#
 # A process forks only while it runs one Python thread: the child holds only
 # the thread that forked it, and a lock another thread held stays locked
 # there. Native pools such as OpenBLAS's are outside that count: BLAS calls
@@ -380,6 +475,11 @@ def save_matrix(matrix: ExpressionMatrix, path: str | Path) -> None:
 
 _LOAD_PART_BYTES = 16 << 20
 _WRITE_PART_CELLS = 1 << 18
+# Within a part, the rows parsed or formatted at a time: each chunk's
+# temporaries (lines, strings, Python floats) are freed before the next. On
+# the paper-scale table these sizes were as fast as 1 MiB and 64Ki values.
+_LOAD_BLOCK_BYTES = 1 << 18
+_WRITE_BLOCK_CELLS = 1 << 14
 
 
 def _usable_cpus() -> int:
@@ -398,41 +498,62 @@ def _part_count(size: int, floor: int) -> int:
     return max(1, min(_usable_cpus(), size // floor))
 
 
-def _in_parts(part: Callable[[int], str | None], k: int) -> list[str] | None:
-    """``[part(0), ..., part(k - 1)]``, or None when a part gave None, a
+def _in_parts(part: Callable[[int, io.BytesIO], bool], k: int) -> bytes | None:
+    """The bytes ``part(0, out)``, ..., ``part(k - 1, out)`` write to ``out``
+    up to its position, in order, or None when a part returned False, a
     child failed or a fork did.
 
-    Part 0 runs in this process and each other part in a child forked for
-    it, whose text comes back UTF-8 encoded through a pipe; with k = 1
-    nothing forks. A child ends with ``os._exit``, with status 0 only once it
-    wrote all its text. Every child is reaped before this returns or raises;
-    one whose text is no longer wanted is killed first.
+    Part 0 runs in this process and writes straight into the result. Each
+    other part runs in a child forked for it, which collects its bytes and
+    sends them through a pipe only once it is done, so that it never waits
+    on the parent's part 0; the parent copies each pipe into the result in
+    chunks. With k = 1 nothing forks. A child ends with ``os._exit``, with
+    status 0 only once it wrote all its bytes. Every child is reaped before
+    this returns or raises; one whose bytes are no longer wanted is killed
+    first.
     """
     children: list[tuple[int, BinaryIO]] = []
-    parts: list[str] | None = None
+    text: bytes | None = None
     try:
         for i in range(1, k):
             try:
                 children.append(_fork_part(part, i))
             except OSError:  # out of processes or descriptors
                 return None
-        first = part(0)
-        if first is not None:
-            parts = [first]
-            parts.extend(reader.read().decode("utf-8") for _, reader in children)
+        out = io.BytesIO()
+        if part(0, out):
+            for _, reader in children:
+                shutil.copyfileobj(reader, out)
+            out.truncate()
+            text = out.getvalue()
     finally:
         for pid, reader in children:
             reader.close()
-            if parts is None:
+            if text is None:
                 os.kill(pid, signal.SIGKILL)
             if os.waitpid(pid, 0)[1] != 0:
-                parts = None
-    return parts
+                text = None
+    return text
 
 
-def _fork_part(part: Callable[[int], str | None], i: int) -> tuple[int, BinaryIO]:
-    """Fork a child that writes ``part(i)`` to a pipe; its pid and the
-    pipe's reading end."""
+def _reserve(out: io.BytesIO, size: int) -> None:
+    """Give ``out`` room for ``size`` bytes in one allocation, keeping its
+    position; the caller truncates it at the position once done.
+
+    Grown a chunk at a time, a buffer of many MB is copied each time it
+    outgrows its block, and the old blocks' pages stay resident: 20 MB
+    more at the peak for the 35 MB paper-scale table.
+    """
+    pos = out.tell()
+    if size > pos:
+        out.seek(size - 1)
+        out.write(b"\0")
+        out.seek(pos)
+
+
+def _fork_part(part: Callable[[int, io.BytesIO], bool], i: int) -> tuple[int, BinaryIO]:
+    """Fork a child that writes the bytes of ``part(i, out)`` to a pipe;
+    its pid and the pipe's reading end."""
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -448,10 +569,11 @@ def _fork_part(part: Callable[[int], str | None], i: int) -> tuple[int, BinaryIO
         code = 1
         try:
             os.close(r)
-            text = part(i)
-            if text is not None:
+            out = io.BytesIO()
+            if part(i, out):
+                out.truncate()
                 with open(w, "wb") as fh:
-                    fh.write(text.encode("utf-8"))
+                    fh.write(out.getbuffer())
                 code = 0
         finally:
             os._exit(code)

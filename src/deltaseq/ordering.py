@@ -130,5 +130,5 @@ def ordering_to_csv(ordering: GeneOrdering, matrix: ExpressionMatrix) -> str:
                     [ids[i] for i in perm.tolist()], ordering.variances)
 
 
-def delta_to_tsv(delta: DeltaMatrix) -> str:
+def delta_to_tsv(delta: DeltaMatrix) -> bytes:
     return table_to_tsv(delta.row_ids, delta.array_ids, delta.values)

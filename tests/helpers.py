@@ -10,7 +10,8 @@ superseded pipeline through the package's own building blocks, and
 
 ``child_pids`` serves the suite's fixture that fails a test leaving a child
 process behind; ``run_under_every_blas_kernel`` runs a script in children
-under each OpenBLAS GEMM kernel the CPU can run.
+under each OpenBLAS GEMM kernel the CPU can run; ``own_peak_kib`` measures
+a command's own peak memory.
 """
 
 from __future__ import annotations
@@ -60,6 +61,39 @@ def child_pids() -> set[int]:
         if int(text[text.rindex(")") + 2 :].split()[1]) == me:
             found.add(int(text[: text.index(" ")]))
     return found
+
+
+# Spawns the command in its argv, waits for it, and prints its exit code and
+# ru_maxrss (KiB) on the last line of stdout.
+_PEAK_LAUNCHER = """
+import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def own_peak_kib(argv: list[str], cwd=None) -> tuple[int, int]:
+    """Exit code and peak resident set (KiB) of the command ``argv``, whose
+    first item is an executable's path, its forked children included.
+
+    Linux carries a process's high-water mark across fork and exec: the
+    child's memory map starts as a copy of its parent's, high-water mark
+    included, and exec folds that mark into the ru_maxrss the child reports.
+    A command spawned from this test process would so report at least
+    pytest's own peak, with every test's data in it. It is spawned instead
+    from a small launcher interpreter, whose fresh memory map is all the
+    command inherits; wait4 then gives the larger of the command's own peak
+    and its waited-for children's, such as its forked row parts. The
+    command sees this checkout's ``src`` on its path.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_LAUNCHER, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    code, peak = proc.stdout.splitlines()[-1].split()
+    return int(code), int(peak)
 
 
 # (OPENBLAS_CORETYPE, the CPU flag it needs), newest first

@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltaseq import __version__, jackknife_stability
+from deltaseq import ExpressionMatrix, __version__, cli, jackknife_stability
 from deltaseq.cli import main
-from deltaseq.datamodel import matrix_to_tsv
+from deltaseq.datamodel import matrix_to_tsv, save_matrix
 from deltaseq.synth import ChainSpec, generate_chain_matrix, generate_null_matrix
-from helpers import ascii_locale_env
+from helpers import ascii_locale_env, own_peak_kib
 
 
 @pytest.fixture(scope="session")
@@ -155,6 +155,20 @@ class TestExitCodes:
         assert "noise sd" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_synth_refuses_an_id_it_cannot_write(self, tmp_path, capsys, monkeypatch):
+        # no spec names its ids; a generator that gives an unwritable one stands in
+        bad = ExpressionMatrix(("g0", "g1 "), ("a", "b", "c", "d"), np.ones((2, 4)), True)
+        monkeypatch.setattr(cli, "generate_null_matrix", lambda **spec: bad)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "null", "m": 12, "n": 8, "shared_factor_sd": 0.5,
+                                    "gene_sd": 0.2, "seed": 21}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row id 'g1 ' would not read back")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, config, key", [
         pytest.param(["corr"], {"bins": "7"}, "bins", id="int-given-str"),
         pytest.param(["exp-inject"], {"split": 12}, "split", id="pair-given-int"),
@@ -185,6 +199,25 @@ class TestExitCodes:
 
     def test_help_flag(self):
         assert main(["--help"]) == 0
+
+
+class TestPeakMemory:
+    def test_check_holds_its_input_about_once(self, tmp_path):
+        # The load holds the file's bytes, the values (about 0.4 of them)
+        # and one chunk of temporaries; a second copy of the text, its lines
+        # or its values would pass twice the file size.
+        path = tmp_path / "m.tsv"
+        save_matrix(generate_chain_matrix(ChainSpec(m=4000, n=88, base_sd=0.3, increment_sd=0.3,
+                                                    shared_factor_sd=1.0, chain_length=4, seed=5)),
+                    path)
+        size_kib = path.stat().st_size / 1024
+        assert size_kib > 4 << 10
+        code, base = own_peak_kib([sys.executable, "-c", "import deltaseq.cli"])
+        assert code == 0
+        entry = "import sys; from deltaseq.cli import main; sys.exit(main())"
+        code, peak = own_peak_kib([sys.executable, "-c", entry, "check", "--in", str(path)])
+        assert code == 0
+        assert peak <= base + 2 * size_kib
 
 
 class TestKsCommand:

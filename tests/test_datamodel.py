@@ -1,7 +1,9 @@
 import os
+import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -62,6 +64,32 @@ class TestExpressionMatrix:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             ExpressionMatrix(("g1", "g2"), ("a", "b", "c", "d"), np.zeros((3, 4)), True)
+
+    def test_callers_array_is_copied(self):
+        values = np.ones((2, 4))
+        m = ExpressionMatrix(("g1", "g2"), ("a", "b", "c", "d"), values, True)
+        values[0, 0] = 5.0
+        assert m.values[0, 0] == 1.0
+        assert values.flags.writeable and not m.values.flags.writeable
+
+    def test_loaded_matrix_keeps_the_parsed_array(self, tmp_path):
+        # no copy, and no finiteness pass beyond the one of each parsed chunk
+        path = tmp_path / "m.tsv"
+        save_matrix(small_matrix(), path)
+        parse_bulk, parsed = datamodel._parse_bulk, []
+
+        def recorded(*args):
+            parsed.append(parse_bulk(*args))
+            return parsed[-1]
+
+        with mock.patch.object(datamodel, "_parse_bulk", recorded), \
+                mock.patch.object(datamodel, "_parse_rows", wraps=datamodel._parse_rows) as rows, \
+                mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
+            m = load_matrix(path, log_scale=True)
+        assert m.values is parsed[0][2]
+        assert isfinite.call_count == rows.call_count == 1
+        assert not m.values.flags.writeable
+        assert np.array_equal(m.values, small_matrix().values)
 
 
 class TestLoadSave:
@@ -335,7 +363,7 @@ class TestRowParts:
         col_ids = [f"a{j}" for j in range(n)]
         with cut_into(k):
             got = datamodel.table_to_tsv(row_ids, col_ids, values)
-        assert got == table_to_tsv_oracle(row_ids, col_ids, values)
+        assert got == table_to_tsv_oracle(row_ids, col_ids, values).encode()
 
     @pytest.mark.parametrize("has_header", [True, False])
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
@@ -362,7 +390,7 @@ class TestRowParts:
         with cut_into(4), recorded:
             got = datamodel.table_to_tsv(ids, ["a", "b", "c", "d"], values)
         assert counts == [m]  # one part per row, none empty
-        assert got == table_to_tsv_oracle(ids, ["a", "b", "c", "d"], values)
+        assert got == table_to_tsv_oracle(ids, ["a", "b", "c", "d"], values).encode()
 
     def test_large_tables_split_and_small_ones_do_not(self):
         # the benchmark's KS inputs are 6 and 12 MB of text, the paper-scale
@@ -422,7 +450,7 @@ class TestRowParts:
         with cut_into(2), recorded:
             got = datamodel.table_to_tsv(row_ids, ["a", "b", "c", "d"], values)
         assert counts == [2]
-        assert got == table_to_tsv_oracle(list(row_ids), ["a", "b", "c", "d"], values)
+        assert got == table_to_tsv_oracle(list(row_ids), ["a", "b", "c", "d"], values).encode()
 
     def test_no_fork_while_another_thread_runs(self, tmp_path):
         path = self.rows_table(tmp_path)
@@ -444,6 +472,147 @@ class TestRowParts:
             assert fork.call_count == 2
         assert (tmp_path / "out.tsv").read_text() == table_to_tsv_oracle(
             m.gene_ids, m.array_ids, m.values)
+
+
+class TestChunks:
+    """Parsing and formatting in row chunks, with the chunk sizes patched
+    small, in k = 1..4 parts: the serial oracles' bytes and values."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [5, 6, 7, 11, 12, 13])  # around one and two chunks of 6 rows
+    def test_save_at_chunk_boundaries(self, k, m):
+        values = np.arange(4.0 * m).reshape(m, 4) / 7
+        ids = [f"g\u00e9{i}" for i in range(m)]
+        with cut_into(k), mock.patch.object(datamodel, "_WRITE_BLOCK_CELLS", 24):
+            got = datamodel.table_to_tsv(ids, ["a", "b", "c", "d"], values)
+        assert got == table_to_tsv_oracle(ids, ["a", "b", "c", "d"], values).encode()
+
+    @staticmethod
+    def table(eol, final_eol, last=None, m=13):
+        rows = [f"g{i:02d}\t{i:02d}.5\t1.25\t-2.5\t3e-5" for i in range(m)]  # of equal length
+        if last is not None:
+            rows[-1] = last
+        text = "gene_id\ta\tb\tc\td" + eol + eol.join(rows) + (eol if final_eol else "")
+        return text.encode("utf-8"), len(rows[0]) + len(eol)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("final_eol", [True, False])
+    @pytest.mark.parametrize("lines, shift", [(1, 0), (2, -1), (2, 0), (2, 1), (20, 0)])
+    def test_load_at_chunk_boundaries(self, k, eol, final_eol, lines, shift):
+        # a chunk ends at the first newline at or past _LOAD_BLOCK_BYTES: a
+        # block one byte short of two lines, or exactly two, takes two lines;
+        # one byte more takes three
+        data, line = self.table(eol, final_eol)
+        parse_rows = mock.Mock(wraps=datamodel._parse_rows)
+        with cut_into(k), mock.patch.object(datamodel, "_LOAD_BLOCK_BYTES", line * lines + shift), \
+                mock.patch.object(datamodel, "_parse_rows", parse_rows):
+            got = datamodel._parse_bulk(data, True)
+        gene_ids, array_ids, values = bulk_load_oracle(data, True)
+        assert got[:2] == (gene_ids, array_ids)
+        assert got[2].view(np.int64).tolist() == values.view(np.int64).tolist()
+        if k == 1:  # the children's calls are not seen here
+            per_chunk = lines + (shift > 0)
+            assert parse_rows.call_count == -(-13 // per_chunk)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_bad_cell_in_the_last_chunk(self, k, eol, tmp_path):
+        data, line = self.table(eol, True, last="g12\t12.5\t1.25\tx\t3e-5")
+        path = tmp_path / "m.tsv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as want:
+            reference_load(path, True)
+        with cut_into(k), mock.patch.object(datamodel, "_LOAD_BLOCK_BYTES", 2 * line), \
+                pytest.raises(ParseError) as got:
+            load_matrix(path)
+        assert str(got.value) == str(want.value) == f"{path}: line 14: column 4: not a number: 'x'"
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes of Python and numpy allocations made while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Allocations while saving and loading in one part: the text, the
+    values and the file bytes each once, plus one chunk of temporaries,
+    measured as the peak for a table of one chunk. A table eight chunks
+    long holds the text of every row while one chunk is formatted or parsed;
+    keeping a whole-table list of floats, lines or strings would not fit.
+    The save's buffer is reserved 1/32 larger than its text, a quarter of
+    one chunk's text here."""
+
+    @pytest.fixture
+    def tables(self, tmp_path):
+        cols = 64
+        rows = datamodel._WRITE_BLOCK_CELLS // cols
+        values = np.random.default_rng(3).normal(size=(8 * rows, cols))
+        gene_ids = tuple(f"g{i}" for i in range(8 * rows))
+        array_ids = tuple(f"a{j}" for j in range(cols))
+        big = ExpressionMatrix(gene_ids, array_ids, values, True)
+        one = ExpressionMatrix(gene_ids[:rows], array_ids, values[:rows], True)
+        with mock.patch.object(datamodel, "_usable_cpus", lambda: 1):
+            yield big, one
+
+    def test_save(self, tables, tmp_path):
+        big, one = tables
+        chunk = traced_peak(lambda: save_matrix(one, tmp_path / "one.tsv"))
+        peak = traced_peak(lambda: save_matrix(big, tmp_path / "big.tsv"))
+        assert peak <= (tmp_path / "big.tsv").stat().st_size + chunk
+
+    def test_load(self, tables, tmp_path):
+        big, _ = tables
+        path = tmp_path / "big.tsv"
+        save_matrix(big, path)
+        data = path.read_bytes()
+        one = tmp_path / "one.tsv"  # the header and the lines of the first chunk
+        one.write_bytes(data[: data.find(b"\n", data.find(b"\n") + datamodel._LOAD_BLOCK_BYTES) + 1])
+        chunk = traced_peak(lambda: load_matrix(one, log_scale=True))
+        peak = traced_peak(lambda: load_matrix(path, log_scale=True))
+        assert peak <= len(data) + big.values.nbytes + chunk
+
+
+class TestUnwritableIds:
+    """The writer refuses, before writing, an id the loader would not read
+    back, and every id it writes reads back unchanged."""
+
+    @pytest.mark.parametrize("gene", ["g1 ", " g1", "\xa0g1", "g1\u3000", "g\t1", "g\n1", "g\r1",
+                                      "g\x0b1", "g\x0c1", "g\x1c1", "g\x1e1", "g\x851", "g\u20281",
+                                      "g\u20291", "g\udce91"])
+    def test_save_refuses_gene_id(self, gene, tmp_path):
+        m = ExpressionMatrix(("g0", gene), ("a", "b", "c", "d"), np.ones((2, 4)), True)
+        path = tmp_path / "m.tsv"
+        message = "^" + re.escape(f"row id {gene!r} would not read back")
+        with pytest.raises(ValidationError, match=message):
+            save_matrix(m, path)
+        assert not path.exists()
+
+    def test_save_refuses_array_id_first(self, tmp_path):
+        m = ExpressionMatrix(("g0 ", "g1"), ("a", "b\t", "c", "d"), np.ones((2, 4)), True)
+        message = "^" + re.escape("column id 'b\\t' would not read back")
+        with pytest.raises(ValidationError, match=message):
+            save_matrix(m, tmp_path / "m.tsv")
+
+    @settings(max_examples=300, deadline=None)
+    @given(ids=st.lists(st.text(min_size=1, max_size=4), min_size=6, max_size=6, unique=True))
+    def test_written_ids_read_back(self, ids, tmp_path_factory):
+        m = ExpressionMatrix(tuple(ids[:2]), tuple(ids[2:]), np.ones((2, 4)), True)
+        readable = all(i == i.strip() and len(i.splitlines()) == 1 and "\t" not in i
+                       and not any("\ud800" <= c <= "\udfff" for c in i) for i in ids)
+        path = tmp_path_factory.mktemp("ids") / "m.tsv"
+        if not readable:
+            with pytest.raises(ValidationError):
+                save_matrix(m, path)
+            return
+        save_matrix(m, path)
+        back = load_matrix(path, log_scale=True)
+        assert (back.gene_ids, back.array_ids) == (m.gene_ids, m.array_ids)
 
 
 class TestLogTransform:

@@ -169,4 +169,4 @@ class TestHelpers:
         m = matrix_from(np.random.default_rng(6).normal(size=(4, 4)))
         d = delta_sequence(m, variance_ordering(m))
         head = delta_to_tsv(d).splitlines()[0]
-        assert head == "gene_id\ta0\ta1\ta2\ta3"
+        assert head == b"gene_id\ta0\ta1\ta2\ta3"
