@@ -1,19 +1,24 @@
-"""Expression matrix container plus TSV ingestion, transforms, and selection.
+r"""Expression matrix container plus TSV ingestion, transforms, and selection.
 
 Matrices are genes-as-rows, arrays-as-columns. The TSV layout is UTF-8 text,
 one gene per line, first column the gene id, remaining columns float values,
-with an optional header row naming the arrays. The writer emits shortest
-round-tripping float representations and refuses, with ValidationError, an
-id the loader would not read back (one holding a tab, a line break or a lone
-surrogate, or beginning or ending with whitespace), so write/load is an
-exact identity.
+with an optional header row naming the arrays. A line ends at \n or at the
+end of the file, one \r before that end dropped; any other line break
+str.splitlines knows (a lone \r, \x0b, \x0c, \x1c-\x1e, \x85, U+2028,
+U+2029) inside a line is a ParseError. Trailing blank lines are ignored. The
+writer emits shortest round-tripping float representations and refuses,
+with ValidationError, an id the loader would not read back (one holding a
+tab, a line break or a lone surrogate, or beginning or ending with
+whitespace), so write/load is an exact identity.
 
-The loader splits each line once into gene id and value text and parses all
-values with one np.loadtxt call per chunk of lines. It keeps that result
+The loader splits each line of a chunk once into gene id and value text and
+parses all the chunk's values with one np.loadtxt call. It keeps that result
 only when every line gave a row, the width matches the header, and every
 value is finite; then the values are exactly those float() gives. Otherwise
-the line-by-line parser parses the lines again, and it alone raises
-ParseError with the line and column of the first fault.
+it parses that chunk again line by line with float(), which reads the cells
+np.loadtxt rejects (``1_0``) or raises ParseError with the line and column,
+or byte offset, of the chunk's first fault: the first fault in the file is
+the one named.
 
 Both directions work in row chunks, so neither holds a second copy of the
 table. A load parses about _LOAD_BLOCK_BYTES of text at a time straight into
@@ -28,7 +33,8 @@ want a string.
 A large table is parsed and formatted in contiguous row parts, one per
 usable CPU, the parts after the first in forked children (see "Large tables
 in row parts" below). The bytes and values are the same for any number of
-parts; one part forks nothing.
+parts; one part forks nothing, and a part whose child fails runs again in
+this process.
 """
 
 from __future__ import annotations
@@ -162,68 +168,41 @@ def load_matrix(path: str | Path, *, has_header: bool = True, log_scale: bool = 
         data = path.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    bulk = _parse_bulk(data, has_header)
-    if bulk is not None:
-        return ExpressionMatrix._adopt(*bulk, log_scale)
-    return _load_lines(path, _text_lines(path, data), has_header=has_header, log_scale=log_scale)
+    return ExpressionMatrix._adopt(*_parse_bulk(path, data, has_header), log_scale)
 
 
-def _text_lines(path: Path, data: bytes) -> list[str]:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}"
-        ) from None
-    lines = text.splitlines()
-    # Trailing blank lines are tolerated; interior blanks are not.
-    while lines and lines[-1].strip() == "":
-        lines.pop()
-    if not lines:
-        raise ParseError(f"{path}: file is empty")
-    return lines
-
-
-def _parse_bulk(data: bytes, has_header: bool) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray] | None:
-    """Gene ids, array ids and values of a table, or None when a line needs
-    the line parser's diagnosis.
+def _parse_bulk(path: Path, data: bytes, has_header: bool) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """Gene ids, array ids and values of a table, or ParseError for its
+    first fault in file order.
 
     The body runs from the line after the header to the end of the last line
-    holding a non-blank byte; it is cut into parts right after a newline, in
-    forked children for a large table, and each part into chunks of about
-    _LOAD_BLOCK_BYTES, again right after a newline. Each chunk is decoded,
-    split and parsed on its own (``_parse_rows``) and its values copied
-    into the one output array at the chunk's row, so a part holds one chunk
-    of temporaries at a time. Cutting after a newline keeps UTF-8
-    characters and CRLF pairs whole, so the chunks' lines are the table's
-    lines. Each newline ends one line, so a chunk gives at least one row per
-    newline it holds; a part whose chunks give more rows than its newlines
-    (another line separator) gives None like any other fault, as does a
-    blank line in ``_parse_rows``.
+    holding a non-blank character; it is cut into parts right after a
+    newline, in forked children for a large table, and each part into chunks
+    of about _LOAD_BLOCK_BYTES, again right after a newline. Each chunk is
+    decoded, split and parsed on its own (``_parse_rows``, or
+    ``_parse_lines`` where that cannot) and its values written into the one
+    output array at the chunk's row, so a part holds one chunk of
+    temporaries at a time. Cutting after a newline keeps UTF-8 characters
+    and CRLF pairs whole, so the chunks' lines are the table's lines, one
+    row each.
     """
     stop = _content_end(data)
     if stop == 0:
-        return None
-    stop = data.find(b"\n", stop) + 1 or len(data)
+        raise ParseError(f"{path}: file is empty")
+    first = data.find(b"\n", 0, stop)
     start = 0
     if has_header:
-        start = data.find(b"\n", 0, stop) + 1
-        if start == 0 or start == stop:
-            return None
-        try:
-            header = data[:start].decode("utf-8").splitlines()
-        except UnicodeDecodeError:
-            return None
-        if len(header) != 1:
-            return None
-        array_ids = tuple(c.strip() for c in header[0].split("\t")[1:])
+        header = _line(path, data, 0, stop if first < 0 else first, 1).split("\t")
+        if len(header) < 2:
+            raise ParseError(f"{path}: line 1: header must name at least one array column")
+        if first < 0 or first + 1 == stop:
+            raise ParseError(f"{path}: no data rows after the header")
+        start = first + 1
+        array_ids = tuple(c.strip() for c in header[1:])
     else:
-        first = data.find(b"\n", 0, stop)
         width = data.count(b"\t", 0, stop if first < 0 else first)
         array_ids = tuple(f"A{i + 1}" for i in range(width))
     width = len(array_ids)
-    if width == 0:
-        return None
 
     k = _part_count(stop - start, _LOAD_PART_BYTES)
     cuts = [start]
@@ -239,61 +218,87 @@ def _parse_bulk(data: bytes, has_header: bool) -> tuple[tuple[str, ...], tuple[s
         ends.append(ends[-1] + data.count(b"\n", lo, hi))
     if data[stop - 1] != 0x0A:
         ends[-1] += 1
-    if len(cuts) > 2:  # children write their rows into memory shared with this process
+    if len(cuts) > 2 and width:  # children write their rows into memory shared with this process
         values = np.frombuffer(mmap.mmap(-1, ends[-1] * width * 8), dtype=np.float64)
         values = values.reshape(ends[-1], width)
     else:
         values = np.empty((ends[-1], width))
     view = memoryview(data)
 
-    def part(i: int, out: io.BytesIO) -> bool:
-        lo, hi = cuts[i], cuts[i + 1]
-        row, end = ends[i], ends[i + 1]
+    def part(i: int, out: io.BytesIO) -> None:
+        lo, hi, row = cuts[i], cuts[i + 1], ends[i]
         while lo < hi:
             cut = data.find(b"\n", lo + _LOAD_BLOCK_BYTES - 1, hi) + 1 or hi
-            parsed = _parse_rows(view[lo:cut], width)
-            if parsed is None:
-                return False
-            ids, rows = parsed
-            if row + rows.shape[0] > end:
-                return False
-            values[row : row + rows.shape[0]] = rows
-            row += rows.shape[0]
+            rows = data.count(b"\n", lo, cut) + (data[cut - 1] != 0x0A)
+            ids = _parse_rows(view[lo:cut], values[row : row + rows])
+            if ids is None:
+                ids = _parse_lines(path, data, lo, cut, values, row, has_header)
             out.write(("\n".join(ids) + "\n").encode("utf-8"))
-            lo = cut
-        return row == end
+            lo, row = cut, row + rows
 
     ids = _in_parts(part, len(cuts) - 1)
-    if ids is None:
-        return None
     # gene ids come from split lines, so none holds a newline
     return tuple(ids.decode("utf-8").split("\n")[:-1]), array_ids, values
 
 
 def _content_end(data: bytes) -> int:
-    """The length of ``data`` without its trailing ASCII whitespace."""
+    """The end of the last line of ``data`` holding a non-blank character,
+    past its newline if it has one; 0 when there is none. Trailing blank
+    lines, whitespace such as ``\\xa0`` included, are left out."""
     end = len(data)
     while end:
         tail = data[max(0, end - 4096) : end]
-        kept = len(tail.rstrip())
+        kept = len(tail.rstrip())  # ASCII whitespace only
+        end -= len(tail) - kept
         if kept:
-            return end - len(tail) + kept
-        end -= len(tail)
+            lo = data.rfind(b"\n", 0, end) + 1
+            if data[lo:end].decode("utf-8", "replace").strip():
+                return data.find(b"\n", end) + 1 or len(data)
+            end = lo
     return 0
 
 
-def _parse_rows(text: memoryview, width: int) -> tuple[list[str], np.ndarray] | None:
-    """Gene ids and values of UTF-8 table lines, one row per line, or None
-    when a line needs the line parser's diagnosis.
+# The line breaks str.splitlines knows besides \n; inside a line each is a
+# fault, and an id the writer would not write.
+_BREAKS = r"\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(f"[{_BREAKS}]")
+
+
+def _line(path: Path, data: bytes, lo: int, hi: int, lineno: int) -> str:
+    """The text of line ``lineno``, ``data[lo:hi]`` without its newline,
+    less one ``\\r`` at its end; ParseError for a byte that is not UTF-8,
+    named by its offset in the file, or a line break inside the line."""
+    try:
+        line = data[lo:hi].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = lo + exc.start
+        raise ParseError(f"{path}: not UTF-8 text: byte {data[at]:#04x} at offset {at}") from None
+    if line.endswith("\r"):
+        line = line[:-1]
+    found = _LINE_BREAK.search(line)
+    if found:
+        raise ParseError(f"{path}: line {lineno}: line break {found.group()!r} inside a line; "
+                         "a line ends at \\n or \\r\\n")
+    return line
+
+
+def _parse_rows(text: memoryview, out: np.ndarray) -> list[str] | None:
+    """Gene ids of UTF-8 table lines, one row a line, their values written
+    into ``out``; or None, with nothing written, when the chunk needs
+    ``_parse_lines``.
 
     One np.loadtxt call parses every value. Where it accepts a cell, it
     gives the double float() gives; it rejects some cells float() accepts
-    (``1_0``, non-ASCII digits), and those tables take the line parser.
+    (``1_0``, non-ASCII digits), and those chunks take ``_parse_lines``.
+    str.splitlines also splits at the other line breaks, so the lines number
+    ``len(out)``, one per newline (a last line given one), only when no line
+    holds such a break.
     """
     gene_ids: list[str] = []
     rests: list[str] = []
     try:
-        for line in str(text, "utf-8").splitlines():
+        chunk = str(text, "utf-8")
+        for line in (chunk if chunk.endswith("\n") else chunk + "\n").splitlines():
             gid, rest = line.split("\t", 1)
             gene_ids.append(gid.strip())
             rests.append(rest)
@@ -303,39 +308,32 @@ def _parse_rows(text: memoryview, width: int) -> tuple[list[str], np.ndarray] | 
     except ValueError:  # UnicodeDecodeError included
         return None
     # np.loadtxt skips empty lines, such as the rest of a "g\t" row.
-    if values.shape != (len(rests), width) or not np.isfinite(values).all():
+    if len(rests) != len(out) or values.shape != out.shape or not np.isfinite(values).all():
         return None
-    return gene_ids, values
+    out[:] = values
+    return gene_ids
 
 
-def _load_lines(path: Path, lines: list[str], *, has_header: bool, log_scale: bool) -> ExpressionMatrix:
-    """Line-by-line parser: the reference for load_matrix's values, and the
-    source of every ParseError with its line and column numbers."""
-    lineno = 1
-    array_ids: list[str] | None = None
-    if has_header:
-        header = lines[0].split("\t")
-        if len(header) < 2:
-            raise ParseError(f"{path}: line 1: header must name at least one array column")
-        array_ids = [c.strip() for c in header[1:]]
-        body = lines[1:]
-        lineno = 2
-    else:
-        body = lines
-    if not body:
-        raise ParseError(f"{path}: no data rows after the header")
-
+def _parse_lines(path: Path, data: bytes, lo: int, hi: int, values: np.ndarray, row: int,
+                 has_header: bool) -> list[str]:
+    """Gene ids of the table lines ``data[lo:hi]``, the first of them body
+    row ``row``, their values read one by one by float() into ``values``
+    from that row on: the parse of a chunk ``_parse_rows`` cannot take.
+    Raises ParseError for the chunk's first fault, naming its line and
+    column, or its byte offset."""
+    width = values.shape[1]
     gene_ids: list[str] = []
-    rows: list[list[float]] = []
-    width: int | None = None
-    for offset, line in enumerate(body):
-        ln = lineno + offset
+    while lo < hi:
+        end = data.find(b"\n", lo, hi)
+        if end < 0:  # a last line without a newline
+            end = hi
+        ln = row + 1 + has_header
+        line = _line(path, data, lo, end, ln)
         if line.strip() == "":
             raise ParseError(f"{path}: line {ln}: blank line inside table")
         cells = line.split("\t")
         if len(cells) < 2:
             raise ParseError(f"{path}: line {ln}: expected gene id and values, got {len(cells)} column(s)")
-        gid = cells[0].strip()
         vals = []
         for col, cell in enumerate(cells[1:], start=2):
             cell = cell.strip()
@@ -346,20 +344,14 @@ def _load_lines(path: Path, lines: list[str], *, has_header: bool, log_scale: bo
             if not math.isfinite(v):
                 raise ParseError(f"{path}: line {ln}: column {col}: non-finite value {cell!r}")
             vals.append(v)
-        if width is None:
-            width = len(vals)
-            if array_ids is not None and width != len(array_ids):
-                raise ParseError(
-                    f"{path}: line {ln}: row has {width} values but header names {len(array_ids)} arrays"
-                )
-        elif len(vals) != width:
+        if len(vals) != width:
+            if has_header and row == 0:
+                raise ParseError(f"{path}: line {ln}: row has {len(vals)} values but header names {width} arrays")
             raise ParseError(f"{path}: line {ln}: row has {len(vals)} values, expected {width}")
-        gene_ids.append(gid)
-        rows.append(vals)
-
-    if array_ids is None:
-        array_ids = [f"A{i + 1}" for i in range(width or 0)]
-    return ExpressionMatrix(tuple(gene_ids), tuple(array_ids), np.array(rows, dtype=np.float64), log_scale)
+        values[row] = vals
+        gene_ids.append(cells[0].strip())
+        lo, row = end + 1, row + 1
+    return gene_ids
 
 
 def matrix_to_tsv(matrix: ExpressionMatrix) -> str:
@@ -384,7 +376,7 @@ def table_to_tsv(row_ids: Sequence[str], col_ids: Sequence[str], values: np.ndar
     bounds = [m * i // k for i in range(k + 1)]
     step = max(1, _WRITE_BLOCK_CELLS // max(1, values.shape[1]))
 
-    def rows_text(i: int, out: io.BytesIO) -> bool:
+    def rows_text(i: int, out: io.BytesIO) -> None:
         if i == 0:
             out.write(("gene_id\t" + "\t".join(col_ids) + "\n").encode("utf-8"))
         # Room, in one allocation, for the rows this buffer ends up holding
@@ -400,16 +392,8 @@ def table_to_tsv(row_ids: Sequence[str], col_ids: Sequence[str], values: np.ndar
         for lo in range(bounds[i], bounds[i + 1], step):
             hi = min(lo + step, bounds[i + 1])
             _write_rows(out, row_ids[lo:hi], values[lo:hi])
-        return True
 
-    text = _in_parts(rows_text, k)
-    if text is None:  # a child failed: format the rows here, in one part
-        bounds = [0, m]
-        out = io.BytesIO()
-        rows_text(0, out)
-        out.truncate()
-        text = out.getvalue()
-    return text
+    return _in_parts(rows_text, k)
 
 
 def _write_rows(out: io.BytesIO, row_ids: Sequence[str], values: np.ndarray) -> None:
@@ -423,8 +407,7 @@ def _write_rows(out: io.BytesIO, row_ids: Sequence[str], values: np.ndarray) -> 
 # split splits at (a tab, or a line break as str.splitlines knows them) or a
 # lone surrogate, which UTF-8 cannot encode, or one beginning or ending with
 # whitespace, which its strip drops.
-_UNWRITABLE_ID = re.compile(
-    r"[\t\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]|^\s|\s\Z")
+_UNWRITABLE_ID = re.compile(rf"[\t\n{_BREAKS}\ud800-\udfff]|^\s|\s\Z")
 
 
 def _check_writable_ids(ids: Sequence[str], kind: str) -> None:
@@ -466,6 +449,11 @@ def save_matrix(matrix: ExpressionMatrix, path: str | Path) -> None:
 # pipe of 64 KiB, it would wait on the parent's part 0 after its first chunks.
 # A child's peak is the parent's memory at the fork plus its own part.
 #
+# A part whose fork fails, or whose child exits non-zero (its part raised,
+# a ParseError say), runs again in the parent, from its place in the output
+# on. So a split load or save gives the whole result, or raises the error of
+# its first faulty part, as one part would.
+#
 # A process forks only while it runs one Python thread: the child holds only
 # the thread that forked it, and a lock another thread held stays locked
 # there. Native pools such as OpenBLAS's are outside that count: BLAS calls
@@ -498,42 +486,48 @@ def _part_count(size: int, floor: int) -> int:
     return max(1, min(_usable_cpus(), size // floor))
 
 
-def _in_parts(part: Callable[[int, io.BytesIO], bool], k: int) -> bytes | None:
+def _in_parts(part: Callable[[int, io.BytesIO], None], k: int) -> bytes:
     """The bytes ``part(0, out)``, ..., ``part(k - 1, out)`` write to ``out``
-    up to its position, in order, or None when a part returned False, a
-    child failed or a fork did.
+    up to its position, in order.
 
     Part 0 runs in this process and writes straight into the result. Each
     other part runs in a child forked for it, which collects its bytes and
     sends them through a pipe only once it is done, so that it never waits
     on the parent's part 0; the parent copies each pipe into the result in
-    chunks. With k = 1 nothing forks. A child ends with ``os._exit``, with
-    status 0 only once it wrote all its bytes. Every child is reaped before
-    this returns or raises; one whose bytes are no longer wanted is killed
-    first.
+    chunks. A child ends with ``os._exit``, with status 0 only once it wrote
+    all its bytes. A part whose fork raised OSError, or whose child exited
+    with another status, runs here in its place, over any bytes the child
+    sent: so a part's error is raised here, the first in order. With k = 1
+    nothing forks. Every child is reaped before this returns or raises; one
+    whose bytes are no longer wanted is killed first.
     """
-    children: list[tuple[int, BinaryIO]] = []
-    text: bytes | None = None
+    children: dict[int, tuple[int, BinaryIO]] = {}
     try:
         for i in range(1, k):
             try:
-                children.append(_fork_part(part, i))
-            except OSError:  # out of processes or descriptors
-                return None
+                children[i] = _fork_part(part, i)
+            except OSError:  # out of processes or descriptors: the part runs here
+                pass
         out = io.BytesIO()
-        if part(0, out):
-            for _, reader in children:
+        for i in range(k):
+            if i in children:
+                pid, reader = children[i]
+                at = out.tell()
                 shutil.copyfileobj(reader, out)
-            out.truncate()
-            text = out.getvalue()
+                reader.close()
+                status = os.waitpid(pid, 0)[1]
+                del children[i]
+                if status == 0:
+                    continue
+                out.seek(at)
+            part(i, out)
+        out.truncate()
+        return out.getvalue()
     finally:
-        for pid, reader in children:
+        for pid, reader in children.values():
             reader.close()
-            if text is None:
-                os.kill(pid, signal.SIGKILL)
-            if os.waitpid(pid, 0)[1] != 0:
-                text = None
-    return text
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _reserve(out: io.BytesIO, size: int) -> None:
@@ -551,7 +545,7 @@ def _reserve(out: io.BytesIO, size: int) -> None:
         out.seek(pos)
 
 
-def _fork_part(part: Callable[[int, io.BytesIO], bool], i: int) -> tuple[int, BinaryIO]:
+def _fork_part(part: Callable[[int, io.BytesIO], None], i: int) -> tuple[int, BinaryIO]:
     """Fork a child that writes the bytes of ``part(i, out)`` to a pipe;
     its pid and the pipe's reading end."""
     r, w = os.pipe()
@@ -570,11 +564,11 @@ def _fork_part(part: Callable[[int, io.BytesIO], bool], i: int) -> tuple[int, Bi
         try:
             os.close(r)
             out = io.BytesIO()
-            if part(i, out):
-                out.truncate()
-                with open(w, "wb") as fh:
-                    fh.write(out.getbuffer())
-                code = 0
+            part(i, out)
+            out.truncate()
+            with open(w, "wb") as fh:
+                fh.write(out.getbuffer())
+            code = 0
         finally:
             os._exit(code)
     os.close(w)

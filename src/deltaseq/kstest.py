@@ -349,7 +349,9 @@ class ExactCdfTable:
 
 def ks_exact_cdf(n1: int, n2: int, budget: int = DEFAULT_CDF_BUDGET) -> ExactCdfTable:
     """Full distribution table. Work grows with (n1*n2)**2/gcd, so the
-    product n1*n2 is capped by ``budget``."""
+    product n1*n2 is capped by ``budget``, which must be at least 1."""
+    if budget < 1:
+        raise ValidationError(f"ks_exact_cdf budget must be >= 1, got {budget}")
     n1, n2 = _validate_sizes(n1, n2)
     if n1 * n2 > budget:
         raise ResourceError(

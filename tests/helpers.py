@@ -5,8 +5,10 @@ exact rational arithmetic, and superseded whole-batch forms of the package's
 computations. Nothing imports the package under test, except
 ``jackknife_distances_oracle`` and the serial correlation summaries
 (``all_pairs_summary_oracle``, ``z_summary_oracle``), which replay a
-superseded pipeline through the package's own building blocks, and
-``duplicated_increment_matrix``, an input built as a package matrix.
+superseded pipeline through the package's own building blocks,
+``duplicated_increment_matrix``, an input built as a package matrix, and
+``line_load_oracle``, which builds a package matrix or raises the package's
+errors so that they compare with the loader's.
 
 ``child_pids`` serves the suite's fixture that fails a test leaving a child
 process behind; ``run_under_every_blas_kernel`` runs a script in children
@@ -179,7 +181,7 @@ def table_to_tsv_oracle(row_ids, col_ids, values) -> str:
 
 def bulk_load_oracle(data: bytes, has_header: bool):
     """The serial bulk loader: (gene ids, array ids, values) of a UTF-8
-    table, or None where the line parser must read it. The whole file is
+    table, or None where ``line_load_oracle`` must read it. The whole file is
     decoded and split into lines at once, trailing blank lines dropped, and
     one np.loadtxt call parses every value; the result stands only when every
     line gave a row of finite values as wide as the header."""
@@ -210,6 +212,75 @@ def bulk_load_oracle(data: bytes, has_header: bool):
     if values.shape[1] != len(array_ids):
         return None
     return tuple(gene_ids), tuple(array_ids), values
+
+
+def line_load_oracle(path: Path, has_header: bool):
+    """The whole-file line parser: the ExpressionMatrix (not log scale) of
+    the UTF-8 table at ``path``, or the package's ParseError for its fault
+    with the line and column numbers, or ValidationError from the matrix.
+    The whole file is decoded first, so a byte that is not UTF-8 is named
+    before any other fault; lines split as str.splitlines splits them, and
+    trailing blank lines are dropped."""
+    from deltaseq import ExpressionMatrix, ParseError
+
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    lines = text.splitlines()
+    while lines and lines[-1].strip() == "":
+        lines.pop()
+    if not lines:
+        raise ParseError(f"{path}: file is empty")
+    lineno = 1
+    array_ids = None
+    if has_header:
+        header = lines[0].split("\t")
+        if len(header) < 2:
+            raise ParseError(f"{path}: line 1: header must name at least one array column")
+        array_ids = [c.strip() for c in header[1:]]
+        body = lines[1:]
+        lineno = 2
+    else:
+        body = lines
+    if not body:
+        raise ParseError(f"{path}: no data rows after the header")
+
+    gene_ids, rows = [], []
+    width = None
+    for offset, line in enumerate(body):
+        ln = lineno + offset
+        if line.strip() == "":
+            raise ParseError(f"{path}: line {ln}: blank line inside table")
+        cells = line.split("\t")
+        if len(cells) < 2:
+            raise ParseError(f"{path}: line {ln}: expected gene id and values, got {len(cells)} column(s)")
+        vals = []
+        for col, cell in enumerate(cells[1:], start=2):
+            cell = cell.strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(f"{path}: line {ln}: column {col}: not a number: {cell!r}") from None
+            if not math.isfinite(v):
+                raise ParseError(f"{path}: line {ln}: column {col}: non-finite value {cell!r}")
+            vals.append(v)
+        if width is None:
+            width = len(vals)
+            if array_ids is not None and width != len(array_ids):
+                raise ParseError(
+                    f"{path}: line {ln}: row has {width} values but header names {len(array_ids)} arrays"
+                )
+        elif len(vals) != width:
+            raise ParseError(f"{path}: line {ln}: row has {len(vals)} values, expected {width}")
+        gene_ids.append(cells[0].strip())
+        rows.append(vals)
+    if array_ids is None:
+        array_ids = [f"A{i + 1}" for i in range(width or 0)]
+    return ExpressionMatrix(tuple(gene_ids), tuple(array_ids), np.array(rows, dtype=np.float64), False)
 
 
 @lru_cache(maxsize=None)

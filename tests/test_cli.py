@@ -104,6 +104,15 @@ class TestExitCodes:
         assert code == 2
         assert "resource limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, budget", [
+        (["ks", "--n1", "3", "--n2", "3", "--cdf"], "-1"),
+        (["exp-null", "--n1", "6", "--n2", "6"], "0"),
+    ], ids=["ks", "exp-null"])
+    def test_budget_below_one_is_an_error(self, command, budget, chain_tsv, tmp_path, capsys):
+        extra = ["--in", chain_tsv, "--out", str(tmp_path / "null")] if command[0] == "exp-null" else []
+        assert main([*command, "--budget", budget, *extra]) == 1
+        assert capsys.readouterr().err == f"error: ks_exact_cdf budget must be >= 1, got {budget}\n"
+
     def test_jackknife_over_pair_budget(self, chain_tsv, tmp_path, capsys, monkeypatch):
         # first-k 5 gives 10 pairs per subsample: one subsample more than
         # the default budget holds is refused before any subsample is drawn
@@ -205,19 +214,25 @@ class TestPeakMemory:
     def test_check_holds_its_input_about_once(self, tmp_path):
         # The load holds the file's bytes, the values (about 0.4 of them)
         # and one chunk of temporaries; a second copy of the text, its lines
-        # or its values would pass twice the file size.
+        # or its values would pass twice the file size. So does a table
+        # with one cell only float() reads.
         path = tmp_path / "m.tsv"
         save_matrix(generate_chain_matrix(ChainSpec(m=4000, n=88, base_sd=0.3, increment_sd=0.3,
                                                     shared_factor_sd=1.0, chain_length=4, seed=5)),
                     path)
         size_kib = path.stat().st_size / 1024
         assert size_kib > 4 << 10
+        data = path.read_bytes()
+        cell = data.find(b"\t", len(data) // 2) + 1
+        odd = tmp_path / "odd.tsv"
+        odd.write_bytes(data[:cell] + b"1_0" + data[data.find(b"\t", cell) :])
         code, base = own_peak_kib([sys.executable, "-c", "import deltaseq.cli"])
         assert code == 0
         entry = "import sys; from deltaseq.cli import main; sys.exit(main())"
-        code, peak = own_peak_kib([sys.executable, "-c", entry, "check", "--in", str(path)])
-        assert code == 0
-        assert peak <= base + 2 * size_kib
+        for table in (path, odd):
+            code, peak = own_peak_kib([sys.executable, "-c", entry, "check", "--in", str(table)])
+            assert code == 0
+            assert peak <= base + 2 * size_kib, table.name
 
 
 class TestKsCommand:

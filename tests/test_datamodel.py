@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,7 +29,7 @@ from deltaseq import (
     select_arrays,
 )
 from deltaseq.datamodel import NoiseModel
-from helpers import ascii_locale_env, bulk_load_oracle, table_to_tsv_oracle
+from helpers import ascii_locale_env, bulk_load_oracle, line_load_oracle, table_to_tsv_oracle
 
 
 def small_matrix():
@@ -226,8 +228,7 @@ def write_table(path, lines, eol="\n", trailing=""):
 
 
 def reference_load(path, has_header):
-    return datamodel._load_lines(path, datamodel._text_lines(path, path.read_bytes()), has_header=has_header,
-                                 log_scale=False)
+    return line_load_oracle(path, has_header)
 
 
 def bits(m):
@@ -323,8 +324,8 @@ class TestBulkLoaderOracle:
         want = bits(reference_load(path, has_header))
         gene_ids, array_ids, values = bulk_load_oracle(path.read_bytes(), has_header)
         assert (gene_ids, array_ids, values.view(np.int64).tolist()) == want
-        # the line parser must not run: the bulk path alone gives the result
-        with cut_into(k), mock.patch.object(datamodel, "_load_lines", side_effect=AssertionError):
+        # the line parser must not run: np.loadtxt alone gives the result
+        with cut_into(k), mock.patch.object(datamodel, "_parse_lines", side_effect=AssertionError):
             got = bits(load_matrix(path, has_header=has_header))
         assert got == want
 
@@ -426,15 +427,19 @@ class TestRowParts:
         assert str(got.value) == str(want.value) == f"{path}: {message}"
 
     def test_child_that_raises_makes_the_load_fall_back(self, tmp_path):
+        # the failed child's part is parsed again here, at its place
         path = self.rows_table(tmp_path)
-        parse_rows = in_child_raise(datamodel._parse_rows, os.getpid())
-        with cut_into(2), mock.patch.object(datamodel, "_parse_rows", parse_rows), \
-                mock.patch.object(datamodel, "_load_lines", wraps=datamodel._load_lines) as lines:
+        parse_rows = mock.Mock(wraps=in_child_raise(datamodel._parse_rows, os.getpid()))
+        counts, recorded = part_counts()
+        with cut_into(2), recorded, mock.patch.object(datamodel, "_parse_rows", parse_rows), \
+                mock.patch.object(datamodel, "_parse_lines", side_effect=AssertionError):
             got = load_matrix(path)
-        assert lines.call_count == 1
+        assert counts == [2]
+        assert parse_rows.call_count == 2  # part 0, then part 1, one chunk each
         assert bits(got) == bits(reference_load(path, True))
 
     def test_child_that_raises_makes_the_save_format_serially(self):
+        # the failed child's rows are formatted again here, at their place
         values = np.arange(40, dtype=np.float64).reshape(10, 4) / 3
 
         class Ids(list):
@@ -451,6 +456,42 @@ class TestRowParts:
             got = datamodel.table_to_tsv(row_ids, ["a", "b", "c", "d"], values)
         assert counts == [2]
         assert got == table_to_tsv_oracle(list(row_ids), ["a", "b", "c", "d"], values).encode()
+
+    @staticmethod
+    def second_fork_fails():
+        """Patch of os.fork whose second call raises OSError."""
+        fork, calls = os.fork, []
+
+        def forked():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        return mock.patch("os.fork", side_effect=forked)
+
+    def test_failed_fork_leaves_the_load_part_here(self, tmp_path):
+        path = self.rows_table(tmp_path, m=60)
+        parse_rows = mock.Mock(wraps=datamodel._parse_rows)
+        counts, recorded = part_counts()
+        with cut_into(3), recorded, self.second_fork_fails() as fork, \
+                mock.patch.object(datamodel, "_parse_rows", parse_rows):
+            got = load_matrix(path)
+        assert counts == [3] and fork.call_count == 2
+        assert parse_rows.call_count == 2  # parts 0 and 2, one chunk each
+        assert bits(got) == bits(reference_load(path, True))
+
+    def test_failed_fork_leaves_the_save_part_here(self):
+        values = np.arange(60, dtype=np.float64).reshape(15, 4) / 3
+        row_ids = [f"g{i}" for i in range(15)]
+        write_rows = mock.Mock(wraps=datamodel._write_rows)
+        counts, recorded = part_counts()
+        with cut_into(3), recorded, self.second_fork_fails() as fork, \
+                mock.patch.object(datamodel, "_write_rows", write_rows):
+            got = datamodel.table_to_tsv(row_ids, ["a", "b", "c", "d"], values)
+        assert counts == [3] and fork.call_count == 2
+        assert [c.args[1] for c in write_rows.call_args_list] == [row_ids[:5], row_ids[10:]]
+        assert got == table_to_tsv_oracle(row_ids, ["a", "b", "c", "d"], values).encode()
 
     def test_no_fork_while_another_thread_runs(self, tmp_path):
         path = self.rows_table(tmp_path)
@@ -507,7 +548,7 @@ class TestChunks:
         parse_rows = mock.Mock(wraps=datamodel._parse_rows)
         with cut_into(k), mock.patch.object(datamodel, "_LOAD_BLOCK_BYTES", line * lines + shift), \
                 mock.patch.object(datamodel, "_parse_rows", parse_rows):
-            got = datamodel._parse_bulk(data, True)
+            got = datamodel._parse_bulk(Path("m.tsv"), data, True)
         gene_ids, array_ids, values = bulk_load_oracle(data, True)
         assert got[:2] == (gene_ids, array_ids)
         assert got[2].view(np.int64).tolist() == values.view(np.int64).tolist()
@@ -527,6 +568,99 @@ class TestChunks:
                 pytest.raises(ParseError) as got:
             load_matrix(path)
         assert str(got.value) == str(want.value) == f"{path}: line 14: column 4: not a number: 'x'"
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_only_the_chunks_with_odd_cells_take_the_line_parser(self, k, tmp_path):
+        # 200 rows of 26 bytes in chunks of 20 rows; row 45 holds a cell
+        # only float() reads in chunk 2, row 150 another in chunk 7
+        rows = [f"g{i:03d}\t{i:03d}.5\t1.25\t-2.5\t3e-5" for i in range(200)]
+        rows[45] = rows[45].replace("1.25", " 1_0")
+        rows[150] = rows[150].replace("-2.5", "  \u0663")
+        path = tmp_path / "m.tsv"
+        write_table(path, ["gene_id\ta\tb\tc\td"] + rows)
+        data, line = path.read_bytes(), 26
+        head = data.find(b"\n") + 1
+        assert len(data) == head + 200 * line
+        parse_lines = mock.Mock(wraps=datamodel._parse_lines)
+        with cut_into(k), mock.patch.object(datamodel, "_LOAD_BLOCK_BYTES", 20 * line), \
+                mock.patch.object(datamodel, "_parse_lines", parse_lines):
+            got = load_matrix(path)
+        assert bits(got) == bits(reference_load(path, True))
+        assert got.values[45, 1] == 10.0 and got.values[150, 2] == 3.0
+        if k == 1:  # the children's calls are not seen here
+            chunks = [call.args[2:4] for call in parse_lines.call_args_list]
+            assert chunks == [(head + 40 * line, head + 60 * line), (head + 140 * line, head + 160 * line)]
+
+
+class TestLineGrammar:
+    """A line ends at \\n, one \\r before it dropped; any other line break
+    inside a line is a fault, named with its line. Loaded in one part and in
+    three, where a fault on the last line sits in a child's part."""
+
+    ROWS = ["gene_id\ta\tb\tc\td"] + [f"g{i}\t{i}\t1.5\t2.5\t3.5" for i in range(40)]
+
+    @staticmethod
+    def load_fails(path, k, has_header=True):
+        """The ParseError message of loading ``path`` cut into k parts, and
+        the part counts of its splits."""
+        counts, recorded = part_counts()
+        with cut_into(k), recorded, pytest.raises(ParseError) as got:
+            load_matrix(path, has_header=has_header)
+        return str(got.value), counts
+
+    @staticmethod
+    def broken(path, line, char):
+        return f"{path}: line {line}: line break {char!r} inside a line; a line ends at \\n or \\r\\n"
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_cr_only_file(self, k, has_header, tmp_path):
+        path = tmp_path / "m.tsv"
+        write_table(path, self.ROWS[0 if has_header else 1:], "\r")
+        # one line: a header alone, or a body in one part
+        assert self.load_fails(path, k, has_header) == (self.broken(path, 1, "\r"),
+                                                        [] if has_header else [1])
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("char", ["\x0b", "\x85", "\u2028", "\r"])
+    @pytest.mark.parametrize("line", [1, 2, 41])
+    def test_break_inside_a_line(self, k, char, line, tmp_path):
+        rows = list(self.ROWS)
+        cells = rows[line - 1].split("\t")
+        cells[2] += char
+        rows[line - 1] = "\t".join(cells)
+        path = tmp_path / "m.tsv"
+        write_table(path, rows)
+        assert self.load_fails(path, k) == (self.broken(path, line, char), [] if line == 1 else [k])
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("eol, trailing", [
+        ("\r\n", ""), ("\n", None), ("\r\n", None), ("\n", "\xa0\n"), ("\n", "\u3000\n\xa0"),
+        ("\r\n", " \xa0\r\n\u3000\r\n"), ("\n", "\x0b\n\x0c\n\x1c\r\n"),
+    ], ids=["crlf", "no-final-lf", "crlf-no-final", "nbsp", "ideographic", "crlf-blanks", "break-blanks"])
+    def test_still_loads(self, k, eol, trailing, tmp_path):
+        path = tmp_path / "m.tsv"
+        if trailing is None:  # no newline after the last line
+            path.write_bytes(eol.join(self.ROWS).encode("utf-8"))
+        else:
+            write_table(path, self.ROWS, eol, trailing)
+        counts, recorded = part_counts()
+        with cut_into(k), recorded:
+            got = load_matrix(path)
+        assert counts == [k]
+        assert bits(got) == bits(reference_load(path, True))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_first_fault_in_file_order(self, k, tmp_path):
+        rows = list(self.ROWS)
+        rows[1] = rows[1].replace("1.5", "x")
+        rows[2] = rows[2].replace("g1", "g\udce9")
+        path = tmp_path / "m.tsv"
+        path.write_bytes(("\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
+        assert self.load_fails(path, k) == (f"{path}: line 2: column 3: not a number: 'x'", [k])
+        # the whole-file oracle decodes first, so it names the byte
+        with pytest.raises(ParseError, match="not UTF-8 text: byte 0xe9"):
+            reference_load(path, True)
 
 
 def traced_peak(fn) -> int:
@@ -567,6 +701,8 @@ class TestPeakMemory:
         assert peak <= (tmp_path / "big.tsv").stat().st_size + chunk
 
     def test_load(self, tables, tmp_path):
+        # also with one cell only float() reads, whose chunk alone takes the
+        # line parser
         big, _ = tables
         path = tmp_path / "big.tsv"
         save_matrix(big, path)
@@ -574,8 +710,12 @@ class TestPeakMemory:
         one = tmp_path / "one.tsv"  # the header and the lines of the first chunk
         one.write_bytes(data[: data.find(b"\n", data.find(b"\n") + datamodel._LOAD_BLOCK_BYTES) + 1])
         chunk = traced_peak(lambda: load_matrix(one, log_scale=True))
-        peak = traced_peak(lambda: load_matrix(path, log_scale=True))
-        assert peak <= len(data) + big.values.nbytes + chunk
+        cell = data.find(b"\t", len(data) // 2) + 1
+        odd = tmp_path / "odd.tsv"
+        odd.write_bytes(data[:cell] + b"1_0" + data[data.find(b"\t", cell) :])
+        for table in (path, odd):
+            peak = traced_peak(lambda: load_matrix(table, log_scale=True))
+            assert peak <= len(data) + big.values.nbytes + chunk, table.name
 
 
 class TestUnwritableIds:

@@ -209,6 +209,11 @@ class TestExactCdf:
         # and an explicit budget unlocks larger sizes
         assert ks_exact_cdf(120, 120, budget=14_400).n1 == 120
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_invalid(self, budget):
+        with pytest.raises(ValidationError, match=f"budget must be >= 1, got {budget}"):
+            ks_exact_cdf(3, 3, budget=budget)
+
     def test_csv_header(self):
         assert ks_exact_cdf(2, 2).to_csv().splitlines()[0] == "d,cdf"
 
