@@ -9,6 +9,21 @@ import numpy as np
 ACTIVE_BACKEND = "numpy"
 HAVE_NUMBA = False
 
+# Rows per block of a pass that works through a matrix a few rows at a time
+# (`row_blocks`), so its temporaries hold about this many rows, not the whole.
+BLOCK_ROWS = 1024
+
+
+def row_blocks(m: int) -> list[slice]:
+    """Slices of BLOCK_ROWS rows covering ``range(m)`` in order, the last
+    one up to a row longer so that no block is a lone row unless m is 1.
+    numpy sums a strided row alone pairwise, but sums every row of a block
+    of two or more, in the same layout, the way it sums the whole array's."""
+    starts = list(range(0, m, max(2, BLOCK_ROWS)))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [m])]
+
 
 # ---------------------------------------------------------------------------
 # Batched two-sample Kolmogorov-Smirnov statistic on the integer lattice.
@@ -39,14 +54,17 @@ HAVE_NUMBA = False
 
 def dense_ranks(x: np.ndarray) -> np.ndarray:
     """Dense rank of each value within its row (0 for the row's smallest,
-    equal values share a rank), as int32 while the ranks fit in it."""
+    equal values share a rank), as int32 while the ranks fit in it. Rows
+    are ranked a block at a time into the one output."""
     x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, axis=1)
-    vals = np.take_along_axis(x, order, axis=1)
-    ranks = np.zeros(x.shape, dtype=np.int32 if x.shape[1] <= 2**31 else np.int64)
-    np.cumsum(vals[:, 1:] != vals[:, :-1], axis=1, out=ranks[:, 1:])
-    out = np.empty_like(ranks)
-    np.put_along_axis(out, order, ranks, axis=1)
+    out = np.empty(x.shape, dtype=np.int32 if x.shape[1] <= 2**31 else np.int64)
+    for rows in row_blocks(x.shape[0]):
+        block = x[rows]
+        order = np.argsort(block, axis=1)
+        vals = np.take_along_axis(block, order, axis=1)
+        ranks = np.zeros(block.shape, dtype=out.dtype)
+        np.cumsum(vals[:, 1:] != vals[:, :-1], axis=1, out=ranks[:, 1:])
+        np.put_along_axis(out[rows], order, ranks, axis=1)
     return out
 
 

@@ -88,20 +88,22 @@ class ExpressionMatrix:
     log_scale: bool = False
 
     def __post_init__(self) -> None:
-        self._seal(self.gene_ids, self.array_ids, self.values, adopt=False)
+        self._seal(self.gene_ids, self.array_ids, self.values, adopt=False, finite=False)
 
     @classmethod
     def _adopt(cls, gene_ids: Sequence[str], array_ids: Sequence[str], values: np.ndarray,
-               log_scale: bool) -> ExpressionMatrix:
+               log_scale: bool, finite: bool = True) -> ExpressionMatrix:
         """A matrix over ``values`` itself: a float64 array that nothing else
-        holds, every value already checked finite (the loader's). The id and
-        shape checks still run; the copy and the finiteness pass do not."""
+        holds. The id and shape checks still run and the copy does not; nor
+        does the finiteness pass while ``finite`` says every value is already
+        known finite (the loader's checked values, a matrix's gathered ones)."""
         matrix = cls.__new__(cls)
         object.__setattr__(matrix, "log_scale", log_scale)
-        matrix._seal(gene_ids, array_ids, values, adopt=True)
+        matrix._seal(gene_ids, array_ids, values, adopt=True, finite=finite)
         return matrix
 
-    def _seal(self, gene_ids: Sequence[str], array_ids: Sequence[str], values, adopt: bool) -> None:
+    def _seal(self, gene_ids: Sequence[str], array_ids: Sequence[str], values, adopt: bool,
+              finite: bool) -> None:
         gene_ids = _check_ids(gene_ids, "gene")
         array_ids = _check_ids(array_ids, "array")
         object.__setattr__(self, "gene_ids", gene_ids)
@@ -119,7 +121,7 @@ class ExpressionMatrix:
             raise ValidationError("gene_ids length does not match row count")
         if n != len(array_ids):
             raise ValidationError("array_ids length does not match column count")
-        if not adopt and not np.isfinite(values).all():
+        if not finite and not np.isfinite(values).all():
             bad = np.argwhere(~np.isfinite(values))[0]
             raise ValidationError(
                 f"non-finite value at gene {gene_ids[bad[0]]!r}, "
@@ -607,9 +609,5 @@ def select_arrays(matrix: ExpressionMatrix, indices: Sequence[int]) -> Expressio
     for i in idx:
         if not (0 <= i < n):
             raise ValidationError(f"array index {i} out of range [0, {n})")
-    return ExpressionMatrix(
-        matrix.gene_ids,
-        tuple(matrix.array_ids[i] for i in idx),
-        matrix.values[:, idx],
-        matrix.log_scale,
-    )
+    return ExpressionMatrix._adopt(matrix.gene_ids, tuple(matrix.array_ids[i] for i in idx),
+                                   matrix.values[:, idx], matrix.log_scale)

@@ -103,12 +103,15 @@ def null_split_experiment(matrix: ExpressionMatrix, n1: int, n2: int,
     every row, and measure sup distance between the pooled statistic EDF and
     the exact null distribution.
 
-    The gene ordering is taken from the FULL matrix before splitting.
+    The gene ordering is taken from the FULL matrix before splitting. The
+    exact null table is built first, so a budget too small for it refuses
+    the run before any other work.
     """
     _check_mode(mode)
     n = matrix.n_arrays
     if n1 < 1 or n2 < 1 or n1 + n2 > n:
         raise ValidationError(f"need n1, n2 >= 1 with n1+n2 <= {n}, got ({n1}, {n2})")
+    table = ks_exact_cdf(n1, n2, budget=cdf_budget)
     ordering = variance_ordering(matrix)
     rows, row_ids = _mode_rows(matrix, ordering, mode)
     rng = np.random.default_rng(seed)
@@ -117,7 +120,6 @@ def null_split_experiment(matrix: ExpressionMatrix, n1: int, n2: int,
     g2 = np.sort(perm[n1 : n1 + n2])
     scaled, _ = _kernels.ks_scaled_batch(rows[:, g1], rows[:, g2])
     stats = scaled / (n1 * n2)
-    table = ks_exact_cdf(n1, n2, budget=cdf_budget)
     distance = kolmogorov_distance(EDF.from_sample(stats), table.as_step())
     return NullSplitResult(mode, n1, n2, seed, g1, g2, tuple(row_ids), scaled, stats,
                            table, distance)
@@ -164,23 +166,25 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
     Fisher z-scores of all their pairwise correlations, and measure each
     subsample's sup distance to the pointwise mean of all B EDFs.
 
-    Each subsample costs one gather of the kept columns, one variance
-    ordering of the genes, and the ``2*first_k`` lowest-variance rows
-    differenced into the ``first_k`` increment rows it correlates; no row
-    beyond those is built or labelled. The cost is linear in B: the mean
-    comes from one sort of the pooled z-scores, and each distance reads the
-    mean only at that subsample's own jump points.
+    Each subsample orders the genes on its kept columns a block of rows at a
+    time, then gathers just the ``2*first_k`` lowest-variance rows on those
+    columns and differences them into the ``first_k`` increment rows it
+    correlates; no row beyond those is built or labelled. Its z-scores go
+    into its own row of one (B, pairs) buffer, sorted there, and its EDF is
+    a view of that row. The cost is linear in B: the mean is the EDF of one
+    sorted pooled copy of the buffer, and each distance reads the mean only
+    at that subsample's own jump points, by counting.
 
     Increment rows that are equal, or one the negation of another, have no
     finite z and raise DomainError before their product, whatever the GEMM
     would round their r to.
 
     Memory grows with the ``B*first_k*(first_k-1)/2`` z-scores held at once:
-    the EDFs, the pooled sort and the building of the center take about 35
-    bytes per z-score at peak (151/291/481 MiB for a whole run at
-    B=16/50/100, first_k=500). ``max_pair_evals`` caps that count before any
-    subsample is drawn; the default of 2e7 keeps the held z-scores under
-    1 GiB (0.65 GiB at 35 bytes each).
+    the buffer and the pooled copy take 16 bytes per z-score (30.5 MiB at
+    B=16, first_k=500), and beyond them only the temporaries of one block of
+    rows and of one subsample are held. ``max_pair_evals`` caps that count
+    before any subsample is drawn; the default of 2e7 keeps the two copies
+    of the z-scores within 320 MB (305 MiB).
     """
     n = matrix.n_arrays
     if not (1 <= d <= n - 4):
@@ -190,29 +194,35 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
     m_even = matrix.n_genes - (matrix.n_genes % 2)
     if not (2 <= first_k <= m_even // 2):
         raise ValidationError(f"first_k must lie in [2, {m_even // 2}], got {first_k}")
-    pair_evals = B * (first_k * (first_k - 1) // 2)
-    if pair_evals > max_pair_evals:
+    pairs = first_k * (first_k - 1) // 2
+    if B * pairs > max_pair_evals:
         raise ResourceError(
-            f"jackknife needs {pair_evals} pairwise correlations, over the budget "
+            f"jackknife needs {B * pairs} pairwise correlations, over the budget "
             f"of {max_pair_evals}; lower B (--reps) or first_k (--first-k), or raise "
             f"the max_pair_evals argument of jackknife_stability"
         )
     children = np.random.SeedSequence(seed).spawn(B)
-    iu = np.triu_indices(first_k, 1)
+    # the pairs i < j of a first_k x first_k product, in row-major order
+    upper = np.triu(np.ones((first_k, first_k), dtype=bool), 1).ravel()
+    z = np.empty((B, pairs))
     edfs = []
-    for child in children:
+    for row, child in zip(z, children):
         rng = np.random.default_rng(child)
         removed = rng.choice(n, size=d, replace=False)
-        keep = np.setdiff1d(np.arange(n), removed)
-        sub = matrix.values[:, keep]
-        perm = variance_ordering(sub).permutation[: 2 * first_k]
-        S = _standardized_rows(sub[perm[1::2]] - sub[perm[0::2]])
+        keep = np.delete(np.arange(n), removed)
+        perm = variance_ordering(matrix, columns=keep).permutation[: 2 * first_k]
+        lowest = matrix.values[np.ix_(perm, keep)]
+        S = _standardized_rows(lowest[1::2] - lowest[0::2])
         if _has_collinear_pair(S):
             raise DomainError(_DUPLICATED_INCREMENTS)
-        r = np.clip((S @ S.T)[iu], -1.0, 1.0)
-        if (np.abs(r) == 1.0).any():
+        np.compress(upper, (S @ S.T).ravel(), out=row)
+        np.clip(row, -1.0, 1.0, out=row)
+        if row.min() == -1.0 or row.max() == 1.0:
             raise DomainError(_DUPLICATED_INCREMENTS)
-        edfs.append(EDF.from_sample(np.arctanh(r)))
+        np.arctanh(row, out=row)
+        row.sort()
+        row.flags.writeable = False
+        edfs.append(EDF(row, pairs))
     center = mean_of_edfs(edfs)
     distances = np.asarray([kolmogorov_distance(e, center) for e in edfs])
     return StabilityReport(d, B, first_k, seed, distances,
@@ -302,6 +312,16 @@ class ExperimentReport:
                         self.fp, self.tp, self.fdr)
 
 
+def _spiked(half: ExpressionMatrix, genes: np.ndarray, effects: np.ndarray) -> ExpressionMatrix:
+    """``half`` with ``effects`` added to the rows of ``genes``, in one
+    writable copy of its values that the new matrix keeps; the sums are
+    checked finite as a constructed matrix's values are."""
+    values = half.values.copy()
+    values[genes] += effects[:, None]
+    return ExpressionMatrix._adopt(half.gene_ids, half.array_ids, values, half.log_scale,
+                                   finite=False)
+
+
 def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfig,
                                 mode: str = "delta") -> ExperimentReport:
     """Split arrays once, estimate ordering and per-row sds on the first part,
@@ -326,7 +346,6 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
     cols1 = np.sort(perm[:s1])
     cols2 = np.sort(perm[s1 : s1 + s2])
     sub1 = select_arrays(matrix, cols1)
-    sub2 = select_arrays(matrix, cols2)
 
     # Ordering and per-row sd estimates come from the first part only; the
     # ordering is then enforced on the second part.
@@ -338,16 +357,16 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
         )
     targets = np.sort(rng.choice(n_rows, size=config.n_modified, replace=False)).astype(np.int64)
 
+    # Each half, and then each set of rows, is dropped once the next step
+    # has what it needs, so about one half of the matrix is held at a time.
     rows1, _ = _mode_rows(sub1, ordering, mode)
+    del sub1
     sds = rows1.std(axis=1, ddof=1)
     effects = config.effect_multiplier * sds[targets]
 
-    modified2 = sub2.values.copy()
-    even_idx = even_rank_genes(ordering)
-    modified2[even_idx[targets]] += effects[:, None]
-    sub2mod = ExpressionMatrix(sub2.gene_ids, sub2.array_ids, modified2, sub2.log_scale)
-
-    rows2, _ = _mode_rows(sub2mod, ordering, mode)
+    sub2 = _spiked(select_arrays(matrix, cols2), even_rank_genes(ordering)[targets], effects)
+    rows2, _ = _mode_rows(sub2, ordering, mode)
+    del sub2
     truth = np.zeros(n_rows, dtype=bool)
     truth[targets[effects != 0.0]] = True
 
@@ -355,7 +374,10 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
     # once, then each replicate sorts just the ranks it draws. Arrays run
     # along axis 0, so a draw gathers whole rows of ranks.
     pooled = np.concatenate([rows1, rows2], axis=1)
-    ranks = np.ascontiguousarray(_kernels.dense_ranks(pooled).T)
+    del rows1, rows2
+    ranks = _kernels.dense_ranks(pooled)
+    del pooled
+    ranks = np.ascontiguousarray(ranks.T)
     threshold = min(config.pfer / n_rows, 1.0)
     fp = np.empty(config.replicates, dtype=np.int64)
     tp = np.empty(config.replicates, dtype=np.int64)

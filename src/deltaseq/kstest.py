@@ -84,34 +84,6 @@ class StepFunction:
         return left, np.where(right > 0, self.ys[np.maximum(right - 1, 0)], 0.0)
 
 
-def _sorted_step(values: np.ndarray, total: int) -> StepFunction:
-    """Distribution function of ``total`` equal weights at the sorted
-    ``values``. The number of values at or below each distinct value is
-    where the next distinct value starts; dividing that integer once puts
-    every height exactly on the k/total lattice.
-
-    The heights overwrite those integer counts in place, and both fresh
-    arrays go to the StepFunction without its constructor's copies and
-    checks: distinct sorted values are strictly increasing, and counts up
-    to ``values.size <= total`` give nondecreasing heights in [0, 1]."""
-    n = values.shape[0]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    xs = values[starts]
-    at_or_below = np.flatnonzero(starts)
-    del values, starts  # a pooled mean's sample is large; freed before the heights
-    at_or_below[:-1] = at_or_below[1:]
-    at_or_below[-1] = n
-    ys = at_or_below.view(np.float64)
-    np.true_divide(at_or_below, total, out=ys)
-    step = object.__new__(StepFunction)
-    for name, arr in (("xs", xs), ("ys", ys)):
-        arr.flags.writeable = False
-        object.__setattr__(step, name, arr)
-    return step
-
-
 @dataclass(frozen=True)
 class EDF:
     """Empirical distribution function of a finite sample."""
@@ -131,27 +103,65 @@ class EDF:
         return cls(arr, int(arr.size))
 
     def as_step(self) -> StepFunction:
-        return _sorted_step(self.sorted_values, self.size)
+        """The EDF's jumps and heights. The number of values at or below
+        each distinct value is where the next distinct value starts;
+        dividing that integer once puts every height exactly on the k/size
+        lattice.
+
+        The heights overwrite those integer counts in place, and both fresh
+        arrays go to the StepFunction without its constructor's copies and
+        checks: distinct sorted values are strictly increasing, and counts
+        up to the size give nondecreasing heights in [0, 1]."""
+        values = self.sorted_values
+        starts = np.empty(self.size, dtype=bool)
+        starts[0] = True
+        np.not_equal(values[1:], values[:-1], out=starts[1:])
+        xs = values[starts]
+        at_or_below = np.flatnonzero(starts)
+        at_or_below[:-1] = at_or_below[1:]
+        at_or_below[-1] = self.size
+        ys = at_or_below.view(np.float64)
+        np.true_divide(at_or_below, self.size, out=ys)
+        step = object.__new__(StepFunction)
+        for name, arr in (("xs", xs), ("ys", ys)):
+            arr.flags.writeable = False
+            object.__setattr__(step, name, arr)
+        return step
+
+    def evaluate(self, t) -> np.ndarray:
+        return np.searchsorted(self.sorted_values, t, side="right") / self.size
+
+    def evaluate_sides(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(left limits, right values) at ``t``: the sample values below and
+        at or below each point, counted by a search and divided once, the
+        very heights ``as_step`` builds; sorted ``t`` makes the searches
+        cheapest."""
+        t = np.asarray(t, dtype=np.float64)
+        return (np.searchsorted(self.sorted_values, t, side="left") / self.size,
+                np.searchsorted(self.sorted_values, t, side="right") / self.size)
 
 
-def mean_of_edfs(edfs: Sequence[EDF]) -> StepFunction:
-    """Pointwise mean of EDFs of one common sample size, as one exact step
-    function (no grid): the EDF of their pooled samples. The B=1 mean
-    reproduces its EDF bit for bit."""
+def mean_of_edfs(edfs: Sequence[EDF]) -> EDF:
+    """Pointwise mean of EDFs of one common sample size, exactly (no grid):
+    the EDF of their pooled samples, held as one sorted copy of them. The
+    B=1 mean reproduces its EDF bit for bit."""
     if len(edfs) == 0:
         raise ValidationError("need at least one EDF")
     sizes = sorted({e.size for e in edfs})
     if len(sizes) > 1:
         raise ValidationError(f"mean_of_edfs needs equal sample sizes, got {sizes}")
-    return _sorted_step(np.sort(np.concatenate([e.sorted_values for e in edfs])),
-                        len(edfs) * sizes[0])
+    pooled = np.concatenate([e.sorted_values for e in edfs])
+    pooled.sort()
+    pooled.flags.writeable = False
+    return EDF(pooled, pooled.shape[0])
 
 
-def _as_step(f) -> StepFunction:
+def _points(f) -> int:
+    """Jump points of a step function, sample size of an EDF."""
     if isinstance(f, StepFunction):
-        return f
+        return f.xs.shape[0]
     if isinstance(f, EDF):
-        return f.as_step()
+        return f.size
     raise ValidationError(f"cannot interpret {type(f).__name__} as a step function")
 
 
@@ -159,8 +169,9 @@ def kolmogorov_distance(f, g) -> float:
     """sup |f - g| for two distribution functions (EDFs accepted), taken
     exactly at jump points, checking right values and left limits.
 
-    Only the jumps of the function with fewer of them (``f`` on a tie) are
-    visited: between two of them it is a constant c while the other moves
+    Only the jumps of the function with fewer points (``f`` on a tie) are
+    visited, an EDF counting its sample size, a step function its jumps:
+    between two of them it is a constant c while the other moves
     monotonically, and fl(c - x) is monotone in x, so |f - g| peaks at an end
     of each such interval. The ends are the right values and left limits at
     the visited jumps, the region before any jump (where both are 0), and the
@@ -172,18 +183,24 @@ def kolmogorov_distance(f, g) -> float:
     At the other's last jump it is read as its own last height: if it jumps
     after that point, its value there against the other's final height is
     already the left-limit difference at its next jump, and otherwise its
-    value there is its last height. The other is read at the visited jumps by
-    a single search that yields both sides (``StepFunction.evaluate_sides``),
-    so against a large center each distance costs one search of the center.
+    value there is its last height. The other is read at the visited jumps
+    through ``evaluate_sides``, which for an EDF counts its sorted sample, so
+    against a large center each distance costs two searches of the center
+    and never builds the center's step function.
     """
-    fs = _as_step(f)
-    gs = _as_step(g)
-    a, b = (fs, gs) if fs.xs.shape[0] <= gs.xs.shape[0] else (gs, fs)
+    a, b = (f, g) if _points(f) <= _points(g) else (g, f)
+    if isinstance(a, EDF):
+        a = a.as_step()
     b_left, b_right = b.evaluate_sides(a.xs)
-    a_right = np.append(a.ys, a.ys[-1])
-    right = np.abs(a_right - np.append(b_right, b.ys[-1])).max()
-    left = np.abs(np.concatenate(([0.0], a.ys[:-1])) - b_left).max()
-    return float(max(right, left))
+    # the differences overwrite b's values; before a's first jump its left
+    # limit is 0, so |0 - b_left[0]| is b_left[0] as it stands
+    np.subtract(a.ys, b_right, out=b_right)
+    np.subtract(a.ys[:-1], b_left[1:], out=b_left[1:])
+    # b's final height is its value past every jump; a finite point past
+    # them may not exist, and +inf reads the last height of either kind
+    last = abs(a.ys[-1] - b.evaluate(np.inf))
+    return float(max(np.abs(b_right, out=b_right).max(), last,
+                     np.abs(b_left, out=b_left).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .datamodel import ExpressionMatrix, table_to_tsv
 from .errors import ValidationError
 from .mtp import csv_text
@@ -51,12 +52,22 @@ class GeneOrdering:
         return self.permutation.shape[0] // 2
 
 
-def variance_ordering(matrix: ExpressionMatrix | np.ndarray) -> GeneOrdering:
-    """Rank rows by ascending sample variance; drop the lowest-variance row
-    when the count is odd."""
+def variance_ordering(matrix: ExpressionMatrix | np.ndarray,
+                      columns: np.ndarray | None = None) -> GeneOrdering:
+    """Rank rows by ascending sample variance, over ``columns`` only when
+    given; drop the lowest-variance row when the count is odd.
+
+    The variances are computed a block of rows at a time, each block
+    gathering its own ``columns``, so no copy of the whole column subset is
+    made. Every row gets the bits ``values[:, columns].var(axis=1, ddof=1)``
+    gives it: a block of two or more rows has the whole array's layout and
+    is reduced the same way (``_kernels.row_blocks``)."""
     values = getattr(matrix, "values", matrix)
     values = np.asarray(values, dtype=np.float64)
-    var = values.var(axis=1, ddof=1)
+    var = np.empty(values.shape[0])
+    for rows in _kernels.row_blocks(values.shape[0]):
+        block = values[rows] if columns is None else values[rows][:, columns]
+        var[rows] = block.var(axis=1, ddof=1)
     order = np.argsort(var, kind="stable")
     if order.shape[0] % 2 != 0:
         order = order[1:]
@@ -109,13 +120,20 @@ def delta_sequence(matrix: ExpressionMatrix, ordering: GeneOrdering) -> DeltaMat
         raise ValidationError("ordering refers to gene indices outside this matrix")
     low = perm[0::2]
     high = perm[1::2]
-    values = matrix.values[high] - matrix.values[low]
+    values = matrix.values[high]
+    values -= matrix.values[low]
     ids = matrix.gene_ids
     row_ids = tuple(
         f"pair{i}:{ids[a]}-{ids[b]}"
         for i, (a, b) in enumerate(zip(low.tolist(), high.tolist()), start=1)
     )
-    return DeltaMatrix(values, row_ids, matrix.array_ids)
+    # The differences are a fresh array, so the constructor's copy is skipped.
+    delta = object.__new__(DeltaMatrix)
+    values.flags.writeable = False
+    for name, value in (("values", values), ("row_ids", row_ids),
+                        ("array_ids", matrix.array_ids)):
+        object.__setattr__(delta, name, value)
+    return delta
 
 
 def even_rank_genes(ordering: GeneOrdering) -> np.ndarray:

@@ -3,9 +3,10 @@
 Everything here is deliberately naive: exhaustive enumeration, double loops,
 exact rational arithmetic, and superseded whole-batch forms of the package's
 computations. Nothing imports the package under test, except
-``jackknife_distances_oracle`` and the serial correlation summaries
-(``all_pairs_summary_oracle``, ``z_summary_oracle``), which replay a
-superseded pipeline through the package's own building blocks,
+``jackknife_distances_oracle``, ``injection_oracle`` and the serial
+correlation summaries (``all_pairs_summary_oracle``, ``z_summary_oracle``),
+which replay a superseded pipeline through the package's own building
+blocks, ``variance_ordering_oracle``, which returns a package ordering,
 ``duplicated_increment_matrix``, an input built as a package matrix, and
 ``line_load_oracle``, which builds a package matrix or raises the package's
 errors so that they compare with the loader's.
@@ -47,11 +48,21 @@ def child_pids() -> set[int]:
     Reads ``/proc/self/task/*/children`` where the kernel provides it, and
     otherwise finds the processes whose parent is this one in
     ``/proc/<pid>/stat``. Empty where there is no ``/proc``.
+
+    A thread that ends between the listing of the tasks and the read of its
+    file takes the file with it, and its children move to another task of
+    this process; the tasks are then listed again, until one pass reads
+    every file it listed.
     """
     tasks = Path("/proc/self/task")
-    listed = list(tasks.glob("*/children")) if tasks.is_dir() else []
-    if listed:
-        return {int(pid) for f in listed for pid in f.read_text().split()}
+    while tasks.is_dir():
+        listed = list(tasks.glob("*/children"))
+        if not listed:
+            break
+        try:
+            return {int(pid) for f in listed for pid in f.read_text().split()}
+        except (FileNotFoundError, ProcessLookupError):
+            continue
     me = os.getpid()
     found = set()
     for stat in Path("/proc").glob("[0-9]*/stat"):
@@ -557,40 +568,109 @@ def step_distance_searches(a_xs, a_ys, a_y0, b_xs, b_ys, b_y0) -> float:
     return float(max(r, lo, abs(np.float64(a_y0) - np.float64(b_y0))))
 
 
+def variance_ordering_oracle(values):
+    """The ascending-variance ordering of the rows of ``values`` from one
+    whole-array ``var(axis=1, ddof=1)`` and its stable argsort, less the
+    lowest-variance row when the count is odd; a checked ``GeneOrdering``."""
+    from deltaseq.ordering import GeneOrdering
+
+    var = np.asarray(values).var(axis=1, ddof=1)
+    order = np.argsort(var, kind="stable")
+    if order.shape[0] % 2:
+        order = order[1:]
+    return GeneOrdering(order, var[order])
+
+
+def dense_ranks_oracle(x) -> np.ndarray:
+    """Dense rank of each value within its row, from ``np.unique`` per row."""
+    return np.array([np.unique(row, return_inverse=True)[1] for row in np.asarray(x)])
+
+
 def jackknife_distances_oracle(matrix, d: int, B: int, first_k: int, seed: int = 0) -> np.ndarray:
     """Delete-d jackknife distances by the full per-subsample path: a
-    validated column projection (``select_arrays``), its variance ordering,
-    every labelled increment row (``delta_sequence``), then the first
-    ``first_k`` rows; each EDF's distance to the mean of all B EDFs comes
-    from ``step_distance_searches``. Same seeds and draws as
-    ``jackknife_stability``, and the same ``DomainError`` when two
-    standardized rows are equal or negated (a double loop) or a correlation
-    reaches |r| = 1; no budget check."""
+    validated column projection (``select_arrays``), its whole-array
+    variance ordering (``variance_ordering_oracle``), every labelled
+    increment row (``delta_sequence``), then the first
+    ``first_k`` rows; each EDF's distance to the mean of all B EDFs, built
+    by ``edf_mean_searchsorted``, comes from ``step_distance_searches``.
+    Same seeds and draws as ``jackknife_stability``, and the same
+    ``DomainError`` when two standardized rows are equal or negated (a
+    double loop) or a correlation reaches |r| = 1; no budget check."""
     from deltaseq.corrstats import _standardized_rows
     from deltaseq.datamodel import select_arrays
     from deltaseq.errors import DomainError
-    from deltaseq.kstest import EDF, mean_of_edfs
-    from deltaseq.ordering import delta_sequence, variance_ordering
+    from deltaseq.kstest import EDF
+    from deltaseq.ordering import delta_sequence
 
     n = matrix.n_arrays
-    edfs = []
+    samples = []
     for child in np.random.SeedSequence(seed).spawn(B):
         rng = np.random.default_rng(child)
         removed = rng.choice(n, size=d, replace=False)
         keep = np.setdiff1d(np.arange(n), removed)
         sub = select_arrays(matrix, keep)
-        delta = delta_sequence(sub, variance_ordering(sub))
+        delta = delta_sequence(sub, variance_ordering_oracle(sub.values))
         S = _standardized_rows(delta.values[:first_k])
         r = np.clip((S @ S.T)[np.triu_indices(first_k, 1)], -1.0, 1.0)
         collinear = any(np.array_equal(S[i], S[j]) or np.array_equal(S[i], -S[j])
                         for i, j in combinations(range(first_k), 2))
         if collinear or (np.abs(r) == 1.0).any():
             raise DomainError("duplicated increment rows give |r| = 1; z-score undefined")
-        edfs.append(EDF.from_sample(np.arctanh(r)))
-    center = mean_of_edfs(edfs)
-    steps = [e.as_step() for e in edfs]
-    return np.asarray([step_distance_searches(s.xs, s.ys, 0.0, center.xs, center.ys, 0.0)
+        samples.append(np.arctanh(r))
+    center_xs, center_ys = edf_mean_searchsorted(samples)
+    steps = [EDF.from_sample(z).as_step() for z in samples]
+    return np.asarray([step_distance_searches(s.xs, s.ys, 0.0, center_xs, center_ys, 0.0)
                        for s in steps])
+
+
+def injection_oracle(matrix, config, mode: str):
+    """(m, targets, effects, truth, fp, tp, fdr) of the effect injection by
+    its whole-matrix path: both halves projected (``select_arrays``), the
+    ordering (``variance_ordering_oracle``) and the sds from the first half,
+    a writable copy of the second half's values spiked and built into a new
+    checked matrix, both halves' rows pooled and ranked in one call
+    (``dense_ranks_oracle``), and each replicate's statistics from the
+    drawn columns of those ranks (``ks_scaled_oracle``). Same seeds and
+    draws as ``effect_injection_experiment``."""
+    from deltaseq.datamodel import ExpressionMatrix, select_arrays
+    from deltaseq.kstest import exact_pvalues_for_scaled
+    from deltaseq.mtp import confusion_counts, extended_bonferroni
+    from deltaseq.ordering import delta_sequence
+
+    s1, s2 = config.split
+    ss = np.random.SeedSequence(config.seed)
+    rng = np.random.default_rng(ss)
+    perm = rng.permutation(matrix.n_arrays)
+    sub1 = select_arrays(matrix, np.sort(perm[:s1]))
+    sub2 = select_arrays(matrix, np.sort(perm[s1 : s1 + s2]))
+    ordering = variance_ordering_oracle(sub1.values)
+    higher = ordering.permutation[1::2]
+    m = ordering.n_pairs
+    targets = np.sort(rng.choice(m, size=config.n_modified, replace=False)).astype(np.int64)
+
+    def rows(half):
+        return delta_sequence(half, ordering).values if mode == "delta" else half.values[higher]
+
+    rows1 = rows(sub1)
+    effects = config.effect_multiplier * rows1.std(axis=1, ddof=1)[targets]
+    modified2 = sub2.values.copy()
+    modified2[higher[targets]] += effects[:, None]
+    rows2 = rows(ExpressionMatrix(sub2.gene_ids, sub2.array_ids, modified2, sub2.log_scale))
+    truth = np.zeros(m, dtype=bool)
+    truth[targets[effects != 0.0]] = True
+    ranks = dense_ranks_oracle(np.concatenate([rows1, rows2], axis=1))
+    fp, tp, fdr = [], [], []
+    for child in ss.spawn(config.replicates):
+        crng = np.random.default_rng(child)
+        g1 = crng.choice(s1, size=config.n1, replace=False)
+        g2 = crng.choice(s2, size=config.n2, replace=False)
+        scaled, _ = ks_scaled_oracle(ranks[:, g1], ranks[:, s1 + g2])
+        p = exact_pvalues_for_scaled(scaled, config.n1, config.n2)
+        rep = confusion_counts(extended_bonferroni(p, config.pfer), truth)
+        fp.append(rep.fp)
+        tp.append(rep.tp)
+        fdr.append(rep.fdr)
+    return m, targets, effects, truth, np.array(fp), np.array(tp), np.array(fdr)
 
 
 def edf_mean_searchsorted(samples):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltaseq import ExpressionMatrix, __version__, cli, jackknife_stability
+from deltaseq import ExpressionMatrix, __version__, cli, experiments, jackknife_stability
 from deltaseq.cli import main
 from deltaseq.datamodel import matrix_to_tsv, save_matrix
 from deltaseq.synth import ChainSpec, generate_chain_matrix, generate_null_matrix
@@ -112,6 +112,21 @@ class TestExitCodes:
         extra = ["--in", chain_tsv, "--out", str(tmp_path / "null")] if command[0] == "exp-null" else []
         assert main([*command, "--budget", budget, *extra]) == 1
         assert capsys.readouterr().err == f"error: ks_exact_cdf budget must be >= 1, got {budget}\n"
+
+    def test_exp_null_refuses_its_budget_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("exp-null ordered the genes before checking its budget")
+
+        monkeypatch.setattr(experiments, "variance_ordering", refuse)
+        path = tmp_path / "wide.tsv"
+        save_matrix(generate_null_matrix(m=6, n=88, shared_factor_sd=0.0, gene_sd=1.0, seed=2), path)
+        out = tmp_path / "null"
+        code = main(["exp-null", "--in", str(path), "--n1", "44", "--n2", "44",
+                     "--budget", "100", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "resource limit: ks_exact_cdf needs n1*n2 <= budget (100), got 1936")
+        assert not out.exists()
 
     def test_jackknife_over_pair_budget(self, chain_tsv, tmp_path, capsys, monkeypatch):
         # first-k 5 gives 10 pairs per subsample: one subsample more than
@@ -211,15 +226,27 @@ class TestExitCodes:
 
 
 class TestPeakMemory:
-    def test_check_holds_its_input_about_once(self, tmp_path):
+    ENTRY = "import sys; from deltaseq.cli import main; sys.exit(main())"
+
+    @pytest.fixture(scope="class")
+    def chain_4000(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("peak") / "m.tsv"
+        save_matrix(generate_chain_matrix(ChainSpec(m=4000, n=88, base_sd=0.3, increment_sd=0.3,
+                                                    shared_factor_sd=1.0, chain_length=4, seed=5)),
+                    path)
+        return path
+
+    def peak_kib(self, *argv) -> int:
+        code, peak = own_peak_kib([sys.executable, "-c", self.ENTRY, *map(str, argv)])
+        assert code == 0
+        return peak
+
+    def test_check_holds_its_input_about_once(self, chain_4000, tmp_path):
         # The load holds the file's bytes, the values (about 0.4 of them)
         # and one chunk of temporaries; a second copy of the text, its lines
         # or its values would pass twice the file size. So does a table
         # with one cell only float() reads.
-        path = tmp_path / "m.tsv"
-        save_matrix(generate_chain_matrix(ChainSpec(m=4000, n=88, base_sd=0.3, increment_sd=0.3,
-                                                    shared_factor_sd=1.0, chain_length=4, seed=5)),
-                    path)
+        path = chain_4000
         size_kib = path.stat().st_size / 1024
         assert size_kib > 4 << 10
         data = path.read_bytes()
@@ -228,11 +255,34 @@ class TestPeakMemory:
         odd.write_bytes(data[:cell] + b"1_0" + data[data.find(b"\t", cell) :])
         code, base = own_peak_kib([sys.executable, "-c", "import deltaseq.cli"])
         assert code == 0
-        entry = "import sys; from deltaseq.cli import main; sys.exit(main())"
         for table in (path, odd):
-            code, peak = own_peak_kib([sys.executable, "-c", entry, "check", "--in", str(table)])
-            assert code == 0
-            assert peak <= base + 2 * size_kib, table.name
+            assert self.peak_kib("check", "--in", table) <= base + 2 * size_kib, table.name
+
+    def test_jackknife_holds_its_z_scores_twice(self, chain_4000, tmp_path):
+        # Past the load, which check measures, the jackknife holds its
+        # buffer of z-scores and their pooled sorted copy, 8 bytes each, plus
+        # one subsample's product and EDF steps and the BLAS buffers (the
+        # slack); whole-matrix column gathers or a center's step function
+        # built from the pooled copy would pass the bound.
+        check = self.peak_kib("check", "--in", chain_4000)
+        z_scores = 16 * (500 * 499 // 2)
+        peak = self.peak_kib("exp-jackknife", "--in", chain_4000, "--reps", 16,
+                             "--first-k", 500, "--out", tmp_path / "j")
+        assert peak <= check + 2 * 8 * z_scores / 1024 + (16 << 10)
+
+    @pytest.mark.parametrize("mode", ["delta", "expression"])
+    def test_injection_holds_its_pooled_rows_and_ranks(self, chain_4000, tmp_path, mode):
+        # Past the load, the injection holds a half of the matrix at a time
+        # while it builds that half's 2000 rows; the pooled rows (8 bytes a
+        # value) and their int32 ranks then fit where the file's bytes were.
+        # A second copy of each half would pass the bound.
+        check = self.peak_kib("check", "--in", chain_4000)
+        pooled_rows = 2000 * 88 * 8 / 1024
+        ranks = 2000 * 88 * 4 / 1024
+        peak = self.peak_kib("exp-inject", "--in", chain_4000, "--split", 44, 44,
+                             "--n-modified", 100, "--multiplier", 2, "--n1", 10, "--n2", 10,
+                             "--reps", 20, "--pfer", 9, "--mode", mode, "--out", tmp_path / "i")
+        assert peak <= check + pooled_rows + ranks + (4 << 10)
 
 
 class TestKsCommand:

@@ -787,6 +787,18 @@ class TestSelectArrays:
         assert out.array_ids == ("d", "a", "c", "b")
         assert np.array_equal(out.values, m.values[:, [3, 0, 2, 1]])
 
+    def test_keeps_its_gather(self):
+        # the gather is fresh and its values finite, so neither the
+        # constructor's copy nor its finiteness pass runs
+        m = small_matrix()
+        with mock.patch.object(ExpressionMatrix, "__post_init__", side_effect=AssertionError), \
+                mock.patch.object(np, "isfinite", side_effect=AssertionError):
+            out = select_arrays(m, [3, 0, 2, 1])
+        assert np.array_equal(out.values, m.values[:, [3, 0, 2, 1]])
+        assert not np.shares_memory(out.values, m.values)
+        assert not out.values.flags.writeable
+        assert (out.gene_ids, out.log_scale) == (m.gene_ids, m.log_scale)
+
     def test_duplicate_index_rejected(self):
         with pytest.raises(ValidationError):
             select_arrays(small_matrix(), [0, 0, 1, 2])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from deltaseq.ordering import delta_sequence
 
 from helpers import (
     duplicated_increment_matrix,
+    injection_oracle,
     jackknife_distances_oracle,
     ks_scaled_oracle,
     run_under_every_blas_kernel,
@@ -202,6 +204,91 @@ class TestJackknife:
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
+class TestRowBlockEdges:
+    """With blocks of 7 rows, the resampling harnesses equal their
+    whole-matrix oracles bit for bit on 1-decimal, heavily tied data."""
+
+    @pytest.fixture(autouse=True)
+    def seven_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", 7)
+
+    @staticmethod
+    def tied(m, n, seed):
+        rng = np.random.default_rng(seed)
+        values = np.round(rng.normal(size=(m, n)) * rng.uniform(0.2, 3.0, size=(m, 1)), 1)
+        return ExpressionMatrix(tuple(f"g{i}" for i in range(m)),
+                                tuple(f"a{j}" for j in range(n)), values)
+
+    @pytest.mark.parametrize("m, d, B, first_k", [
+        (15, 1, 1, 2), (16, 3, 3, 2), (15, 2, 1, 7), (22, 4, 4, 11), (29, 5, 2, 14),
+    ])
+    def test_jackknife_equals_oracle(self, m, d, B, first_k):
+        matrix = self.tied(m, 11, seed=m + B)
+        want = jackknife_distances_oracle(matrix, d, B, first_k, seed=first_k)
+        got = jackknife_stability(matrix, d, B, first_k, seed=first_k).distances
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("mode", ["delta", "expression"])
+    def test_injection_equals_oracle(self, mode):
+        # 41 genes give 20 pairs, ranked in blocks of rows 0-6, 7-13, 14-19
+        matrix = self.tied(41, 40, seed=23)
+        cfg = InjectionConfig(split=(18, 16), n_modified=6, effect_multiplier=2.0,
+                              n1=7, n2=6, replicates=12, pfer=3.0, seed=4)
+        rep = effect_injection_experiment(matrix, cfg, mode=mode)
+        m, targets, effects, truth, fp, tp, fdr = injection_oracle(matrix, cfg, mode)
+        assert rep.m == m == 20
+        assert rep.targets.tolist() == targets.tolist()
+        assert targets.max() >= 14
+        assert rep.effects.view(np.int64).tolist() == effects.view(np.int64).tolist()
+        assert np.array_equal(rep.truth, truth)
+        assert rep.fp.tolist() == fp.tolist() and rep.tp.tolist() == tp.tolist()
+        assert rep.fdr.view(np.int64).tolist() == fdr.view(np.int64).tolist()
+        assert rep.tp.sum() > 0
+
+
+class TestResamplingMemory:
+    """The bytes the harnesses allocate at their peak (tracemalloc) beyond
+    the matrix they are given, at 4000 genes x 88 arrays in blocks of 64
+    rows, so that the bounds are set by what each must hold."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", 64)
+
+    @staticmethod
+    def traced_peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_jackknife_holds_its_z_scores_twice(self):
+        # the z-score buffer and its pooled sorted copy, 8 bytes a z-score
+        # each; the ordering's variances, argsort and ranks, 8 bytes a gene
+        # each; and 512 KiB for one block of rows and one subsample's rows,
+        # product and EDF steps. A gather of the kept columns of every gene
+        # (2.7 MiB here) would pass the bound.
+        matrix = null_matrix(m=4000, n=88, seed=3)
+        B, first_k = 4, 60
+        z_scores = B * first_k * (first_k - 1) // 2
+        peak = self.traced_peak(jackknife_stability, matrix, 8, B, first_k, 1)
+        assert peak <= 16 * z_scores + 4 * 8 * 4000 + (512 << 10)
+
+    @pytest.mark.parametrize("mode", ["delta", "expression"])
+    def test_injection_holds_about_one_half(self, mode):
+        # the selected second half and its spiked copy, the first half's
+        # rows, and 1 MiB for row ids and the temporaries of a replicate; a
+        # copy of the spiked copy would pass the bound
+        matrix = null_matrix(m=4000, n=88, seed=3)
+        half = 4000 * 44 * 8
+        cfg = InjectionConfig(split=(44, 44), n_modified=100, effect_multiplier=2.0,
+                              n1=10, n2=10, replicates=20, pfer=9.0, seed=1)
+        peak = self.traced_peak(effect_injection_experiment, matrix, cfg, mode)
+        assert peak <= 2 * half + half // 2 + (1 << 20)
+
+
 class TestInjection:
     def config(self, **over):
         base = dict(split=(20, 20), n_modified=5, effect_multiplier=2.0,
@@ -277,6 +364,18 @@ class TestInjection:
             assert (rep.fp[r], rep.tp[r], rep.fdr[r]) == (want.fp, want.tp, want.fdr)
         assert any_ties
         assert rep.tp.sum() > 0
+
+    @pytest.mark.parametrize("mode", ["delta", "expression"])
+    def test_spike_past_the_float_range_is_refused(self, mode):
+        # sds of about 3 times a multiplier of 1e308 overflow to inf; the
+        # spiked half is checked as a constructed matrix is
+        matrix = generate_null_matrix(m=40, n=40, shared_factor_sd=0.0, gene_sd=3.0, seed=16)
+        cfg = self.config(effect_multiplier=1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValidationError, match="non-finite value at gene 'g"):
+                effect_injection_experiment(matrix, cfg, mode=mode)
+            with pytest.raises(ValidationError, match="non-finite value at gene 'g"):
+                injection_oracle(matrix, cfg, mode)
 
     def test_split_must_fit(self):
         with pytest.raises(ValidationError):

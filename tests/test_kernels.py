@@ -6,12 +6,13 @@ on float rows and on columns drawn from dense-ranked pooled rows."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaseq import _kernels
 
-from helpers import hist_accumulate_clip, hist_naive, ks_scaled_oracle
+from helpers import dense_ranks_oracle, hist_accumulate_clip, hist_naive, ks_scaled_oracle
 
 # few distinct values, so most rows tie within and across samples; -0.0 and
 # 0.0 are one value
@@ -141,6 +142,23 @@ class TestKsScaledBatch:
             assert np.array_equal(np.sign(row[:, None] - row[None, :]),
                                   np.sign(r[:, None] - r[None, :]))
             assert set(r.tolist()) == set(range(np.unique(row).size))
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 6, 7, 8, 9, 14, 15, 16])
+    def test_dense_ranks_in_blocks_of_seven_rows(self, m, monkeypatch):
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", 7)
+        x = np.round(np.random.default_rng(m).normal(size=(m, 9)), 1)
+        ranks = _kernels.dense_ranks(x)
+        assert ranks.dtype == np.int32 and ranks.shape == x.shape
+        assert np.array_equal(ranks, dense_ranks_oracle(x).reshape(x.shape))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize("m", range(0, 23))
+    def test_row_blocks_cover_without_a_lone_row(self, m, block, monkeypatch):
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", block)
+        blocks = _kernels.row_blocks(m)
+        assert [i for b in blocks for i in range(m)[b]] == list(range(m))
+        assert all(b.stop - b.start >= 2 for b in blocks) or m == 1
+        assert all(b.stop - b.start <= max(2, block) + 1 for b in blocks)
 
     def test_rank_values_past_int32_keys(self):
         # keys 2*rank + bit that straddle +-2**31 would wrap in int32

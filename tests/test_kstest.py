@@ -330,7 +330,7 @@ class TestDistanceOracles:
     @settings(max_examples=200, deadline=None)
     @given(_sample_sets())
     def test_center_matches_searchsorted_mean(self, samples):
-        center = mean_of_edfs([EDF.from_sample(s) for s in samples])
+        center = mean_of_edfs([EDF.from_sample(s) for s in samples]).as_step()
         xs, heights = edf_mean_searchsorted(samples)
         assert np.array_equal(center.xs, xs)
         assert np.array_equal(center.ys, heights)
@@ -349,7 +349,7 @@ class TestDistanceOracles:
         edfs = [EDF.from_sample(s) for s in samples]
         center = mean_of_edfs(edfs)
         for sample, edf in zip(samples, edfs):
-            want = step_distance_union(*_edf_steps(sample), *_steps(center))
+            want = step_distance_union(*_edf_steps(sample), *_steps(center.as_step()))
             assert kolmogorov_distance(edf, center) == want
             assert kolmogorov_distance(center, edf) == want
 
@@ -407,20 +407,21 @@ def test_edf_distance_visits_only_the_edf_jumps(monkeypatch):
     than the EDF's own jumps plus one point, never the center's whole grid;
     the center is read, through one of the recorded methods."""
     reads = []
-    for name in ("evaluate", "evaluate_sides"):
-        original = getattr(StepFunction, name)
+    for cls in (StepFunction, EDF):
+        for name in ("evaluate", "evaluate_sides"):
+            original = getattr(cls, name)
 
-        def recording(self, t, original=original):
-            reads.append((self, np.size(t)))
-            return original(self, t)
+            def recording(self, t, original=original):
+                reads.append((self, np.size(t)))
+                return original(self, t)
 
-        monkeypatch.setattr(StepFunction, name, recording)
+            monkeypatch.setattr(cls, name, recording)
     rng = np.random.default_rng(3)
     edfs = [EDF.from_sample(np.round(rng.normal(size=100), 3)) for _ in range(8)]
     center = mean_of_edfs(edfs)
     for edf in edfs:
         jumps = np.unique(edf.sorted_values).size
-        assert center.xs.size > 4 * jumps
+        assert center.as_step().xs.size > 4 * jumps
         for f, g in [(edf, center), (center, edf)]:
             reads.clear()
             kolmogorov_distance(f, g)

@@ -11,7 +11,8 @@ from deltaseq import (
     even_rank_genes,
     variance_ordering,
 )
-from deltaseq.ordering import GeneOrdering, delta_to_tsv, ordering_to_csv
+from deltaseq import _kernels, select_arrays
+from deltaseq.ordering import DeltaMatrix, GeneOrdering, delta_to_tsv, ordering_to_csv
 
 
 def matrix_from(values, log_scale=True):
@@ -93,6 +94,44 @@ class TestVarianceOrdering:
             variance_ordering(np.arange(5.0)[None, :])
 
 
+class TestRowBlocks:
+    """With blocks of 7 rows, the ordering equals the stable argsort of one
+    whole-array ``var(ddof=1)``, bit for bit, at and around block edges."""
+
+    @pytest.fixture(autouse=True)
+    def seven_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", 7)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "projected"])
+    @pytest.mark.parametrize("columns", ["all", "kept", "permuted"])
+    @pytest.mark.parametrize("m", [6, 7, 8, 9, 13, 14, 15, 21, 22])
+    def test_equals_whole_array_argsort(self, m, columns, layout):
+        # 11 arrays: numpy sums a row of 8 or more pairwise when it reduces
+        # it alone, and in order across the columns of a strided block, so
+        # a lone row at a block edge would change the low bits
+        rng = np.random.default_rng(m)
+        values = np.round(rng.normal(size=(m, 11)) * rng.uniform(0.2, 3.0, size=(m, 1)), 1)
+        source = {"C": values, "F": np.asfortranarray(values),
+                  "projected": select_arrays(matrix_from(values), rng.permutation(11)).values}[layout]
+        cols = {"all": None, "kept": np.sort(rng.choice(11, size=9, replace=False)),
+                "permuted": rng.permutation(11)}[columns]
+        var = (source if cols is None else source[:, cols]).var(axis=1, ddof=1)
+        want = np.argsort(var, kind="stable")[m % 2 :]
+        o = variance_ordering(source, columns=cols)
+        assert o.permutation.tolist() == want.tolist()
+        assert o.variances.view(np.int64).tolist() == var[want].view(np.int64).tolist()
+
+    def test_matrix_and_columns(self):
+        # an ExpressionMatrix is read through its values, columns gathered per block
+        rng = np.random.default_rng(3)
+        m = matrix_from(np.round(rng.normal(size=(15, 10)), 1))
+        keep = np.array([0, 2, 3, 5, 6, 9])
+        want = variance_ordering(m.values[:, keep])
+        got = variance_ordering(m, columns=keep)
+        assert np.array_equal(got.permutation, want.permutation)
+        assert np.array_equal(got.variances, want.variances)
+
+
 class TestDeltaSequence:
     def test_hand_example(self):
         m = matrix_from([
@@ -136,6 +175,27 @@ class TestDeltaSequence:
         b = matrix_from(np.random.default_rng(4).normal(size=(4, 5)))
         with pytest.raises(ValidationError):
             delta_sequence(b, variance_ordering(a))
+
+    def test_keeps_its_difference_array(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("delta_sequence copied its difference array")
+
+        monkeypatch.setattr(DeltaMatrix, "__post_init__", refuse)
+        m = matrix_from(np.random.default_rng(9).normal(size=(6, 5)))
+        o = variance_ordering(m)
+        d = delta_sequence(m, o)
+        assert np.array_equal(d.values, m.values[o.permutation[1::2]] - m.values[o.permutation[0::2]])
+        assert d.values.flags.c_contiguous and d.values.flags.owndata
+        assert d.row_ids[0].startswith("pair1:") and d.array_ids == m.array_ids
+        with pytest.raises(ValueError):
+            d.values[0, 0] = 0.0
+
+    def test_constructor_copies(self):
+        values = np.arange(8.0).reshape(2, 4)
+        d = DeltaMatrix(values, ("p1", "p2"), ("a", "b", "c", "d"))
+        values[0, 0] = 99.0
+        assert d.values[0, 0] == 0.0
+        assert not d.values.flags.writeable
 
     @settings(max_examples=30, deadline=None)
     @given(hnp.arrays(np.float64, (8, 5),
