@@ -25,6 +25,28 @@ def row_blocks(m: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [m])]
 
 
+def row_variances(values, columns: np.ndarray | None = None) -> np.ndarray:
+    """Sample variance (ddof=1) of each row, over ``columns`` only when given,
+    a block of rows at a time, so no copy of the whole is made. ``values`` is
+    a 2-d array, or a tuple of them over the same rows pooled side by side,
+    each block stacked C-ordered. Every row gets the bits of one whole-array
+    ``var(axis=1, ddof=1)`` (of the tuple's C-ordered ``np.hstack``): a block
+    of two or more rows has the whole array's layout and is reduced the same
+    way (`row_blocks`)."""
+    parts = [np.asarray(part, dtype=np.float64)
+             for part in (values if isinstance(values, tuple) else (values,))]
+    var = np.empty(parts[0].shape[0])
+    for rows in row_blocks(var.shape[0]):
+        block = parts[0][rows]
+        if len(parts) > 1:
+            block = np.concatenate([part[rows] for part in parts], axis=1, out=np.empty(
+                (block.shape[0], sum(part.shape[1] for part in parts))))
+        if columns is not None:
+            block = block[:, columns]
+        var[rows] = block.var(axis=1, ddof=1)
+    return var
+
+
 # ---------------------------------------------------------------------------
 # Batched two-sample Kolmogorov-Smirnov statistic on the integer lattice.
 #

@@ -44,7 +44,8 @@ DEFAULT_BINS = 50
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation, clamped into [-1, 1].
+    """Sample Pearson correlation, clamped into [-1, 1]: a one-row call of
+    the row-correlation kernel the censuses use.
 
     Requires equal lengths >= 2 and nonzero sample variance on both sides;
     zero variance raises DegenerateInputError.
@@ -57,14 +58,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValidationError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
     if xa.shape[0] < 2:
         raise ValidationError("need at least 2 observations")
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    sx = math.sqrt(float(xc @ xc))
-    sy = math.sqrt(float(yc @ yc))
-    if sx == 0.0 or sy == 0.0:
+    r = float(_corr_centred(_centred(xa[None, :]), _centred(ya[None, :]))[0])
+    if math.isnan(r):
         raise DegenerateInputError("zero sample variance")
-    r = float(xc @ yc) / (sx * sy)
-    return min(1.0, max(-1.0, r))
+    return r
 
 
 def fisher_z(r: float) -> float:
@@ -110,22 +107,61 @@ def _row_values(source) -> np.ndarray:
     return values
 
 
+_CONST_TOL = 64.0 * np.finfo(np.float64).eps
+
+
+def _effectively_constant(rows: np.ndarray) -> np.ndarray:
+    """True per row when the spread is within float rounding of zero.
+
+    Catches rows like y - x for y = x + c, whose exact difference is constant
+    but whose float image wobbles by a few ulp.
+    """
+    hi = rows.max(axis=1)
+    lo = rows.min(axis=1)
+    # max |value| is max(hi, -lo), exactly, with no temporary of |rows|
+    return hi - lo <= _CONST_TOL * np.maximum(1.0, np.maximum(hi, -lo))
+
+
+def _centred(rows: np.ndarray) -> np.ndarray:
+    return rows - rows.mean(axis=1, keepdims=True)
+
+
+def _corr_centred(Xc: np.ndarray, Yc: np.ndarray) -> np.ndarray:
+    """Row-wise Pearson correlation of two stacks of centred rows, clamped;
+    NaN where either row is all zeros. Each row's result depends on that
+    row alone, so a one-row call gives a block row's bits."""
+    sx = np.sqrt(np.einsum("ij,ij->i", Xc, Xc))
+    sy = np.sqrt(np.einsum("ij,ij->i", Yc, Yc))
+    denom = sx * sy
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.einsum("ij,ij->i", Xc, Yc) / denom
+    r[denom == 0.0] = np.nan
+    return np.clip(r, -1.0, 1.0)
+
+
 def _standardized_rows(source) -> np.ndarray:
     """Rows centered and scaled to unit Euclidean norm, so correlations are
-    plain inner products."""
+    plain inner products. A row constant up to rounding, whose norm and every
+    r would be rounding noise, raises DegenerateInputError naming the first.
+
+    Not ``_corr_centred``'s formula: the golden corr reports pin the bits of
+    this division by each row's norm."""
     X = _row_values(source)
     if X.shape[0] < 2:
         raise ValidationError("need at least 2 rows for pairwise correlations")
     if not np.isfinite(X).all():
         raise ValidationError("correlations need finite values")
-    Xc = X - X.mean(axis=1, keepdims=True)
-    norms = np.sqrt(np.einsum("ij,ij->i", Xc, Xc))
-    if (norms == 0.0).any():
-        bad = int(np.argmax(norms == 0.0))
+    # checked a block of rows at a time, with no whole-matrix temporary
+    constant = np.concatenate([_effectively_constant(X[rows])
+                               for rows in _kernels.row_blocks(X.shape[0])])
+    if constant.any():
+        bad = int(np.argmax(constant))
         ids = getattr(source, "gene_ids", None) or getattr(source, "row_ids", None)
         name = ids[bad] if ids is not None else str(bad)
-        raise DegenerateInputError(f"row {name!r} has zero variance")
-    return Xc / norms[:, None]
+        raise DegenerateInputError(f"row {name!r} is constant up to rounding")
+    Xc = _centred(X)
+    Xc /= np.sqrt(np.einsum("ij,ij->i", Xc, Xc))[:, None]
+    return Xc
 
 
 _UNIT_R = "correlation of magnitude 1 (duplicated rows?) has no finite z"

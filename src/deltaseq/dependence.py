@@ -17,28 +17,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corrstats import pearson
+from . import _kernels
+from .corrstats import _centred, _corr_centred, _effectively_constant
 from .datamodel import ExpressionMatrix
 from .errors import DegenerateInputError, ResourceError, ValidationError
 from .mtp import csv_text
 
-_CONST_TOL = 64.0 * np.finfo(np.float64).eps
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
 # Rows gathered and tested at once by the censuses: each block temporary
 # holds _BLOCK_ROWS * n_arrays float64 values, 2.9 MB at 88 arrays.
 _BLOCK_ROWS = 4096
-
-
-def _effectively_constant(rows: np.ndarray) -> np.ndarray:
-    """True per row when the spread is within float rounding of zero.
-
-    Catches rows like y - x for y = x + c, whose exact difference is constant
-    but whose float image wobbles by a few ulp.
-    """
-    rows = np.atleast_2d(rows)
-    spread = rows.max(axis=1) - rows.min(axis=1)
-    scale = np.maximum(1.0, np.abs(rows).max(axis=1))
-    return spread <= _CONST_TOL * scale
 
 
 def _fisher_pvalues(r: np.ndarray, n: int) -> np.ndarray:
@@ -49,21 +37,6 @@ def _fisher_pvalues(r: np.ndarray, n: int) -> np.ndarray:
     return _erfc(np.abs(z) * math.sqrt((n - 3) / 2.0))
 
 
-def _centred(rows: np.ndarray) -> np.ndarray:
-    return rows - rows.mean(axis=1, keepdims=True)
-
-
-def _corr_centred(Xc: np.ndarray, Yc: np.ndarray) -> np.ndarray:
-    """Row-wise Pearson correlation of two stacks of centred rows, clamped."""
-    sx = np.sqrt(np.einsum("ij,ij->i", Xc, Xc))
-    sy = np.sqrt(np.einsum("ij,ij->i", Yc, Yc))
-    denom = sx * sy
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.einsum("ij,ij->i", Xc, Yc) / denom
-    r[denom == 0.0] = 0.0
-    return np.clip(r, -1.0, 1.0)
-
-
 def _increment_corr(drv: np.ndarray, drv_constant: np.ndarray, inc: np.ndarray,
                     inc_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Driver/increment correlation of a block of rows, given the centred
@@ -71,6 +44,30 @@ def _increment_corr(drv: np.ndarray, drv_constant: np.ndarray, inc: np.ndarray,
     effectively constant. Each row's result depends on that row alone."""
     degenerate = _effectively_constant(inc) | drv_constant
     return _corr_centred(_centred(drv), inc_c), degenerate
+
+
+def _drivers_first(var: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Each row index pair with its lower-variance row first, the driver; a
+    tie keeps the pair's order."""
+    return np.where((var[pairs[:, 1]] < var[pairs[:, 0]])[:, None], pairs[:, ::-1], pairs)
+
+
+def _type_a_rows(values: np.ndarray, pairs: np.ndarray,
+                 ids: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Driver/increment correlation and degenerate flag of each (driver,
+    modulator) row pair of ``values``; a pair of constant rows raises
+    DegenerateInputError naming them by ``ids``."""
+    lo, hi = pairs.T
+    drv = values[lo]
+    mod = values[hi]
+    drv_constant = _effectively_constant(drv)
+    both_const = drv_constant & _effectively_constant(mod)
+    if both_const.any():
+        k = int(np.argmax(both_const))
+        raise DegenerateInputError(
+            f"genes {ids[int(lo[k])]!r} and {ids[int(hi[k])]!r} are both constant")
+    inc = mod - drv
+    return _increment_corr(drv, drv_constant, inc, _centred(inc))
 
 
 def _type_a_outcome(r: np.ndarray, degenerate: np.ndarray, n: int, alpha: float):
@@ -102,7 +99,8 @@ def type_a_test(x: Sequence[float], y: Sequence[float], alpha: float = 0.05,
 
     ``is_type_a`` is True when the driver/increment correlation is NOT
     significant at ``alpha`` (failing to reject the zero-covariance
-    condition). Both rows constant is a degenerate input.
+    condition). Both rows constant is a degenerate input. The pair is one
+    row of ``type_a_census``'s kernel, with the census's bits.
     """
     xa = np.asarray(x, dtype=np.float64).ravel()
     ya = np.asarray(y, dtype=np.float64).ravel()
@@ -113,22 +111,14 @@ def type_a_test(x: Sequence[float], y: Sequence[float], alpha: float = 0.05,
         raise ValidationError("need at least 4 observations")
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    cx = bool(_effectively_constant(xa)[0])
-    cy = bool(_effectively_constant(ya)[0])
-    if cx and cy:
-        raise DegenerateInputError("both rows are constant")
-    vx = float(xa.var(ddof=1))
-    vy = float(ya.var(ddof=1))
-    if vx < vy or (vx == vy and ids[0] <= ids[1]):
-        drv, mod = xa, ya
-        did, mid = ids
-    else:
-        drv, mod = ya, xa
-        did, mid = ids[1], ids[0]
-    inc = (mod - drv)[None, :]
-    r, degenerate = _increment_corr(drv[None, :], _effectively_constant(drv), inc,
-                                    _centred(inc))
+    # rows stacked by ascending id, so a variance tie falls to the smaller id
+    if ids[0] > ids[1]:
+        xa, ya, ids = ya, xa, ids[::-1]
+    rows = np.vstack([xa, ya])
+    pair = _drivers_first(_kernels.row_variances(rows), np.array([[0, 1]]))
+    r, degenerate = _type_a_rows(rows, pair, ids)
     r, p, ok = _type_a_outcome(r, degenerate, n, alpha)
+    did, mid = (ids[k] for k in pair[0])
     return TypeAResult(did, mid, float(r[0]), float(p[0]), bool(ok[0]), n)
 
 
@@ -186,12 +176,8 @@ def type_a_census(matrix: ExpressionMatrix, n_pairs: int, alpha: float = 0.05,
     """Fraction of randomly sampled gene pairs classified type A.
 
     Pairs are drawn uniformly without replacement; the draw order is fixed by
-    the seed, so the census is reproducible.
-
-    Memory does not grow with the pair rows: pairs are gathered and tested
-    in blocks of ``_BLOCK_ROWS`` (4096), so each temporary holds at most
-    ``_BLOCK_ROWS * n_arrays * 8`` bytes (2.9 MB at 88 arrays), plus O(n_pairs)
-    for the draws and the per-pair outputs.
+    the seed, so the census is reproducible. Memory beyond the matrix is
+    O(n_pairs) for the draws and outputs, and one block's rows (``_BLOCK_ROWS``).
     """
     m = matrix.n_genes
     total = m * (m - 1) // 2
@@ -203,25 +189,13 @@ def type_a_census(matrix: ExpressionMatrix, n_pairs: int, alpha: float = 0.05,
     idx, _ = _draw_distinct_tuples(rng, m, 2, n_pairs, np.empty(0, dtype=np.int64))
 
     values = matrix.values
-    var = values.var(axis=1, ddof=1)
-    # Driver is the lower-variance gene; ties fall to the lower index.
-    pairs = np.where((var[idx[:, 1]] < var[idx[:, 0]])[:, None], idx[:, ::-1], idx)
+    # the draws are ascending, so a variance tie falls to the lower index
+    pairs = _drivers_first(_kernels.row_variances(values), idx)
     r = np.empty(n_pairs)
     degenerate = np.empty(n_pairs, dtype=bool)
     for start in range(0, n_pairs, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        lo, hi = pairs[block].T
-        drv = values[lo]
-        mod = values[hi]
-        drv_constant = _effectively_constant(drv)
-        both_const = drv_constant & _effectively_constant(mod)
-        if both_const.any():
-            k = int(np.argmax(both_const))
-            raise DegenerateInputError(
-                f"genes {matrix.gene_ids[int(lo[k])]!r} and {matrix.gene_ids[int(hi[k])]!r} are both constant"
-            )
-        inc = mod - drv
-        r[block], degenerate[block] = _increment_corr(drv, drv_constant, inc, _centred(inc))
+        r[block], degenerate[block] = _type_a_rows(values, pairs[block], matrix.gene_ids)
     r, p, ok = _type_a_outcome(r, degenerate, matrix.n_arrays, alpha)
     return PairCensus(float(ok.mean()), pairs, r, p, ok, alpha, seed)
 
@@ -244,13 +218,22 @@ class TripleStats:
     sigma_w: float
     rho_uv: float
     rho_vw: float
-    threshold: float
     degenerate: bool
 
 
-def _sample_cov(a: np.ndarray, b: np.ndarray) -> float:
-    n = a.shape[0]
-    return float((a - a.mean()) @ (b - b.mean())) / (n - 1)
+def _triple_rows(values: np.ndarray, triples: np.ndarray):
+    """(r1, deg1, r2, deg2, cov) of each ascending-variance (u, v, w) row
+    triple: ``_increment_corr`` of the pairs (u, v) and (v, w), and the
+    sample covariance of the increments z1 = v - u and z2 = w - v."""
+    U, V, W = (values[col] for col in triples.T)
+    z1 = V - U
+    z2 = W - V
+    z1c = _centred(z1)
+    z2c = _centred(z2)
+    r1, deg1 = _increment_corr(U, _effectively_constant(U), z1, z1c)
+    r2, deg2 = _increment_corr(V, _effectively_constant(V), z2, z2c)
+    cov = np.einsum("ij,ij->i", z1c, z2c) / (values.shape[1] - 1)
+    return r1, deg1, r2, deg2, cov
 
 
 def triple_stats(u: Sequence[float], v: Sequence[float], w: Sequence[float],
@@ -258,45 +241,22 @@ def triple_stats(u: Sequence[float], v: Sequence[float], w: Sequence[float],
     """Order three rows by ascending sample variance and report the statistics
     of the two consecutive increments.
 
-    Identical rows make the triple degenerate; the covariance is still
-    returned. The threshold field is the paper's printed bound on rho(v, w)
-    for a positive increment correlation (positive_increment_threshold,
-    which is not sufficient), NaN when any sigma is zero.
+    The triple is one row of ``triple_census``'s kernel, with the census's
+    bits, and is degenerate when either adjacent pair is (a row or increment
+    constant up to rounding); the covariance is still returned. ``rho_uv``
+    and ``rho_vw`` are NaN when a row has zero variance.
     """
     rows = np.vstack([np.asarray(r, dtype=np.float64).ravel() for r in (u, v, w)])
     if rows.shape[1] < 4:
         raise ValidationError("need at least 4 observations")
-    var = rows.var(axis=1, ddof=1)
+    var = _kernels.row_variances(rows)
     order = np.argsort(var, kind="stable")
+    _, deg1, _, deg2, cov = _triple_rows(rows, order[None, :])
     rows = rows[order]
-    var = var[order]
-    oid = tuple(int(ids[k]) for k in order)
-    z1 = rows[1] - rows[0]
-    z2 = rows[2] - rows[1]
-    cov = _sample_cov(z1, z2)
-    sig = np.sqrt(var)
-    degenerate = bool(
-        np.array_equal(rows[0], rows[1])
-        or np.array_equal(rows[1], rows[2])
-        or np.array_equal(rows[0], rows[2])
-        or (sig == 0.0).any()
-    )
-
-    def _safe_r(a, b):
-        try:
-            return pearson(a, b)
-        except DegenerateInputError:
-            return math.nan
-
-    rho_uv = _safe_r(rows[0], rows[1])
-    rho_vw = _safe_r(rows[1], rows[2])
-    thr = (
-        positive_increment_threshold(float(sig[0]), float(sig[1]), float(sig[2]))
-        if (sig > 0.0).all()
-        else math.nan
-    )
-    return TripleStats(oid, z1, z2, cov, float(sig[0]), float(sig[1]), float(sig[2]),
-                       rho_uv, rho_vw, thr, degenerate)
+    sig = np.sqrt(var[order])
+    rho_uv, rho_vw = _corr_centred(_centred(rows[:2]), _centred(rows[1:])).tolist()
+    return TripleStats(tuple(int(ids[k]) for k in order), rows[1] - rows[0], rows[2] - rows[1],
+                       float(cov[0]), *sig.tolist(), rho_uv, rho_vw, bool(deg1[0] | deg2[0]))
 
 
 @dataclass(frozen=True)
@@ -321,12 +281,9 @@ def triple_census(matrix: ExpressionMatrix, n_triples: int, mode: str = "type_a_
     type A test at ``alpha``; candidates are drawn without replacement until
     ``n_triples`` qualify or the attempt budget (max_attempt_factor times the
     request) is exhausted, which raises ResourceError naming the count found.
-    mode "any" keeps every sampled triple.
-
-    Memory does not grow with the triple rows: each batch of candidates is
-    gathered and tested in blocks of ``_BLOCK_ROWS`` (4096), so each temporary holds
-    at most ``_BLOCK_ROWS * n_arrays * 8`` bytes (2.9 MB at 88 arrays), plus
-    O(n_triples) for the draws, the seen codes and the per-triple outputs.
+    mode "any" keeps every sampled triple. Memory beyond the matrix is
+    O(n_triples) for the draws, the seen codes and the outputs, and one
+    block's rows (``_BLOCK_ROWS``).
     """
     if mode not in ("type_a_only", "any"):
         raise ValidationError(f"mode must be 'type_a_only' or 'any', got {mode!r}")
@@ -340,7 +297,7 @@ def triple_census(matrix: ExpressionMatrix, n_triples: int, mode: str = "type_a_
     rng = np.random.default_rng(seed)
     values = matrix.values
     n = matrix.n_arrays
-    var_all = values.var(axis=1, ddof=1)
+    var_all = _kernels.row_variances(values)
     budget = max_attempt_factor * n_triples if mode == "type_a_only" else n_triples
     budget = min(budget, total)
 
@@ -360,14 +317,8 @@ def triple_census(matrix: ExpressionMatrix, n_triples: int, mode: str = "type_a_
         deg1, deg2 = np.empty(want, dtype=bool), np.empty(want, dtype=bool)
         for start in range(0, want, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            U, V, W = (values[col] for col in ids[block].T)
-            z1 = V - U
-            z2 = W - V
-            z1c = _centred(z1)
-            z2c = _centred(z2)
-            r1[block], deg1[block] = _increment_corr(U, _effectively_constant(U), z1, z1c)
-            r2[block], deg2[block] = _increment_corr(V, _effectively_constant(V), z2, z2c)
-            cov[block] = np.einsum("ij,ij->i", z1c, z2c) / (n - 1)
+            r1[block], deg1[block], r2[block], deg2[block], cov[block] = \
+                _triple_rows(values, ids[block])
         _, p1, ok1 = _type_a_outcome(r1, deg1, n, alpha)
         _, p2, ok2 = _type_a_outcome(r2, deg2, n, alpha)
         keep = np.flatnonzero(ok1 & ok2) if mode == "type_a_only" else np.arange(want)

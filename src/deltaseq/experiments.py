@@ -459,8 +459,7 @@ def _two_sample_rows(a: ExpressionMatrix, b: ExpressionMatrix, mode: str):
     if a.gene_ids != b.gene_ids:
         raise ValidationError("matrices must share one gene universe (same ids, same order)")
     if mode == "delta":
-        pooled = np.concatenate([a.values, b.values], axis=1)
-        ordering = variance_ordering(pooled)
+        ordering = variance_ordering((a.values, b.values))
         da = delta_sequence(a, ordering)
         db = delta_sequence(b, ordering)
         return da.values, db.values, da.row_ids

@@ -108,10 +108,9 @@ class EDF:
         dividing that integer once puts every height exactly on the k/size
         lattice.
 
-        The heights overwrite those integer counts in place, and both fresh
-        arrays go to the StepFunction without its constructor's copies and
-        checks: distinct sorted values are strictly increasing, and counts
-        up to the size give nondecreasing heights in [0, 1]."""
+        Both fresh arrays go to the StepFunction without its constructor's
+        copies and checks: distinct sorted values are strictly increasing,
+        and counts up to the size give nondecreasing heights in [0, 1]."""
         values = self.sorted_values
         starts = np.empty(self.size, dtype=bool)
         starts[0] = True
@@ -120,8 +119,7 @@ class EDF:
         at_or_below = np.flatnonzero(starts)
         at_or_below[:-1] = at_or_below[1:]
         at_or_below[-1] = self.size
-        ys = at_or_below.view(np.float64)
-        np.true_divide(at_or_below, self.size, out=ys)
+        ys = at_or_below / self.size
         step = object.__new__(StepFunction)
         for name, arr in (("xs", xs), ("ys", ys)):
             arr.flags.writeable = False

@@ -52,22 +52,15 @@ class GeneOrdering:
         return self.permutation.shape[0] // 2
 
 
-def variance_ordering(matrix: ExpressionMatrix | np.ndarray,
+def variance_ordering(matrix: ExpressionMatrix | np.ndarray | tuple,
                       columns: np.ndarray | None = None) -> GeneOrdering:
     """Rank rows by ascending sample variance, over ``columns`` only when
     given; drop the lowest-variance row when the count is odd.
 
-    The variances are computed a block of rows at a time, each block
-    gathering its own ``columns``, so no copy of the whole column subset is
-    made. Every row gets the bits ``values[:, columns].var(axis=1, ddof=1)``
-    gives it: a block of two or more rows has the whole array's layout and
-    is reduced the same way (``_kernels.row_blocks``)."""
-    values = getattr(matrix, "values", matrix)
-    values = np.asarray(values, dtype=np.float64)
-    var = np.empty(values.shape[0])
-    for rows in _kernels.row_blocks(values.shape[0]):
-        block = values[rows] if columns is None else values[rows][:, columns]
-        var[rows] = block.var(axis=1, ddof=1)
+    ``matrix`` may be a tuple of arrays over the same genes, pooled side by
+    side. The variances come a block of rows at a time from
+    ``_kernels.row_variances``, which copies neither the pool nor the subset."""
+    var = _kernels.row_variances(getattr(matrix, "values", matrix), columns)
     order = np.argsort(var, kind="stable")
     if order.shape[0] % 2 != 0:
         order = order[1:]

@@ -16,7 +16,9 @@ from deltaseq import (
     pearson,
     z_summary,
 )
-from deltaseq import _kernels, corrstats
+from deltaseq import _kernels, corrstats, delta_sequence, variance_ordering
+from deltaseq.cli import main
+from deltaseq.datamodel import save_matrix
 from deltaseq.corrstats import histogram_to_csv, summary_header_json
 
 from helpers import (
@@ -186,6 +188,54 @@ class TestAllPairsSummary:
     def test_single_pair_minimum(self):
         with pytest.raises(ValidationError):
             all_pairs_summary(random_matrix(m=1))
+
+
+def shifted_copy_matrix() -> ExpressionMatrix:
+    """40 x 12 genes where g1 = g0 + 0.7 and both have far the lowest
+    variance, so their delta row pair1 reads 0.7 up to rounding."""
+    values = random_matrix(m=40, n=12, seed=31) * 2.0
+    values[0] *= 0.05
+    values[1] = values[0] + 0.7
+    return ExpressionMatrix(tuple(f"g{i}" for i in range(40)),
+                            tuple(f"a{j}" for j in range(12)), values, True)
+
+
+class TestConstantUpToRounding:
+    """A row whose spread is rounding noise has no correlation to report,
+    though its centred norm is not zero."""
+
+    def delta(self):
+        matrix = shifted_copy_matrix()
+        delta = delta_sequence(matrix, variance_ordering(matrix))
+        row = delta.values[0]
+        assert delta.row_ids[0] == "pair1:g0-g1"
+        assert np.abs(row - 0.7).max() < 1e-15
+        centred = row - row.mean()
+        assert centred @ centred > 0.0
+        return delta
+
+    @pytest.mark.parametrize("summary", [all_pairs_summary, z_summary])
+    def test_library_refuses_the_row(self, summary):
+        with pytest.raises(DegenerateInputError, match="pair1:g0-g1"):
+            summary(self.delta())
+
+    def test_cli_exits_1(self, tmp_path, capsys):
+        self.delta()
+        path = tmp_path / "shifted.tsv"
+        save_matrix(shifted_copy_matrix(), path)
+        code = main(["corr", "--in", str(path), "--on", "delta", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "pair1:g0-g1" in err
+
+    def test_checked_a_block_at_a_time(self, monkeypatch):
+        # the first such row is named, here in the third block of 7 rows
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", 7)
+        values = random_matrix(m=30, n=9, seed=32)
+        values[16] = (values[3] + 0.7) - values[3]
+        values[25] = 2.0
+        with pytest.raises(DegenerateInputError, match="'16'"):
+            all_pairs_summary(values)
 
 
 class TestZSummary:

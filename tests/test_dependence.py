@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -25,6 +26,7 @@ from deltaseq import (
 from deltaseq.dependence import (
     _BLOCK_ROWS,
     _draw_distinct_tuples,
+    _triple_rows,
     pair_census_to_csv,
     triple_census_to_csv,
 )
@@ -343,7 +345,8 @@ class TestTripleStats:
         const = np.full(5, 3.0)
         x = np.array([1.0, 2.0, 3.0, 4.0, 8.0])
         ts = triple_stats(const, x, x * 2)
-        assert math.isnan(ts.threshold)
+        assert ts.sigma_u == 0.0
+        assert math.isnan(ts.rho_uv)
         assert ts.degenerate
 
 
@@ -387,7 +390,7 @@ class TestTripleCensus:
         for t, cov in zip(census.triples, census.cov_z1_z2):
             ts = triple_stats(m.values[t[0]], m.values[t[1]], m.values[t[2]],
                               ids=tuple(int(x) for x in t))
-            assert cov == pytest.approx(ts.cov_z1_z2, abs=1e-12)
+            assert cov == ts.cov_z1_z2
 
     def test_budget_exhaustion(self):
         # alpha near 1 rejects almost every pair, so qualifying triples are rare
@@ -408,6 +411,75 @@ class TestTripleCensus:
         lines = triple_census_to_csv(census, m).splitlines()
         assert lines[0] == "id1,id2,id3,statistic,p_value,flag"
         assert len(lines) == 6
+
+
+@st.composite
+def tied_rows(draw):
+    """A small matrix (n = 4 to 7 arrays) of rows on a coarse grid, so that
+    values and variances tie, each later row possibly an exact copy, a
+    shifted copy, a negated copy of an earlier one, or constant."""
+    m = draw(st.integers(3, 7), label="m")
+    n = draw(st.integers(4, 7), label="n")
+    grid = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    values = np.array(draw(st.lists(grid, min_size=m, max_size=m)), dtype=np.float64) * 0.3
+    for k in range(1, m):
+        j = draw(st.integers(0, k - 1))
+        kind = draw(st.sampled_from(["own", "copy", "shift", "negate", "constant"]))
+        if kind == "copy":
+            values[k] = values[j]
+        elif kind == "shift":
+            values[k] = values[j] + draw(st.sampled_from([0.7, -1.1, 3.25]))
+        elif kind == "negate":
+            values[k] = -values[j]
+        elif kind == "constant":
+            values[k] = draw(st.sampled_from([0.0, 0.1, 2.5]))
+    return values
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestScalarIsCensusRow:
+    """The scalar pair and triple tests are one-row calls of the census
+    kernels: every census row equals the scalar call on its genes, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=tied_rows(), seed=st.integers(0, 2**16))
+    def test_triple_census_rows_are_triple_stats(self, values, seed):
+        matrix = matrix_from(values)
+        census = triple_census(matrix, math.comb(values.shape[0], 3), mode="any", seed=seed)
+        # the census's one block, which the kernel's flags are read from
+        _, deg1, _, deg2, cov = _triple_rows(matrix.values, census.triples)
+        assert same_bits(cov, census.cov_z1_z2)
+        assert (census.pair_p_values[deg1, 0] == 1.0).all()
+        assert (census.pair_p_values[deg2, 1] == 1.0).all()
+        for t, c, d in zip(census.triples.tolist(), census.cov_z1_z2, deg1 | deg2):
+            ts = triple_stats(*matrix.values[t], ids=tuple(t))
+            assert ts.ids == tuple(t)
+            assert bits(ts.cov_z1_z2) == bits(c)
+            assert ts.degenerate == bool(d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=tied_rows(), seed=st.integers(0, 2**16))
+    def test_type_a_census_rows_are_type_a_tests(self, values, seed):
+        matrix = matrix_from(values)
+        try:
+            census = type_a_census(matrix, math.comb(values.shape[0], 2), seed=seed)
+        except DegenerateInputError as err:
+            # the first pair of constant rows, which the scalar test refuses too
+            a, b = (int(g) for g in re.findall(r"'g(\d+)'", str(err)))
+            with pytest.raises(DegenerateInputError, match="both constant"):
+                type_a_test(values[a], values[b], ids=(a, b))
+            return
+        for (lo, hi), r, p, ok in zip(census.pairs.tolist(), census.statistics,
+                                      census.p_values, census.is_type_a):
+            a, b = sorted((lo, hi))
+            res = type_a_test(matrix.values[a], matrix.values[b], ids=(a, b))
+            assert (res.driver, res.modulator) == (lo, hi)
+            assert bits(res.statistic) == bits(r)
+            assert bits(res.p_value) == bits(p)
+            assert res.is_type_a == bool(ok)
 
 
 class TestThreshold:

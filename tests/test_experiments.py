@@ -24,7 +24,7 @@ from deltaseq import (
     two_sample_screen,
     variance_ordering,
 )
-from deltaseq import _kernels
+from deltaseq import _kernels, experiments
 from deltaseq.kstest import exact_pvalues_for_scaled
 from deltaseq.mtp import confusion_counts, extended_bonferroni, report_to_json
 from deltaseq.ordering import delta_sequence
@@ -35,6 +35,7 @@ from helpers import (
     jackknife_distances_oracle,
     ks_scaled_oracle,
     run_under_every_blas_kernel,
+    variance_ordering_oracle,
 )
 
 TESTS = str(Path(__file__).resolve().parent)
@@ -454,6 +455,18 @@ class TestExceedance:
                              values, True)
         with pytest.raises(ValidationError):
             cross_phenotype_exceedance(a, b)
+
+    def test_pooled_ordering_reads_both_phenotypes_in_blocks(self, monkeypatch):
+        # with 7-row blocks the rows are those of the concatenated matrix's ordering
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", 7)
+        a = null_matrix(m=36, n=12, seed=38)
+        b = null_matrix(m=36, n=14, seed=39)
+        ordering = variance_ordering_oracle(np.concatenate([a.values, b.values], axis=1))
+        rows_a, rows_b, row_ids = experiments._two_sample_rows(a, b, "delta")
+        want_a = delta_sequence(a, ordering)
+        assert np.array_equal(rows_a, want_a.values)
+        assert np.array_equal(rows_b, delta_sequence(b, ordering).values)
+        assert row_ids == want_a.row_ids
 
     def test_delta_mode_uses_pooled_ordering(self):
         a = null_matrix(m=20, n=12, seed=29)

@@ -14,6 +14,8 @@ from deltaseq import (
 from deltaseq import _kernels, select_arrays
 from deltaseq.ordering import DeltaMatrix, GeneOrdering, delta_to_tsv, ordering_to_csv
 
+from helpers import variance_ordering_oracle
+
 
 def matrix_from(values, log_scale=True):
     values = np.asarray(values, dtype=np.float64)
@@ -120,6 +122,22 @@ class TestRowBlocks:
         o = variance_ordering(source, columns=cols)
         assert o.permutation.tolist() == want.tolist()
         assert o.variances.view(np.int64).tolist() == var[want].view(np.int64).tolist()
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("m", [7, 8, 13, 15, 22])
+    def test_pooled_pair_equals_concatenated(self, m, layout):
+        # two phenotypes over one gene universe are pooled a block at a time,
+        # without the whole concatenated copy, and give its bits
+        rng = np.random.default_rng(100 + m)
+        scale = rng.uniform(0.2, 3.0, size=(m, 1))
+        a, b = (np.round(rng.normal(size=(m, n)) * scale, 1) for n in (6, 5))
+        a[1] = -a[0]  # a variance tie across the pooled row, bit for bit
+        b[1] = -b[0]
+        want = variance_ordering_oracle(np.concatenate([a, b], axis=1))
+        order = {"C": np.ascontiguousarray, "F": np.asfortranarray}[layout]
+        got = variance_ordering((order(a), order(b)))
+        assert got.permutation.tolist() == want.permutation.tolist()
+        assert got.variances.view(np.int64).tolist() == want.variances.view(np.int64).tolist()
 
     def test_matrix_and_columns(self):
         # an ExpressionMatrix is read through its values, columns gathered per block
