@@ -65,12 +65,14 @@ def row_variances(values, columns: np.ndarray | None = None) -> np.ndarray:
 # statistic is still exact for the data as given, but the exact null p-value
 # assumes no cross-sample ties.
 #
-# Float rows get their keys from one pooled argsort per call. Callers that
-# draw many column subsets of one pooled matrix dense-rank it once
-# (`dense_ranks`) and pass the chosen integer ranks, whose keys need only one
-# small integer sort. Keys are sorted and scanned in the transposed
-# (n1+n2, m) layout, so each step is one vector operation across all m rows,
-# with an int32 accumulator while n1*n2 fits in it.
+# Float rows get their keys from a pooled argsort a row block at a time
+# (`row_blocks`), each block writing its flags into the transposed layout
+# below, so no pooled copy of the whole batch is made. Callers that draw
+# many column subsets of one pooled matrix dense-rank it once (`dense_ranks`)
+# and pass the chosen integer ranks, whose keys need only one small integer
+# sort. Keys are sorted and scanned in the transposed (n1+n2, m) layout, so
+# each step is one vector operation across all m rows, with an int32
+# accumulator while n1*n2 fits in it.
 # ---------------------------------------------------------------------------
 
 
@@ -114,12 +116,15 @@ def ks_scaled_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
         rank = keys >> 1
         change = rank[1:] != rank[:-1]
     else:
-        combined = np.concatenate([a, b], axis=1).astype(np.float64, copy=False)
-        # the scan needs the keys grouped by rank only, so the sort need not be stable
-        order = np.argsort(combined, axis=1)
-        vals = np.take_along_axis(combined, order, axis=1)
-        second = np.ascontiguousarray((order >= n1).T)
-        change = np.ascontiguousarray((vals[:, 1:] != vals[:, :-1]).T)
+        second = np.empty((n1 + n2, m), dtype=bool)
+        change = np.empty((n1 + n2 - 1, m), dtype=bool)
+        for rows in row_blocks(m):
+            combined = np.concatenate([a[rows], b[rows]], axis=1).astype(np.float64, copy=False)
+            # the scan needs the keys grouped by rank only, so the sort need not be stable
+            order = np.argsort(combined, axis=1)
+            vals = np.take_along_axis(combined, order, axis=1)
+            np.greater_equal(order.T, n1, out=second[:, rows])
+            np.not_equal(vals[:, 1:].T, vals[:, :-1].T, out=change[:, rows])
     # second: the sample bits of the (n1+n2, m) sorted keys; change: a rank
     # change between neighbours. The one scan follows.
     h = second.astype(np.int32 if n1 * n2 < 2**31 else np.int64)

@@ -24,9 +24,6 @@ from .errors import DegenerateInputError, ResourceError, ValidationError
 from .mtp import csv_text
 
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
-# Rows gathered and tested at once by the censuses: each block temporary
-# holds _BLOCK_ROWS * n_arrays float64 values, 2.9 MB at 88 arrays.
-_BLOCK_ROWS = 4096
 
 
 def _fisher_pvalues(r: np.ndarray, n: int) -> np.ndarray:
@@ -177,7 +174,8 @@ def type_a_census(matrix: ExpressionMatrix, n_pairs: int, alpha: float = 0.05,
 
     Pairs are drawn uniformly without replacement; the draw order is fixed by
     the seed, so the census is reproducible. Memory beyond the matrix is
-    O(n_pairs) for the draws and outputs, and one block's rows (``_BLOCK_ROWS``).
+    O(n_pairs) for the draws and outputs, and one block's rows
+    (``_kernels.row_blocks``).
     """
     m = matrix.n_genes
     total = m * (m - 1) // 2
@@ -193,9 +191,8 @@ def type_a_census(matrix: ExpressionMatrix, n_pairs: int, alpha: float = 0.05,
     pairs = _drivers_first(_kernels.row_variances(values), idx)
     r = np.empty(n_pairs)
     degenerate = np.empty(n_pairs, dtype=bool)
-    for start in range(0, n_pairs, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        r[block], degenerate[block] = _type_a_rows(values, pairs[block], matrix.gene_ids)
+    for rows in _kernels.row_blocks(n_pairs):
+        r[rows], degenerate[rows] = _type_a_rows(values, pairs[rows], matrix.gene_ids)
     r, p, ok = _type_a_outcome(r, degenerate, matrix.n_arrays, alpha)
     return PairCensus(float(ok.mean()), pairs, r, p, ok, alpha, seed)
 
@@ -283,7 +280,7 @@ def triple_census(matrix: ExpressionMatrix, n_triples: int, mode: str = "type_a_
     request) is exhausted, which raises ResourceError naming the count found.
     mode "any" keeps every sampled triple. Memory beyond the matrix is
     O(n_triples) for the draws, the seen codes and the outputs, and one
-    block's rows (``_BLOCK_ROWS``).
+    block's rows (``_kernels.row_blocks``).
     """
     if mode not in ("type_a_only", "any"):
         raise ValidationError(f"mode must be 'type_a_only' or 'any', got {mode!r}")
@@ -315,10 +312,8 @@ def triple_census(matrix: ExpressionMatrix, n_triples: int, mode: str = "type_a_
         ids = np.take_along_axis(ids, ordv, axis=1)
         r1, r2, cov = np.empty(want), np.empty(want), np.empty(want)
         deg1, deg2 = np.empty(want, dtype=bool), np.empty(want, dtype=bool)
-        for start in range(0, want, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            r1[block], deg1[block], r2[block], deg2[block], cov[block] = \
-                _triple_rows(values, ids[block])
+        for rows in _kernels.row_blocks(want):
+            r1[rows], deg1[rows], r2[rows], deg2[rows], cov[rows] = _triple_rows(values, ids[rows])
         _, p1, ok1 = _type_a_outcome(r1, deg1, n, alpha)
         _, p2, ok2 = _type_a_outcome(r2, deg2, n, alpha)
         keep = np.flatnonzero(ok1 & ok2) if mode == "type_a_only" else np.arange(want)

@@ -13,7 +13,10 @@ Under the null that both samples are drawn exchangeably from one continuous
 distribution, every interleaving of the n1+n2 ranks is equally likely, so
 P(D >= d) is a ratio of lattice-path counts (Hodges 1958): paths from (0,0)
 to (n1,n2) are tallied with arbitrary-precision integers and the p-value is
-formed as an exact rational before rounding once to float. A rank group that
+formed as an exact rational before rounding once to float. One DP over the
+pooled positions (``_lattice_counts``) counts the paths for every limit a
+caller needs at once, a batch of statistics or a whole CDF table in one
+pass, its counts Python ints in an object array. A rank group that
 holds both sample bits is a cross-sample tie, which breaks the
 exchangeability argument; the statistic is still exact for the data as
 given, the result carries a flag, and the p-value is conservative: given the
@@ -248,33 +251,26 @@ def ks_test(s1: Sequence[float], s2: Sequence[float]) -> KSResult:
 # ---------------------------------------------------------------------------
 
 
-def _paths_within(n1: int, n2: int, limit: int) -> int:
-    """Count monotone paths (0,0) -> (n1,n2) with |i*n2 - j*n1| <= limit at
-    every vertex. Arbitrary-precision integers throughout."""
-    if limit < 0:
-        return 0
-    if limit >= n1 * n2:
-        return math.comb(n1 + n2, n1)
-    prev = [0] * (n2 + 1)
-    prev[0] = 1
-    hi0 = min(n2, limit // n1)
-    for j in range(1, hi0 + 1):
-        prev[j] = 1
-    for i in range(1, n1 + 1):
-        cur = [0] * (n2 + 1)
-        base = i * n2
-        lo_num = base - limit
-        lo = 0 if lo_num <= 0 else -(-lo_num // n1)
-        hi = min(n2, (base + limit) // n1)
-        if lo > hi:
-            return 0
-        for j in range(lo, hi + 1):
-            acc = prev[j]
-            if j > 0:
-                acc += cur[j - 1]
-            cur[j] = acc
-        prev = cur
-    return prev[n2]
+def _lattice_counts(n1: int, n2: int, limits) -> list[int]:
+    """For each limit, the monotone paths (0,0) -> (n1,n2) with
+    |i*n2 - j*n1| <= limit at every vertex, as Python ints.
+
+    One DP over the pooled positions p = i + j = 1 .. n1+n2 serves every
+    limit: row k of ``counts`` holds, for limit k, the paths from (0,0) to
+    each vertex (i, p - i) that stayed inside so far, indexed by i, and row
+    p - 1 of ``h`` holds |i*n2 - j*n1| there. A step adds the paths from
+    (i-1, j) and (i, j-1), then zeroes every vertex outside its band, so a
+    negative limit leaves none. Columns i > p stay 0; those with j > n2
+    fill up, but no path leads from them to (n1, n2)."""
+    limits = np.asarray(limits, dtype=np.int64).reshape(-1, 1)
+    p = np.arange(1, n1 + n2 + 1).reshape(-1, 1)
+    h = np.abs(np.arange(n1 + 1) * (n1 + n2) - p * n1)
+    counts = np.zeros((limits.shape[0], n1 + 1), dtype=object)
+    counts[:, 0] = 1
+    for row in h:
+        counts[:, 1:] += counts[:, :-1]
+        counts[row > limits] = 0
+    return counts[:, n1].tolist()
 
 
 def _validate_sizes(n1: int, n2: int) -> tuple[int, int]:
@@ -313,10 +309,8 @@ def ks_exact_pvalue(d: float, n1: int, n2: int) -> float:
 
 @lru_cache(maxsize=256)
 def _pvalue_from_scaled(c: int, n1: int, n2: int) -> Fraction:
-    """P(n1*n2*D >= c) for integer c."""
-    if c <= 0:
-        return Fraction(1)
-    inside = _paths_within(n1, n2, c - 1)
+    """P(n1*n2*D >= c) for integer c; no path stays within a limit below 0."""
+    (inside,) = _lattice_counts(n1, n2, [c - 1])
     return 1 - Fraction(inside, math.comb(n1 + n2, n1))
 
 
@@ -324,14 +318,13 @@ def _pvalue_from_scaled(c: int, n1: int, n2: int) -> Fraction:
 def _counts_within_lattice(n1: int, n2: int) -> tuple[int, ...]:
     """Path counts with max |h| <= k*g for k = 0 .. n1*n2/g (g = gcd)."""
     g = math.gcd(n1, n2)
-    steps = n1 * n2 // g
-    return tuple(_paths_within(n1, n2, k * g) for k in range(steps + 1))
+    return tuple(_lattice_counts(n1, n2, range(0, n1 * n2 + 1, g)))
 
 
 def exact_pvalues_for_scaled(scaled: np.ndarray, n1: int, n2: int) -> np.ndarray:
     """P(D >= c/(n1*n2)) for each integer scaled statistic ``c`` in
-    [0, n1*n2], in an array shaped like ``scaled``; one path count per
-    distinct value."""
+    [0, n1*n2], in an array shaped like ``scaled``; the path counts of all
+    distinct values come from one engine call."""
     n1, n2 = _validate_sizes(n1, n2)
     cs = np.asarray(scaled, dtype=np.int64)
     top = n1 * n2
@@ -340,9 +333,11 @@ def exact_pvalues_for_scaled(scaled: np.ndarray, n1: int, n2: int) -> np.ndarray
         raise ValidationError(f"scaled statistic {bad} outside [0, {top}]")
     seen = np.zeros(top + 1, dtype=bool)
     seen[cs] = True
+    distinct = np.flatnonzero(seen)
+    total = math.comb(n1 + n2, n1)
     table = np.empty(top + 1, dtype=np.float64)
-    for c in np.flatnonzero(seen).tolist():
-        table[c] = float(_pvalue_from_scaled(c, n1, n2))
+    table[distinct] = [float(1 - Fraction(inside, total))
+                       for inside in _lattice_counts(n1, n2, distinct - 1)]
     return table[cs]
 
 

@@ -331,6 +331,37 @@ def enum_cdf(n1: int, n2: int) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
+def paths_within(n1: int, n2: int, limit: int) -> int:
+    """Count monotone paths (0,0) -> (n1,n2) with |i*n2 - j*n1| <= limit at
+    every vertex, one limit at a time: a DP over the rows i of the lattice,
+    each row a Python list of big integers over the columns j inside the
+    band. The superseded form of ``kstest._lattice_counts``."""
+    if limit < 0:
+        return 0
+    if limit >= n1 * n2:
+        return math.comb(n1 + n2, n1)
+    prev = [0] * (n2 + 1)
+    prev[0] = 1
+    hi0 = min(n2, limit // n1)
+    for j in range(1, hi0 + 1):
+        prev[j] = 1
+    for i in range(1, n1 + 1):
+        cur = [0] * (n2 + 1)
+        base = i * n2
+        lo_num = base - limit
+        lo = 0 if lo_num <= 0 else -(-lo_num // n1)
+        hi = min(n2, (base + limit) // n1)
+        if lo > hi:
+            return 0
+        for j in range(lo, hi + 1):
+            acc = prev[j]
+            if j > 0:
+                acc += cur[j - 1]
+            cur[j] = acc
+        prev = cur
+    return prev[n2]
+
+
 def ks_scaled_oracle(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batch KS by a stable argsort of each pooled float row: returns
     (n1*n2*D as int64, cross-sample tie flags). The walk adds +n2 per

@@ -23,8 +23,8 @@ from deltaseq import (
     type_a_test,
     type_a_triple_consistency,
 )
+from deltaseq import _kernels
 from deltaseq.dependence import (
-    _BLOCK_ROWS,
     _draw_distinct_tuples,
     _triple_rows,
     pair_census_to_csv,
@@ -225,8 +225,22 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# 4095 rows are 585 blocks of 7: the last block is one row short (4094),
+# whole (4095), one row over and so merged into the block before it (4096),
+# or two rows of its own (4097)
+EDGE_ROWS = [4094, 4095, 4096, 4097]
+
+
 class TestBlockedCensus:
-    @pytest.mark.parametrize("n_pairs", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    """With blocks of 7 rows, the censuses equal their whole-batch oracles
+    bit for bit; at the default blocks their memory stays bounded."""
+
+    @pytest.fixture
+    def seven_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", 7)
+
+    @pytest.mark.usefixtures("seven_row_blocks")
+    @pytest.mark.parametrize("n_pairs", EDGE_ROWS)
     def test_pairs_bitwise_equal_to_oracle(self, n_pairs):
         values = awkward_matrix(100)
         census = type_a_census(matrix_from(values), n_pairs, alpha=0.05, seed=3)
@@ -241,16 +255,17 @@ class TestBlockedCensus:
         assert (var[pairs[:, 0]] == var[pairs[:, 1]]).any()
         assert ((r == 0.0) & (p == 1.0)).any()
 
+    @pytest.mark.usefixtures("seven_row_blocks")
     def test_both_constant_pair_in_later_block(self):
         # the error names the first both-constant pair in draw order, which
-        # lies in the second block; two more such pairs come after it
-        m, seed = 130, 5
+        # lies in the third block; two more such pairs come after it
+        m, seed, first = 30, 5, 17
         n_pairs = math.comb(m, 2)
         order = draw_distinct_tuples_oracle(np.random.default_rng(seed), m, 2, n_pairs, set())
         pos = {t: k for k, t in enumerate(order)}
-        a, b = order[_BLOCK_ROWS + 10]
+        a, b = order[first]
         c = next(c for c in range(m) if c not in (a, b)
-                 and min(pos[tuple(sorted((a, c)))], pos[tuple(sorted((b, c)))]) > _BLOCK_ROWS + 10)
+                 and min(pos[tuple(sorted((a, c)))], pos[tuple(sorted((b, c)))]) > first)
         values = awkward_matrix(m, seed=1)
         values[[a, b, c]] = [[2.5], [-1.0], [7.0]]
         ids = tuple(f"g{i}" for i in range(m))
@@ -261,7 +276,8 @@ class TestBlockedCensus:
         assert str(err.value) == str(ref.value)
         assert {f"'g{a}'", f"'g{b}'"} == set(str(err.value).split()[1:4:2])
 
-    @pytest.mark.parametrize("n_triples", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    @pytest.mark.usefixtures("seven_row_blocks")
+    @pytest.mark.parametrize("n_triples", EDGE_ROWS)
     def test_triples_any_mode_bitwise_equal_to_oracle(self, n_triples):
         values = awkward_matrix(40)
         census = triple_census(matrix_from(values), n_triples, mode="any", seed=7)
@@ -272,14 +288,14 @@ class TestBlockedCensus:
         assert census.attempts == attempts
         assert census.fraction_negative == float((cov < 0.0).mean())
 
+    @pytest.mark.usefixtures("seven_row_blocks")
     def test_triples_type_a_only_bitwise_equal_to_oracle(self):
         # rows of one profile plus noise of unequal sd: about a third of the
-        # candidates qualify, and the first batch of 2 * _BLOCK_ROWS + 2
-        # candidates spans three blocks
+        # candidates qualify, and each batch of candidates spans many blocks
         rng = np.random.default_rng(8)
         noisy = rng.normal(size=88) + rng.normal(size=(60, 88)) * rng.uniform(0.05, 0.6, (60, 1))
         values = np.vstack([noisy, awkward_matrix(20, seed=9)])
-        n_triples = _BLOCK_ROWS + 1
+        n_triples = 40
         census = triple_census(matrix_from(values), n_triples, alpha=0.05, seed=11)
         ids, cov, p, attempts = triple_census_oracle(values, n_triples, "type_a_only", 0.05, 11)
         assert attempts > 2 * n_triples
@@ -288,6 +304,7 @@ class TestBlockedCensus:
         assert same_bits(census.pair_p_values, p)
         assert census.attempts == attempts
 
+    @pytest.mark.usefixtures("seven_row_blocks")
     def test_triples_budget_matches_oracle(self):
         values = awkward_matrix(30, n_arrays=12, seed=2)
         with pytest.raises(ResourceError) as err:

@@ -4,6 +4,7 @@ kernel must equal the stable-argsort oracle exactly, statistic and tie flag,
 on float rows and on columns drawn from dense-ranked pooled rows."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,27 @@ class TestKsScaledBatch:
             assert np.array_equal(np.sign(row[:, None] - row[None, :]),
                                   np.sign(r[:, None] - r[None, :]))
             assert set(r.tolist()) == set(range(np.unique(row).size))
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 6, 7, 8, 9, 14, 15, 16])
+    def test_float_rows_in_blocks_of_seven_rows(self, m, monkeypatch):
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", 7)
+        x = np.round(np.random.default_rng(m).normal(size=(m, 13)), 1)
+        assert_matches_oracle(_kernels.ks_scaled_batch(x[:, :6], x[:, 6:]), x[:, :6], x[:, 6:])
+
+    def test_float_rows_hold_no_pooled_copy_of_the_batch(self):
+        # 4000 pooled rows of 88: the scan's h and its product with the rank
+        # changes take 2.8 MB, the flags 0.7 MB and one block's pooled copy,
+        # argsort and sorted values 2.2 MB; those three of the whole batch
+        # would take 8.4 MB
+        x = np.round(np.random.default_rng(0).normal(size=(4000, 88)), 2)
+        tracemalloc.start()
+        try:
+            got = _kernels.ks_scaled_batch(x[:, :45], x[:, 45:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
+        assert_matches_oracle(got, x[:, :45], x[:, 45:])
 
     @pytest.mark.parametrize("m", [0, 1, 2, 6, 7, 8, 9, 14, 15, 16])
     def test_dense_ranks_in_blocks_of_seven_rows(self, m, monkeypatch):

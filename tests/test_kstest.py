@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from deltaseq import (
     ks_test,
     mean_of_edfs,
 )
-from deltaseq.kstest import _pvalue_from_scaled, exact_pvalues_for_scaled
+from deltaseq.kstest import _lattice_counts, exact_pvalues_for_scaled
 
 from helpers import (
     edf_eval,
@@ -28,6 +29,7 @@ from helpers import (
     enum_cdf,
     enum_pvalue,
     ks_distance_exact,
+    paths_within,
     step_distance_union,
     step_left,
     step_right,
@@ -137,6 +139,34 @@ class TestExactPValue:
         assert ks_exact_pvalue(d / 2, n1, n2) >= p
 
 
+@lru_cache(maxsize=None)
+def oracle_counts(n1, n2):
+    """``paths_within`` at every limit from -1 to n1*n2 + 1, one DP each."""
+    return tuple(paths_within(n1, n2, limit) for limit in range(-1, n1 * n2 + 2))
+
+
+class TestLatticeEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 14), st.integers(1, 14), st.data())
+    def test_matches_oracle(self, n1, n2, data):
+        limits = data.draw(st.lists(st.integers(-1, n1 * n2 + 1), max_size=6))
+        got = _lattice_counts(n1, n2, limits)
+        assert got == [oracle_counts(n1, n2)[limit + 1] for limit in limits]
+        assert all(type(k) is int for k in got)
+
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 9), (3, 30), (7, 9), (10, 10), (44, 44),
+                                       (45, 43)])
+    def test_every_limit_in_one_call(self, n1, n2):
+        # all limits from -1 to n1*n2 + 1: every band the lattice has, plus
+        # one past each end (no path, and every path)
+        assert _lattice_counts(n1, n2, range(-1, n1 * n2 + 2)) == list(oracle_counts(n1, n2))
+
+    def test_cdf_limits_of_a_shared_lattice(self):
+        # the CDF table's limits k*g of 120/120, g = 120
+        limits = range(0, 120 * 120 + 1, 120)
+        assert _lattice_counts(120, 120, limits) == [paths_within(120, 120, k) for k in limits]
+
+
 class TestBatchPValues:
     def test_matches_scalar_api_shared_lattice(self):
         rng = np.random.default_rng(2)
@@ -163,7 +193,10 @@ class TestBatchPValues:
     @pytest.mark.parametrize("n1,n2", [(1, 1), (10, 10), (23, 29), (45, 43)])
     def test_every_statistic_matches_its_path_count(self, n1, n2):
         top = n1 * n2
-        want = np.asarray([float(_pvalue_from_scaled(c, n1, n2)) for c in range(top + 1)])
+        total = math.comb(n1 + n2, n1)
+        # oracle_counts(n1, n2)[c] holds the paths within limit c - 1
+        want = np.asarray([float(1 - Fraction(oracle_counts(n1, n2)[c], total))
+                           for c in range(top + 1)])
         got = exact_pvalues_for_scaled(np.arange(top + 1), n1, n2)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
         grid = np.random.default_rng(top).integers(0, top + 1, size=(3, 5))
