@@ -31,7 +31,8 @@ chunk's temporaries. ``matrix_to_tsv`` decodes the bytes for callers that
 want a string.
 
 A large table is parsed and formatted in contiguous row parts, one per
-usable CPU, the parts after the first in forked children (see "Large tables
+usable CPU, the parts after the first in forked children (``_parts``, whose
+docstring says when and how a part forks; the floors are under "Large tables
 in row parts" below). The bytes and values are the same for any number of
 parts; one part forks nothing, and a part whose child fails runs again in
 this process.
@@ -42,18 +43,14 @@ from __future__ import annotations
 import io
 import math
 import mmap
-import os
 import re
-import shutil
-import signal
-import threading
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import _parts
 from .errors import DomainError, ParseError, StateError, ValidationError
 
 MIN_GENES = 2
@@ -206,7 +203,7 @@ def _parse_bulk(path: Path, data: bytes, has_header: bool) -> tuple[tuple[str, .
         array_ids = tuple(f"A{i + 1}" for i in range(width))
     width = len(array_ids)
 
-    k = _part_count(stop - start, _LOAD_PART_BYTES)
+    k = _parts._part_count(stop - start, _LOAD_PART_BYTES)
     cuts = [start]
     for i in range(1, k):
         # the start of the first line at or after the even cut
@@ -238,7 +235,7 @@ def _parse_bulk(path: Path, data: bytes, has_header: bool) -> tuple[tuple[str, .
             out.write(("\n".join(ids) + "\n").encode("utf-8"))
             lo, row = cut, row + rows
 
-    ids = _in_parts(part, len(cuts) - 1)
+    ids = _parts._in_parts(part, len(cuts) - 1)
     # gene ids come from split lines, so none holds a newline
     return tuple(ids.decode("utf-8").split("\n")[:-1]), array_ids, values
 
@@ -374,7 +371,7 @@ def table_to_tsv(row_ids: Sequence[str], col_ids: Sequence[str], values: np.ndar
     _check_writable_ids(row_ids, "row")
     values = np.asarray(values, dtype=np.float64)
     m = values.shape[0]
-    k = max(1, min(_part_count(values.size, _WRITE_PART_CELLS), m))  # no part without rows
+    k = max(1, min(_parts._part_count(values.size, _WRITE_PART_CELLS), m))  # no part without rows
     bounds = [m * i // k for i in range(k + 1)]
     step = max(1, _WRITE_BLOCK_CELLS // max(1, values.shape[1]))
 
@@ -395,7 +392,7 @@ def table_to_tsv(row_ids: Sequence[str], col_ids: Sequence[str], values: np.ndar
             hi = min(lo + step, bounds[i + 1])
             _write_rows(out, row_ids[lo:hi], values[lo:hi])
 
-    return _in_parts(rows_text, k)
+    return _parts._in_parts(rows_text, k)
 
 
 def _write_rows(out: io.BytesIO, row_ids: Sequence[str], values: np.ndarray) -> None:
@@ -428,108 +425,30 @@ def save_matrix(matrix: ExpressionMatrix, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Large tables in row parts across the usable CPUs.
+# Large tables in row parts across the usable CPUs (see ``_parts``).
 #
-# Parsing and formatting a table hold the GIL (two threads parse no faster
-# than one), so a large table is cut into contiguous row parts: this process
-# does the first, and a child forked for each other part does that one. A
-# child touches only its own slice of the memory it shares with the parent:
-# a byte range of the file, rows of the values. Walking the parent's own
-# objects, its line strings say, would write their reference counts and so
-# copy every shared page they live on.
+# On a 2-vCPU Xeon, for the 35 MB paper-scale table in two parts, a split
+# cost 0.04 s of CPU on a 0.36 s load and 0.06 s on a 0.85 s write, so a part
+# is worth a child only above a floor of work: _LOAD_PART_BYTES of file text,
+# _WRITE_PART_CELLS of values to format. Smaller tables stay serial.
 #
-# A split costs CPU time beyond the fork itself (about 2 ms for a 100 MB
-# process): page faults in both processes while they share memory, and the
-# copy of each child's result. On a 2-vCPU Xeon, for the 35 MB paper-scale
-# table in two parts, that came to 0.04 s on a 0.36 s load and 0.06 s on a
-# 0.85 s write, so a part is worth a child only above a floor of work:
-# _LOAD_PART_BYTES of file text, _WRITE_PART_CELLS of values to format.
-# Smaller tables stay serial.
-#
-# A child formats or parses its part into its own buffer and sends the bytes
-# (the text, or a loaded part's gene ids) only once done: streamed through a
-# pipe of 64 KiB, it would wait on the parent's part 0 after its first chunks.
-# A child's peak is the parent's memory at the fork plus its own part.
-#
-# A part whose fork fails, or whose child exits non-zero (its part raised,
-# a ParseError say), runs again in the parent, from its place in the output
-# on. So a split load or save gives the whole result, or raises the error of
-# its first faulty part, as one part would.
-#
-# A process forks only while it runs one Python thread: the child holds only
-# the thread that forked it, and a lock another thread held stays locked
-# there. Native pools such as OpenBLAS's are outside that count: BLAS calls
-# run on Python threads, so the pool is idle at the fork; OpenBLAS shuts it
-# down before a fork and restarts it on its next call; and no part calls BLAS.
+# The load floor, measured there as the first load of a fresh process, as a
+# CLI command makes it, in alternating pairs: two parts lost on the 6 and 12
+# MB tables of the KS benchmark (116 against 109 ms, 231 against 206 ms) and
+# on 14 MiB of the full-precision paper-scale table (329 against 314 ms),
+# and won from 16 MiB on, full-precision or at 3 decimals (197 against
+# 299 ms at 16 MiB, 235 against 340 ms at 19 MB). In a process that had
+# already loaded the same table, two parts won from 3 MiB on, so a warm
+# in-process timing does not set this floor.
 # ---------------------------------------------------------------------------
 
-_LOAD_PART_BYTES = 16 << 20
+_LOAD_PART_BYTES = 8 << 20
 _WRITE_PART_CELLS = 1 << 18
 # Within a part, the rows parsed or formatted at a time: each chunk's
 # temporaries (lines, strings, Python floats) are freed before the next. On
 # the paper-scale table these sizes were as fast as 1 MiB and 64Ki values.
 _LOAD_BLOCK_BYTES = 1 << 18
 _WRITE_BLOCK_CELLS = 1 << 14
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _part_count(size: int, floor: int) -> int:
-    """How many parts a table of ``size`` units of work is cut into: one per
-    usable CPU, each of at least ``floor`` units, and 1 wherever forking is
-    unavailable or unsafe."""
-    if not hasattr(os, "fork") or threading.active_count() != 1:
-        return 1
-    return max(1, min(_usable_cpus(), size // floor))
-
-
-def _in_parts(part: Callable[[int, io.BytesIO], None], k: int) -> bytes:
-    """The bytes ``part(0, out)``, ..., ``part(k - 1, out)`` write to ``out``
-    up to its position, in order.
-
-    Part 0 runs in this process and writes straight into the result. Each
-    other part runs in a child forked for it, which collects its bytes and
-    sends them through a pipe only once it is done, so that it never waits
-    on the parent's part 0; the parent copies each pipe into the result in
-    chunks. A child ends with ``os._exit``, with status 0 only once it wrote
-    all its bytes. A part whose fork raised OSError, or whose child exited
-    with another status, runs here in its place, over any bytes the child
-    sent: so a part's error is raised here, the first in order. With k = 1
-    nothing forks. Every child is reaped before this returns or raises; one
-    whose bytes are no longer wanted is killed first.
-    """
-    children: dict[int, tuple[int, BinaryIO]] = {}
-    try:
-        for i in range(1, k):
-            try:
-                children[i] = _fork_part(part, i)
-            except OSError:  # out of processes or descriptors: the part runs here
-                pass
-        out = io.BytesIO()
-        for i in range(k):
-            if i in children:
-                pid, reader = children[i]
-                at = out.tell()
-                shutil.copyfileobj(reader, out)
-                reader.close()
-                status = os.waitpid(pid, 0)[1]
-                del children[i]
-                if status == 0:
-                    continue
-                out.seek(at)
-            part(i, out)
-        out.truncate()
-        return out.getvalue()
-    finally:
-        for pid, reader in children.values():
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _reserve(out: io.BytesIO, size: int) -> None:
@@ -545,36 +464,6 @@ def _reserve(out: io.BytesIO, size: int) -> None:
         out.seek(size - 1)
         out.write(b"\0")
         out.seek(pos)
-
-
-def _fork_part(part: Callable[[int, io.BytesIO], None], i: int) -> tuple[int, BinaryIO]:
-    """Fork a child that writes the bytes of ``part(i, out)`` to a pipe;
-    its pid and the pipe's reading end."""
-    r, w = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when the process has other OS threads; the
-            # only ones here are native pools, safe as explained above
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:  # the child, which never returns
-        code = 1
-        try:
-            os.close(r)
-            out = io.BytesIO()
-            part(i, out)
-            out.truncate()
-            with open(w, "wb") as fh:
-                fh.write(out.getbuffer())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, os.fdopen(r, "rb")
 
 
 def log_transform(matrix: ExpressionMatrix, base: float = 2.0) -> ExpressionMatrix:

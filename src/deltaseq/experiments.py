@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _parts
 from .corrstats import _has_collinear_pair, _standardized_rows
 from .datamodel import ExpressionMatrix, select_arrays
 from .errors import DomainError, ResourceError, ValidationError
@@ -157,6 +157,12 @@ class StabilityReport:
 
 
 _DUPLICATED_INCREMENTS = "duplicated increment rows give |r| = 1; z-score undefined"
+# The distances run in parts (``_parts``) of at least this many EDF points
+# (B * pairs over the parts). On a 2-vCPU Xeon, at B=8 against the center of
+# the benchmark's pooled file, two parts came out even at 159,200 points (12
+# against 13 ms) and won from 249,000 on (18 against 22 ms; 37 against 58 ms
+# at 638,400) for about 10 ms more CPU.
+_DISTANCE_PART_POINTS = 1 << 17
 
 
 def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
@@ -173,7 +179,11 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
     into its own row of one (B, pairs) buffer, sorted there, and its EDF is
     a view of that row. The cost is linear in B: the mean is the EDF of one
     sorted pooled copy of the buffer, and each distance reads the mean only
-    at that subsample's own jump points, by counting.
+    at that subsample's own jump points, by counting. The subsamples run in
+    this process, since their products call BLAS; the B distances then run
+    in contiguous parts across the usable CPUs (``_parts``, above
+    _DISTANCE_PART_POINTS points a part), which give the same floats for any
+    number of parts.
 
     Increment rows that are equal, or one the negation of another, have no
     finite z and raise DomainError before their product, whatever the GEMM
@@ -224,7 +234,8 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
         row.flags.writeable = False
         edfs.append(EDF(row, pairs))
     center = mean_of_edfs(edfs)
-    distances = np.asarray([kolmogorov_distance(e, center) for e in edfs])
+    distances = _parts._map_in_parts(lambda b: kolmogorov_distance(edfs[b], center), B,
+                                     np.float64, B * pairs, _DISTANCE_PART_POINTS)
     return StabilityReport(d, B, first_k, seed, distances,
                            float(distances.mean()), _sd(distances))
 
@@ -322,6 +333,16 @@ def _spiked(half: ExpressionMatrix, genes: np.ndarray, effects: np.ndarray) -> E
                                    finite=False)
 
 
+# The replicates run in parts (``_parts``) of at least this many tested rows
+# (replicates * rows over the parts). On a 2-vCPU Xeon, at 11,000 rows a
+# replicate (the benchmark's pooled file), two parts came out even at 16
+# replicates (27-31 ms) and won from 24 on (31-35 against 45 ms; 53-55
+# against 80 ms at 48) for 10-20 ms more CPU.
+_INJECT_PART_ROWS = 1 << 17
+# One replicate's counts, as each part sends them.
+_REPLICATE = np.dtype([("fp", np.int64), ("tp", np.int64), ("fdr", np.float64)])
+
+
 def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfig,
                                 mode: str = "delta") -> ExperimentReport:
     """Split arrays once, estimate ordering and per-row sds on the first part,
@@ -333,6 +354,13 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
     The target set and effect constants are drawn once from the master seed
     and shared by all replicates; with multiplier 0 the rows are unchanged,
     so all hypotheses count as null.
+
+    Each replicate draws from its own child of the master seed, all spawned
+    before any replicate runs, and reads its p-values from one table of
+    every scaled statistic at (n1, n2), built once. So the replicates run
+    in contiguous ranges across the usable CPUs (``_parts``, above
+    _INJECT_PART_ROWS tested rows a part) and the report is the same for
+    any number of parts.
     """
     _check_mode(mode)
     s1, s2 = config.split
@@ -379,19 +407,22 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
     del pooled
     ranks = np.ascontiguousarray(ranks.T)
     threshold = min(config.pfer / n_rows, 1.0)
-    fp = np.empty(config.replicates, dtype=np.int64)
-    tp = np.empty(config.replicates, dtype=np.int64)
-    fdr = np.empty(config.replicates, dtype=np.float64)
-    for r, child in enumerate(ss.spawn(config.replicates)):
-        crng = np.random.default_rng(child)
+    # every replicate tests at (n1, n2): one table of the p-value of each
+    # scaled statistic serves them all
+    p_of = exact_pvalues_for_scaled(np.arange(config.n1 * config.n2 + 1), config.n1, config.n2)
+    children = ss.spawn(config.replicates)
+
+    def replicate(r: int) -> tuple[int, int, float]:
+        crng = np.random.default_rng(children[r])
         g1 = crng.choice(s1, size=config.n1, replace=False)
         g2 = crng.choice(s2, size=config.n2, replace=False)
         scaled, _ = _kernels.ks_scaled_batch(ranks[g1].T, ranks[s1 + g2].T)
-        p = exact_pvalues_for_scaled(scaled, config.n1, config.n2)
-        rep = confusion_counts(extended_bonferroni(p, config.pfer), truth)
-        fp[r] = rep.fp
-        tp[r] = rep.tp
-        fdr[r] = rep.fdr
+        rep = confusion_counts(extended_bonferroni(p_of[scaled], config.pfer), truth)
+        return rep.fp, rep.tp, rep.fdr
+
+    records = _parts._map_in_parts(replicate, config.replicates, _REPLICATE,
+                                   config.replicates * n_rows, _INJECT_PART_ROWS)
+    fp, tp, fdr = (records[name].copy() for name in _REPLICATE.names)
     return ExperimentReport(
         mode, config, n_rows, float(threshold), targets, effects, truth, fp, tp, fdr,
         float(fp.mean()), _sd(fp), (int(fp.min()), int(fp.max())),

@@ -134,12 +134,21 @@ class EDF:
 
     def evaluate_sides(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(left limits, right values) at ``t``: the sample values below and
-        at or below each point, counted by a search and divided once, the
-        very heights ``as_step`` builds; sorted ``t`` makes the searches
-        cheapest."""
-        t = np.asarray(t, dtype=np.float64)
-        return (np.searchsorted(self.sorted_values, t, side="left") / self.size,
-                np.searchsorted(self.sorted_values, t, side="right") / self.size)
+        at or below each point, counted and divided once, the very heights
+        ``as_step`` builds; sorted ``t`` makes the search cheapest.
+
+        One left search counts the values below. A point equal to the value
+        found there has at least one more at or below it; only a point equal
+        to the value after that one too (or to the last value) takes a right
+        search."""
+        shape = np.shape(t)
+        t = np.asarray(t, dtype=np.float64).ravel()
+        values, last = self.sorted_values, self.size - 1
+        below = np.searchsorted(values, t, side="left")
+        at_or_below = below + (values[np.minimum(below, last)] == t)
+        runs = np.flatnonzero(values[np.minimum(at_or_below, last)] == t)
+        at_or_below[runs] = np.searchsorted(values, t[runs], side="right")
+        return (below / self.size).reshape(shape), (at_or_below / self.size).reshape(shape)
 
 
 def mean_of_edfs(edfs: Sequence[EDF]) -> EDF:
@@ -186,8 +195,9 @@ def kolmogorov_distance(f, g) -> float:
     already the left-limit difference at its next jump, and otherwise its
     value there is its last height. The other is read at the visited jumps
     through ``evaluate_sides``, which for an EDF counts its sorted sample, so
-    against a large center each distance costs two searches of the center
-    and never builds the center's step function.
+    against a large center each distance costs one search of the center
+    (and a right search at the points with ties in it) and never builds the
+    center's step function.
     """
     a, b = (f, g) if _points(f) <= _points(g) else (g, f)
     if isinstance(a, EDF):

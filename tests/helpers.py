@@ -589,6 +589,14 @@ def step_left(xs, ys, y0, t) -> np.ndarray:
     return np.where(idx >= 0, ys[np.maximum(idx, 0)], y0)
 
 
+def edf_sides_searches(sorted_values, t) -> tuple[np.ndarray, np.ndarray]:
+    """(left limits, right values) of the EDF of a sorted sample at ``t``:
+    a left and a right search of the whole sample, each count divided once."""
+    size = len(sorted_values)
+    return (np.searchsorted(sorted_values, t, side="left") / size,
+            np.searchsorted(sorted_values, t, side="right") / size)
+
+
 def step_distance_searches(a_xs, a_ys, a_y0, b_xs, b_ys, b_y0) -> float:
     """sup |a - b| for a nondecreasing ``b``, read at a's jumps and b's last
     jump with a separate right and left search of each function per side,

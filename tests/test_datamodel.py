@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaseq import datamodel
+from deltaseq import _parts, datamodel
 from deltaseq import (
     DeltaseqError,
     DomainError,
@@ -278,23 +279,25 @@ def broken_tables(draw):
     return lines, has_header
 
 
+@contextmanager
 def cut_into(k):
     """Cut every table into k parts, if it has the rows: the thread gate
     still applies, and k - 1 children fork."""
-    return mock.patch.multiple(datamodel, _usable_cpus=lambda: k, _LOAD_PART_BYTES=1,
-                               _WRITE_PART_CELLS=1)
+    with mock.patch.object(_parts, "_usable_cpus", lambda: k), \
+            mock.patch.multiple(datamodel, _LOAD_PART_BYTES=1, _WRITE_PART_CELLS=1):
+        yield
 
 
 def part_counts():
     """Patch recording the part count of every split."""
     counts = []
-    in_parts = datamodel._in_parts
+    in_parts = _parts._in_parts
 
     def recorded(part, k):
         counts.append(k)
         return in_parts(part, k)
 
-    return counts, mock.patch.object(datamodel, "_in_parts", recorded)
+    return counts, mock.patch.object(_parts, "_in_parts", recorded)
 
 
 def in_child_raise(fn, parent):
@@ -394,12 +397,14 @@ class TestRowParts:
         assert got == table_to_tsv_oracle(ids, ["a", "b", "c", "d"], values).encode()
 
     def test_large_tables_split_and_small_ones_do_not(self):
-        # the benchmark's KS inputs are 6 and 12 MB of text, the paper-scale
-        # matrix 35 MB: only the last is worth a child
-        cpus = datamodel._usable_cpus()
-        assert datamodel._part_count(12 << 20, datamodel._LOAD_PART_BYTES) == 1
-        assert datamodel._part_count(35 << 20, datamodel._LOAD_PART_BYTES) == min(cpus, 2)
-        assert datamodel._part_count(22_000 * 88, datamodel._WRITE_PART_CELLS) == min(cpus, 3)
+        # the benchmark's KS inputs are 6 and 12 MB of text, where two parts
+        # lost in a fresh process; from 16 MiB on they won, and the
+        # paper-scale matrix is 35 MB
+        cpus = _parts._usable_cpus()
+        assert _parts._part_count(14 << 20, datamodel._LOAD_PART_BYTES) == 1
+        assert _parts._part_count(16 << 20, datamodel._LOAD_PART_BYTES) == min(cpus, 2)
+        assert _parts._part_count(35 << 20, datamodel._LOAD_PART_BYTES) == min(cpus, 4)
+        assert _parts._part_count(22_000 * 88, datamodel._WRITE_PART_CELLS) == min(cpus, 3)
 
     def rows_table(self, tmp_path, last=None, m=40):
         lines = ["gene_id\ta\tb\tc\td"] + [f"g{i}\t{i}\t1.5\t2.5\t3.5" for i in range(m)]
@@ -691,7 +696,7 @@ class TestPeakMemory:
         array_ids = tuple(f"a{j}" for j in range(cols))
         big = ExpressionMatrix(gene_ids, array_ids, values, True)
         one = ExpressionMatrix(gene_ids[:rows], array_ids, values[:rows], True)
-        with mock.patch.object(datamodel, "_usable_cpus", lambda: 1):
+        with mock.patch.object(_parts, "_usable_cpus", lambda: 1):
             yield big, one
 
     def test_save(self, tables, tmp_path):

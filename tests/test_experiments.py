@@ -1,6 +1,9 @@
 import json
+import os
+import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from deltaseq import (
     two_sample_screen,
     variance_ordering,
 )
-from deltaseq import _kernels, experiments
+from deltaseq import _kernels, _parts, experiments
 from deltaseq.kstest import exact_pvalues_for_scaled
 from deltaseq.mtp import confusion_counts, extended_bonferroni, report_to_json
 from deltaseq.ordering import delta_sequence
@@ -517,3 +520,118 @@ class TestScreen:
         assert payload["threshold"] == pytest.approx(0.1)
         assert payload["n_rejected"] == report.n_rejected
         assert tuple(row_ids) == a.gene_ids
+
+
+class TestResamplingParts:
+    """The injection replicates and the jackknife distances cut into k
+    parts, k - 1 of them in forked children: the oracles' bits for any k."""
+
+    @pytest.fixture
+    def parts(self, monkeypatch):
+        """Set the usable CPUs to k and drop both floors, so that the loops
+        cut into k parts if they have the items; the thread gate still
+        applies. Returns the part count of every split."""
+        counts = []
+        in_parts = _parts._in_parts
+
+        def recorded(part, k):
+            counts.append(k)
+            return in_parts(part, k)
+
+        monkeypatch.setattr(_parts, "_in_parts", recorded)
+        monkeypatch.setattr(experiments, "_INJECT_PART_ROWS", 1)
+        monkeypatch.setattr(experiments, "_DISTANCE_PART_POINTS", 1)
+
+        def cut_into(k):
+            monkeypatch.setattr(_parts, "_usable_cpus", lambda: k)
+            return counts
+
+        return cut_into
+
+    @staticmethod
+    def injection_case():
+        matrix = null_matrix(m=41, n=40, seed=31)
+        cfg = InjectionConfig(split=(18, 16), n_modified=6, effect_multiplier=2.0,
+                              n1=7, n2=6, replicates=7, pfer=3.0, seed=4)
+        return matrix, cfg
+
+    @staticmethod
+    def assert_injection_equals(rep, want):
+        m, targets, effects, truth, fp, tp, fdr = want
+        assert rep.m == m and rep.targets.tolist() == targets.tolist()
+        assert rep.fp.tolist() == fp.tolist() and rep.tp.tolist() == tp.tolist()
+        assert rep.fdr.view(np.int64).tolist() == fdr.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["delta", "expression"])
+    def test_injection_equals_oracle(self, parts, k, mode):
+        matrix, cfg = self.injection_case()
+        counts = parts(k)
+        rep = effect_injection_experiment(matrix, cfg, mode=mode)
+        assert counts == [k]
+        self.assert_injection_equals(rep, injection_oracle(matrix, cfg, mode))
+        assert rep.fp.flags.writeable and rep.fp.flags.c_contiguous
+        counts.clear()
+        parts(1)
+        serial = effect_injection_experiment(matrix, cfg, mode=mode)
+        assert counts == [1]
+        assert (rep.to_json(), rep.to_csv()) == (serial.to_json(), serial.to_csv())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_jackknife_equals_oracle(self, parts, k):
+        matrix = null_matrix(m=30, n=12, seed=32)
+        counts = parts(k)
+        got = jackknife_stability(matrix, 3, 5, 9, seed=6)
+        assert counts == [k]
+        want = jackknife_distances_oracle(matrix, 3, 5, 9, seed=6)
+        assert got.distances.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_more_parts_than_items(self, parts):
+        counts = parts(3)
+        matrix = null_matrix(m=30, n=12, seed=33)
+        got = jackknife_stability(matrix, 3, 2, 9, seed=7)
+        assert counts == [2]  # one part per subsample, none empty
+        want = jackknife_distances_oracle(matrix, 3, 2, 9, seed=7)
+        assert got.distances.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_no_fork_while_another_thread_runs(self, parts, monkeypatch):
+        matrix, cfg = self.injection_case()
+        counts = parts(2)
+        fork = mock.Mock(wraps=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        alone = (effect_injection_experiment(matrix, cfg), jackknife_stability(matrix, 3, 4, 9))
+        assert fork.call_count == 2 and counts == [2, 2]  # one child each
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            shared = (effect_injection_experiment(matrix, cfg),
+                      jackknife_stability(matrix, 3, 4, 9))
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert fork.call_count == 2 and counts == [2, 2, 1, 1]
+        for a, b in zip(alone, shared):
+            assert (a.to_json(), a.to_csv()) == (b.to_json(), b.to_csv())
+
+    def test_failed_replicate_part_runs_again_here(self, parts, monkeypatch):
+        # the child's first KS batch raises, so it exits non-zero and its
+        # replicates run here, after part 0's
+        matrix, cfg = self.injection_case()
+        parent = os.getpid()
+        batch = _kernels.ks_scaled_batch
+        in_parent = []
+
+        def ks_scaled_batch(a, b):
+            if os.getpid() != parent:
+                raise RuntimeError("part failed")
+            in_parent.append(None)
+            return batch(a, b)
+
+        monkeypatch.setattr(_kernels, "ks_scaled_batch", ks_scaled_batch)
+        counts = parts(2)
+        rep = effect_injection_experiment(matrix, cfg)
+        assert counts == [2]
+        assert len(in_parent) == cfg.replicates
+        self.assert_injection_equals(rep, injection_oracle(matrix, cfg, "delta"))

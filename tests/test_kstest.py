@@ -25,6 +25,7 @@ from deltaseq.kstest import _lattice_counts, exact_pvalues_for_scaled
 from helpers import (
     edf_eval,
     edf_mean_searchsorted,
+    edf_sides_searches,
     edf_step_unique,
     enum_cdf,
     enum_pvalue,
@@ -428,6 +429,21 @@ class TestMonotoneRead:
         left, right = f.evaluate_sides(t)
         assert np.array_equal(left, step_left(f.xs, f.ys, 0.0, t))
         assert np.array_equal(right, step_right(f.xs, f.ys, 0.0, t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 2.0, 3.0]), min_size=1, max_size=40),
+           st.lists(st.sampled_from([-math.inf, -2.0, -1.5, 0.0, 0.1, 0.25, 2.0, 3.0, 4.0,
+                                     math.inf]), max_size=12), st.booleans())
+    def test_edf_sides_match_two_searches_on_ties(self, sample, probes, sort):
+        # long runs of equal values, probes on and between them, sorted or not
+        edf = EDF.from_sample(sample)
+        t = np.concatenate([edf.sorted_values, np.asarray(probes, dtype=np.float64)])
+        if sort:
+            t.sort()
+        got = edf.evaluate_sides(t)
+        want = edf_sides_searches(edf.sorted_values, t)
+        assert [a.view(np.int64).tolist() for a in got] == [
+            a.view(np.int64).tolist() for a in want]
 
     def test_step_rejects_nan_xs(self):
         for xs in ([math.nan], [0.0, math.nan], [math.nan, 0.0]):
