@@ -1,11 +1,14 @@
 """Independent work in contiguous parts across the usable CPUs.
 
-Parsing a table, formatting one, running KS replicates and measuring
-jackknife distances all hold the GIL (two threads run them no faster than
-one), so each is cut into contiguous parts: this process does the first,
-and a child forked for each other part does that one. A child touches only
-its own slice of the memory it shares with the parent: a byte range of the
-file, rows of the values, a range of replicates or of subsample EDFs it
+Parsing a table, formatting one, running KS replicates, measuring
+jackknife distances and summarizing correlation tiles are each cut into
+contiguous parts: this process does the first, and a child forked for each
+other part does that one. The first four hold the GIL, so two threads run
+them no faster than one. The tiles' GEMMs release it, but parts keep every
+call this process makes on its one thread, so that spans timed around
+nested calls never overlap. A child touches only its own slice of the
+memory it shares with the parent: a byte range of the file, rows of the
+values, a range of replicates, of subsample EDFs or of correlation tiles it
 reads. Walking the parent's own objects, its line strings say, would write
 their reference counts and so copy every shared page they live on.
 
@@ -27,9 +30,10 @@ faulty part, as one part would.
 
 A process forks only while it runs one Python thread: the child holds only
 the thread that forked it, and a lock another thread held stays locked
-there. Native pools such as OpenBLAS's are outside that count: BLAS calls
-run on Python threads, so the pool is idle at the fork; OpenBLAS shuts it
-down before a fork and restarts it on its next call; and no part calls BLAS.
+there. Native pools such as OpenBLAS's are outside that count, and a part
+may call BLAS: BLAS calls run on Python threads, so the pool is idle at the
+fork, and OpenBLAS shuts it down before a fork and restarts it, with as
+many threads, on its next call in either process.
 """
 
 from __future__ import annotations

@@ -1,42 +1,33 @@
 """Pairwise correlation summaries and the Fisher variance-stabilizing transform.
 
-all_pairs_summary histograms the Pearson correlation over every unordered row
-pair without materializing the full pair list: rows are standardized once and
-inner products are taken block by block in a fixed canonical (row-block,
-column-block) order.
+all_pairs_summary and z_summary summarize the correlation of every unordered
+row pair without holding the pairs: rows are standardized once, and inner
+products are taken tile by tile in a fixed canonical (row-block,
+column-block) order, in contiguous parts across the usable CPUs (``_parts``).
+Each tile sends one fixed-size record, its sums among them, and this process
+adds the sums in canonical order as a serial loop would, so the result is
+the same bytes for any number of parts. BLAS's thread count still matters:
+OpenBLAS splits a dot product of more than about 10k values across threads.
 
-A one-worker executor computes each block up to two blocks ahead of the
-caller: the GEMM, the upper-triangle pick of a diagonal block and an in-place
-finish (the clip, or arctanh), written into a ring of three preallocated
-``block * block`` buffers. The calling thread does all the accumulation,
-histogram, sum and dot product, in canonical order, so every float is added
-as in a serial loop. The result is the same bytes on one CPU or many as long
-as BLAS runs one thread: OpenBLAS splits a dot product of more than about 10k
-values across its threads, which moves the last bits of the sums.
-
-Both summaries bin with ``_kernels.hist_accumulate``, which needs every value
-inside its range. z_summary needs its histogram range, max|z|, before it can
-bin. Rows that are equal, or one the negation of the other, raise DomainError
-first: their |r| is 1 whatever the GEMM kernel rounds it to. A first pass of
-GEMMs alone finds the extreme correlations (and raises DomainError on |r| = 1
-there too); the larger |arctanh| of the two is the candidate range. The
-second pass computes arctanh once per value for the moments, the observed
-max|z| and the histogram, binning a block only while the running max|z| is
-within the candidate range. Should the observed maximum differ from the
-candidate, a third pass bins every value again with the observed range, so
-the bytes stay exact even where arctanh is not monotone at an extreme.
+r is binned over [-1, 1]; z needs its range, max|z|, first. Rows that are
+equal, or one the negation of the other, raise DomainError before any GEMM:
+their |r| is 1 whatever the GEMM kernel rounds it to. Pass 1 finds the
+extreme correlations (raising DomainError on |r| = 1 there too), whose larger
+|arctanh| is the candidate range. Pass 2 computes arctanh once per value for
+the moments, the observed max|z| and the bins. Should the observed maximum
+differ from the candidate, pass 3 bins every value again with the observed
+range, so the bytes stay exact even where arctanh is not monotone.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _parts
 from .errors import DegenerateInputError, DomainError, ValidationError
 from .mtp import csv_text, json_dumps
 
@@ -180,67 +171,81 @@ def _has_collinear_pair(S: np.ndarray) -> bool:
     return len({row.tobytes() for row in canon}) < S.shape[0]
 
 
-_RING = 3  # block buffers: one the caller reads, up to two computed ahead
+# The tiles run in parts (``_parts``) of at least this many pairs. Timed as
+# the first summary of a fresh process, as commands run it (a fork costs
+# more there than in a warm one), on a 2-vCPU Xeon at 88 arrays, 10 pairs:
+# two parts won from 2.0M pairs for r (38 against 30 ms) and 4.5M for z (113
+# against 84 ms) while the host ran two GEMMs side by side at full speed,
+# and lost up to 18M (186 against 230 ms for r) while it ran them at 60 %.
+_CORR_PART_PAIRS = 1 << 21
 
 
-def _iter_pair_blocks(S: np.ndarray, block: int,
-                      finish: Callable[[np.ndarray], object] | None = None) -> Iterator[np.ndarray]:
-    """Inner products of all unordered row pairs, yielded block by block in
-    canonical (row-block, column-block) order, with ``finish`` applied to
-    each block's values in place.
-
-    A one-worker executor computes the blocks into a ring of ``_RING``
-    buffers, so each yielded array is valid only until the next one is
-    requested. Just before block t is yielded, block t + 2 is queued into the
-    buffer of block t - 1, which the caller has released. An exception the
-    worker raises is raised here, at its block; on close the queued blocks
-    are cancelled and the worker is joined.
-    """
+def _block_records(S: np.ndarray, block: int, per_block: Callable[[np.ndarray], tuple],
+                   dtype) -> np.ndarray:
+    """The ``dtype`` records ``per_block(vals)`` of the inner products
+    ``vals`` of each tile of all row pairs, in canonical order. A part
+    computes its tiles one after another into one buffer, so ``vals`` lives,
+    and may be changed in place, only during its call. An error is raised
+    at the first faulty tile in order, whichever part meets it."""
     k = S.shape[0]
     # a diagonal block of one row has no pairs
     tiles = [(bi, bj) for bi in range(0, k, block) for bj in range(bi, k, block)
              if bi != bj or min(block, k - bi) > 1]
-    side = min(block, k)
-    ring = [np.empty(side * side) for _ in range(_RING)]
-    # imported here: with logging it adds 6-9 ms to every command's start
-    from concurrent.futures import ThreadPoolExecutor
+    upper = {side: np.triu_indices(side, 1)
+             for side in {min(block, k - bi) for bi, bj in tiles if bi == bj}}
+    buf = np.empty(min(block, k) ** 2)
 
-    def compute(t: int) -> np.ndarray:
+    def tile(t: int) -> tuple:
         bi, bj = tiles[t]
         Si = S[bi : bi + block]
         Sj = S[bj : bj + block]
-        buf = ring[t % _RING]
         G = buf[: Si.shape[0] * Sj.shape[0]].reshape(Si.shape[0], Sj.shape[0])
         np.matmul(Si, Sj.T, out=G)
         if bi == bj:
-            upper = G[np.triu_indices(G.shape[0], 1)]
-            vals = buf[: upper.shape[0]]
-            vals[:] = upper
+            pairs = G[upper[Si.shape[0]]]
+            vals = buf[: pairs.shape[0]]
+            vals[:] = pairs
         else:
             vals = buf[: G.size]
-        if finish is not None:
-            finish(vals)
-        return vals
+        return per_block(vals)
 
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="deltaseq-pair-blocks") as pool:
-        ahead = _RING - 1
-        futures = [pool.submit(compute, t) for t in range(min(ahead, len(tiles)))]
-        try:
-            for t in range(len(tiles)):
-                if t + ahead < len(tiles):
-                    futures.append(pool.submit(compute, t + ahead))
-                yield futures[t].result()
-        finally:
-            for future in futures:
-                future.cancel()
+    return _parts._map_in_parts(tile, len(tiles), dtype, k * (k - 1) // 2, _CORR_PART_PAIRS)
 
 
-def _clip(vals: np.ndarray) -> None:
-    np.clip(vals, -1.0, 1.0, out=vals)
+def _moments_and_bins(S: np.ndarray, block: int, transform: Callable[[np.ndarray], object],
+                      zmax: float, bins: int) -> tuple[int, float, float, float, np.ndarray]:
+    """Pair count, mean, sd, max|v| and ``bins`` counts over [-zmax, zmax]
+    of v = transform(r), taken in place. A tile whose max|v| exceeds zmax
+    is not binned."""
+    scale = bins / (2.0 * zmax)
+
+    def per_block(vals: np.ndarray) -> tuple:
+        transform(vals)
+        sums = float(vals.sum()), float(vals @ vals)
+        top = max(float(vals.max()), -float(vals.min()))
+        counts = np.zeros(bins, dtype=np.int64)
+        if top <= zmax:
+            _kernels.hist_accumulate(vals, -zmax, scale, counts)
+        return vals.shape[0], *sums, top, counts
+
+    records = _block_records(S, block, per_block, np.dtype([
+        ("n", np.int64), ("s1", np.float64), ("s2", np.float64), ("top", np.float64),
+        ("counts", np.int64, (bins,))]))
+    total = int(records["n"].sum())
+    s1 = s2 = 0.0
+    for a, b in zip(records["s1"].tolist(), records["s2"].tolist()):
+        s1 += a
+        s2 += b
+    mean = s1 / total
+    sd = math.sqrt(max(s2 / total - mean * mean, 0.0))
+    return total, mean, sd, max(0.0, float(records["top"].max())), records["counts"].sum(axis=0)
 
 
-def _arctanh(vals: np.ndarray) -> None:
-    np.arctanh(vals, out=vals)
+def _check_bins_and_block(bins: int, block: int) -> None:
+    if bins < 1:
+        raise ValidationError("bins must be >= 1")
+    if block < 1:
+        raise ValidationError("block must be >= 1")
 
 
 def all_pairs_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> CorrelationSummary:
@@ -248,29 +253,26 @@ def all_pairs_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> Cor
 
     ``source`` is an ExpressionMatrix, a DeltaMatrix, or a bare 2-d array.
     """
-    if bins < 1:
-        raise ValidationError("bins must be >= 1")
-    S = _standardized_rows(source)
-    counts = np.zeros(bins, dtype=np.int64)
-    total = 0
-    s1 = 0.0
-    s2 = 0.0
-    with closing(_iter_pair_blocks(S, block, _clip)) as blocks:
-        for vals in blocks:
-            total += vals.shape[0]
-            s1 += float(vals.sum())
-            s2 += float(vals @ vals)
-            _kernels.hist_accumulate(vals, -1.0, bins / 2, counts)
-    mean = s1 / total
-    var = max(s2 / total - mean * mean, 0.0)
-    edges = np.linspace(-1.0, 1.0, bins + 1)
-    return CorrelationSummary(total, mean, math.sqrt(var), Histogram(edges, counts))
+    _check_bins_and_block(bins, block)
+    total, mean, sd, _, counts = _moments_and_bins(
+        _standardized_rows(source), block, lambda r: np.clip(r, -1.0, 1.0, out=r), 1.0, bins)
+    return CorrelationSummary(total, mean, sd, Histogram(np.linspace(-1.0, 1.0, bins + 1), counts))
 
 
 def _extreme_z(lo: float, hi: float) -> float:
     """The larger |arctanh| of the extreme correlations, by the same array
     ufunc that transforms the blocks."""
     return float(np.abs(np.arctanh(np.array([lo, hi]))).max())
+
+
+def _extremes(r: np.ndarray) -> tuple[float, float]:
+    """A tile's smallest and largest r. fmin/fmax skip a NaN, so a tile
+    holding one still raises on |r| = 1 as a clipped tile would."""
+    lo = float(np.fmin.reduce(r))
+    hi = float(np.fmax.reduce(r))
+    if lo <= -1.0 or hi >= 1.0:
+        raise DomainError(_UNIT_R)
+    return lo, hi
 
 
 def z_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> ZSummary:
@@ -280,58 +282,28 @@ def z_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> ZSummary:
     duplicated rows (|r| = 1) is outside the transform's domain and raises
     DomainError.
     """
-    if bins < 1:
-        raise ValidationError("bins must be >= 1")
+    _check_bins_and_block(bins, block)
     n = _row_values(source).shape[1]
     if n < 4:
         raise ValidationError("need at least 4 arrays for a z summary")
     S = _standardized_rows(source)
     if _has_collinear_pair(S):
         raise DomainError(_UNIT_R)
+    # pass 1, GEMMs alone: the extreme correlations give the candidate range
+    extremes = _block_records(S, block, _extremes, np.dtype([("lo", float), ("hi", float)]))
+    candidate = _extreme_z(min(0.0, extremes["lo"].min()), max(0.0, extremes["hi"].max()))
 
-    # pass 1, GEMMs alone: the extreme correlations. fmin/fmax skip a NaN,
-    # so a block holding one still raises on |r| = 1 as a clipped block would.
-    lo = 0.0
-    hi = 0.0
-    with closing(_iter_pair_blocks(S, block)) as blocks:
-        for r in blocks:
-            rmin = float(np.fmin.reduce(r))
-            rmax = float(np.fmax.reduce(r))
-            if rmin <= -1.0 or rmax >= 1.0:
-                raise DomainError(_UNIT_R)
-            lo = min(lo, rmin)
-            hi = max(hi, rmax)
-    candidate = _extreme_z(lo, hi)
-
-    def bin_range(zmax: float) -> tuple[float, float]:
-        zmax = zmax or 1.0
-        return zmax, bins / (2.0 * zmax)
+    def arctanh(z: np.ndarray) -> None:
+        np.arctanh(z, out=z)
 
     # pass 2: arctanh once per value, for the moments, max|z| and the bins
-    zmax, scale = bin_range(candidate)
-    counts = np.zeros(bins, dtype=np.int64)
-    total = 0
-    s1 = 0.0
-    s2 = 0.0
-    observed = 0.0
-    with closing(_iter_pair_blocks(S, block, _arctanh)) as blocks:
-        for z in blocks:
-            total += z.shape[0]
-            s1 += float(z.sum())
-            s2 += float(z @ z)
-            observed = max(observed, float(z.max()), -float(z.min()))
-            if observed <= candidate:  # else the third pass bins every value
-                _kernels.hist_accumulate(z, -zmax, scale, counts)
-    if observed != candidate:
-        zmax, scale = bin_range(observed)
-        counts[:] = 0
-        with closing(_iter_pair_blocks(S, block, _arctanh)) as blocks:
-            for z in blocks:
-                _kernels.hist_accumulate(z, -zmax, scale, counts)
-    mean = s1 / total
-    var = max(s2 / total - mean * mean, 0.0)
-    edges = np.linspace(-zmax, zmax, bins + 1)
-    return ZSummary(total, mean, math.sqrt(var), 1.0 / math.sqrt(n - 3), Histogram(edges, counts))
+    zmax = candidate or 1.0
+    total, mean, sd, observed, counts = _moments_and_bins(S, block, arctanh, zmax, bins)
+    if observed != candidate:  # pass 3 bins every value with the observed range
+        zmax = observed or 1.0
+        counts = _moments_and_bins(S, block, arctanh, zmax, bins)[4]
+    return ZSummary(total, mean, sd, 1.0 / math.sqrt(n - 3),
+                    Histogram(np.linspace(-zmax, zmax, bins + 1), counts))
 
 
 def histogram_to_csv(hist: Histogram) -> str:

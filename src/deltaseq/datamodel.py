@@ -486,17 +486,22 @@ def log_transform(matrix: ExpressionMatrix, base: float = 2.0) -> ExpressionMatr
     return ExpressionMatrix(matrix.gene_ids, matrix.array_ids, out, log_scale=True)
 
 
-def select_arrays(matrix: ExpressionMatrix, indices: Sequence[int]) -> ExpressionMatrix:
-    """Column projection in the order given; indices must be distinct, in
-    bounds, and number at least MIN_ARRAYS."""
+def _checked_columns(indices: Sequence[int], n: int) -> list[int]:
+    """``indices`` as ints, each refused unless distinct and in [0, n)."""
     idx = [int(i) for i in indices]
-    if len(idx) < MIN_ARRAYS:
-        raise ValidationError(f"need at least {MIN_ARRAYS} array indices, got {len(idx)}")
     if len(set(idx)) != len(idx):
         raise ValidationError("array indices must be distinct")
-    n = matrix.n_arrays
     for i in idx:
         if not (0 <= i < n):
             raise ValidationError(f"array index {i} out of range [0, {n})")
+    return idx
+
+
+def select_arrays(matrix: ExpressionMatrix, indices: Sequence[int]) -> ExpressionMatrix:
+    """Column projection in the order given; indices must be distinct, in
+    bounds, and number at least MIN_ARRAYS."""
+    if len(indices) < MIN_ARRAYS:
+        raise ValidationError(f"need at least {MIN_ARRAYS} array indices, got {len(indices)}")
+    idx = _checked_columns(indices, matrix.n_arrays)
     return ExpressionMatrix._adopt(matrix.gene_ids, tuple(matrix.array_ids[i] for i in idx),
                                    matrix.values[:, idx], matrix.log_scale)

@@ -180,10 +180,9 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
     a view of that row. The cost is linear in B: the mean is the EDF of one
     sorted pooled copy of the buffer, and each distance reads the mean only
     at that subsample's own jump points, by counting. The subsamples run in
-    this process, since their products call BLAS; the B distances then run
-    in contiguous parts across the usable CPUs (``_parts``, above
-    _DISTANCE_PART_POINTS points a part), which give the same floats for any
-    number of parts.
+    this process; the B distances then run in contiguous parts across the
+    usable CPUs (``_parts``, above _DISTANCE_PART_POINTS points a part),
+    which give the same floats for any number of parts.
 
     Increment rows that are equal, or one the negation of another, have no
     finite z and raise DomainError before their product, whatever the GEMM
@@ -343,6 +342,14 @@ _INJECT_PART_ROWS = 1 << 17
 _REPLICATE = np.dtype([("fp", np.int64), ("tp", np.int64), ("fdr", np.float64)])
 
 
+def _scaled_pvalue_table(n1: int, n2: int) -> tuple[int, np.ndarray]:
+    """g = gcd(n1, n2) and the p-value of each scaled statistic at (n1, n2),
+    indexed by the statistic over g: every scaled statistic is a multiple
+    of g, so the lattice paths are counted for those alone."""
+    g = math.gcd(n1, n2)
+    return g, exact_pvalues_for_scaled(np.arange(0, n1 * n2 + 1, g), n1, n2)
+
+
 def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfig,
                                 mode: str = "delta") -> ExperimentReport:
     """Split arrays once, estimate ordering and per-row sds on the first part,
@@ -357,10 +364,10 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
 
     Each replicate draws from its own child of the master seed, all spawned
     before any replicate runs, and reads its p-values from one table of
-    every scaled statistic at (n1, n2), built once. So the replicates run
-    in contiguous ranges across the usable CPUs (``_parts``, above
-    _INJECT_PART_ROWS tested rows a part) and the report is the same for
-    any number of parts.
+    every attainable scaled statistic at (n1, n2), built once. So the
+    replicates run in contiguous ranges across the usable CPUs (``_parts``,
+    above _INJECT_PART_ROWS tested rows a part) and the report is the same
+    for any number of parts.
     """
     _check_mode(mode)
     s1, s2 = config.split
@@ -407,9 +414,8 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
     del pooled
     ranks = np.ascontiguousarray(ranks.T)
     threshold = min(config.pfer / n_rows, 1.0)
-    # every replicate tests at (n1, n2): one table of the p-value of each
-    # scaled statistic serves them all
-    p_of = exact_pvalues_for_scaled(np.arange(config.n1 * config.n2 + 1), config.n1, config.n2)
+    # every replicate tests at (n1, n2): one table serves them all
+    g, p_of = _scaled_pvalue_table(config.n1, config.n2)
     children = ss.spawn(config.replicates)
 
     def replicate(r: int) -> tuple[int, int, float]:
@@ -417,7 +423,7 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
         g1 = crng.choice(s1, size=config.n1, replace=False)
         g2 = crng.choice(s2, size=config.n2, replace=False)
         scaled, _ = _kernels.ks_scaled_batch(ranks[g1].T, ranks[s1 + g2].T)
-        rep = confusion_counts(extended_bonferroni(p_of[scaled], config.pfer), truth)
+        rep = confusion_counts(extended_bonferroni(p_of[scaled // g], config.pfer), truth)
         return rep.fp, rep.tp, rep.fdr
 
     records = _parts._map_in_parts(replicate, config.replicates, _REPLICATE,

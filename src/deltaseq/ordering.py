@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .datamodel import ExpressionMatrix, table_to_tsv
+from .datamodel import ExpressionMatrix, _checked_columns, table_to_tsv
 from .errors import ValidationError
 from .mtp import csv_text
 
@@ -59,8 +59,13 @@ def variance_ordering(matrix: ExpressionMatrix | np.ndarray | tuple,
 
     ``matrix`` may be a tuple of arrays over the same genes, pooled side by
     side. The variances come a block of rows at a time from
-    ``_kernels.row_variances``, which copies neither the pool nor the subset."""
-    var = _kernels.row_variances(getattr(matrix, "values", matrix), columns)
+    ``_kernels.row_variances``, which copies neither the pool nor the subset.
+    ``columns`` must be distinct and in range, as ``select_arrays`` needs."""
+    values = getattr(matrix, "values", matrix)
+    if columns is not None:
+        width = sum(np.shape(part)[1] for part in (values if isinstance(values, tuple) else (values,)))
+        columns = _checked_columns(columns, width)
+    var = _kernels.row_variances(values, columns)
     order = np.argsort(var, kind="stable")
     if order.shape[0] % 2 != 0:
         order = order[1:]

@@ -1,5 +1,10 @@
 import math
+import subprocess
+import sys
 import threading
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +21,7 @@ from deltaseq import (
     pearson,
     z_summary,
 )
-from deltaseq import _kernels, corrstats, delta_sequence, variance_ordering
+from deltaseq import _kernels, _parts, corrstats, delta_sequence, variance_ordering
 from deltaseq.cli import main
 from deltaseq.datamodel import save_matrix
 from deltaseq.corrstats import histogram_to_csv, summary_header_json
@@ -24,6 +29,8 @@ from deltaseq.corrstats import histogram_to_csv, summary_header_json
 from helpers import (
     all_pair_correlations,
     all_pairs_summary_oracle,
+    ascii_locale_env,
+    child_pids,
     hist_accumulate_clip,
     hist_naive,
     pearson_float,
@@ -81,6 +88,33 @@ class TestFisherZ:
         with pytest.raises(DomainError):
             fisher_z(r)
 
+
+# prints the report bytes of both summaries from the serial oracles, then at
+# 1, 2 and 3 parts, one digest a line
+BLAS_THREADS_SCRIPT = f"""
+import hashlib, sys
+from unittest import mock
+import numpy as np
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from helpers import all_pairs_summary_oracle, z_summary_oracle
+from deltaseq import _parts, all_pairs_summary, corrstats, z_summary
+from deltaseq.corrstats import histogram_to_csv, summary_header_json
+rng = np.random.default_rng(11)
+values = rng.normal(size=(400, 40)) + rng.normal(size=40)
+np.ones((256, 256)) @ np.ones((256, 256))  # starts OpenBLAS's pool before any fork
+
+def digest(r, z):
+    # tiles of 128 x 128: their dot products are long enough to split
+    text = "".join(summary_header_json(s) + histogram_to_csv(s.histogram)
+                   for s in (r(values, 20, 128), z(values, 20, 128)))
+    print(hashlib.sha256(text.encode()).hexdigest())
+
+digest(all_pairs_summary_oracle, z_summary_oracle)
+for k in (1, 2, 3):
+    with mock.patch.object(_parts, "_usable_cpus", lambda: k), \\
+            mock.patch.object(corrstats, "_CORR_PART_PAIRS", 1):
+        digest(all_pairs_summary, z_summary)
+"""
 
 UNIT_R = "correlation of magnitude 1 (duplicated rows?) has no finite z"
 
@@ -170,6 +204,13 @@ class TestAllPairsSummary:
         assert a.mean_r == pytest.approx(b.mean_r, rel=1e-12, abs=1e-15)
         assert a.sd_r == pytest.approx(b.sd_r, rel=1e-12)
         assert np.array_equal(a.histogram.counts, b.histogram.counts)
+
+    @pytest.mark.parametrize("block", [0, -1])
+    @pytest.mark.parametrize("summary", [all_pairs_summary, z_summary])
+    def test_block_below_one_rejected(self, summary, block):
+        # range() refused 0, and -1 gave no tiles, so no pairs to divide by
+        with pytest.raises(ValidationError, match="block must be >= 1"):
+            summary(random_matrix(), block=block)
 
     def test_accepts_matrix_object(self):
         values = random_matrix(m=5, n=6)
@@ -278,25 +319,65 @@ def same_summary(a, b):
             assert x == y, name
 
 
-def helper_threads():
-    # ThreadPoolExecutor names its workers <prefix>_<index>
-    return [t for t in threading.enumerate() if t.name.startswith("deltaseq-pair-blocks_")]
+@contextmanager
+def cut_into(k):
+    """Cut every summary's tiles into k parts, if it has the tiles: the
+    thread gate still applies, and k - 1 children fork."""
+    with mock.patch.object(_parts, "_usable_cpus", lambda: k), \
+            mock.patch.object(corrstats, "_CORR_PART_PAIRS", 1):
+        yield
+
+
+def canonical_tiles(values, block):
+    """The bytes of each tile's inner products, the values pass 1 sees, in
+    canonical order."""
+    S = corrstats._standardized_rows(values)
+    k = S.shape[0]
+    tiles = []
+    for bi in range(0, k, block):
+        for bj in range(bi, k, block):
+            G = S[bi : bi + block] @ S[bj : bj + block].T
+            vals = G[np.triu_indices(G.shape[0], 1)] if bi == bj else G.ravel()
+            if vals.size:
+                tiles.append(vals.tobytes())
+    return tiles
 
 
 class TestBlockPipeline:
-    """The helper-thread block pipeline against the serial summaries."""
+    """The tiles in parts against the serial summaries."""
 
     @settings(max_examples=60, deadline=None)
     @given(block=st.integers(1, 9), data=st.data(), n=st.integers(4, 12),
            bins=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
     def test_bitwise_equal_to_serial(self, block, data, n, bins, seed):
-        # from one block (k <= block, fewer blocks than the look-ahead) to a
-        # little over three; block sizes that divide k and ones that do not
+        # from one block (k <= block) to a little over three; block sizes
+        # that divide k and ones that do not
         k = data.draw(st.integers(2, 3 * block + 2), label="k")
         values = np.random.default_rng(seed).normal(size=(k, n))
         same_summary(all_pairs_summary(values, bins, block),
                      all_pairs_summary_oracle(values, bins, block))
         same_summary(z_summary(values, bins, block), z_summary_oracle(values, bins, block))
+
+    @settings(max_examples=25, deadline=None)
+    @given(block=st.integers(1, 9), data=st.data(), parts=st.integers(2, 3),
+           bins=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_at_every_part_count(self, block, data, parts, bins, seed):
+        k = data.draw(st.integers(2, 3 * block + 2), label="k")
+        values = np.random.default_rng(seed).normal(size=(k, 7))
+        with cut_into(parts):
+            got = all_pairs_summary(values, bins, block), z_summary(values, bins, block)
+        same_summary(got[0], all_pairs_summary_oracle(values, bins, block))
+        same_summary(got[1], z_summary_oracle(values, bins, block))
+
+    def test_bitwise_equal_in_parts_with_blas_threads(self):
+        # OpenBLAS with two threads, its pool started before each fork: the
+        # parts run it in every child as in the parent
+        env = dict(ascii_locale_env(), OPENBLAS_NUM_THREADS="2")
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests = proc.stdout.split()
+        assert len(digests) == 4 and len(set(digests)) == 1, digests
 
     @pytest.mark.parametrize("k, block", [(24, 8), (23, 8), (512, 128), (600, 512)])
     def test_bitwise_equal_on_correlated_rows(self, k, block):
@@ -306,6 +387,10 @@ class TestBlockPipeline:
         same_summary(all_pairs_summary(values, 50, block),
                      all_pairs_summary_oracle(values, 50, block))
         same_summary(z_summary(values, 50, block), z_summary_oracle(values, 50, block))
+        with cut_into(2):
+            same_summary(all_pairs_summary(values, 50, block),
+                         all_pairs_summary_oracle(values, 50, block))
+            same_summary(z_summary(values, 50, block), z_summary_oracle(values, 50, block))
 
     def test_one_row_last_block(self):
         # 513 rows at the default block: the last row block holds one row and
@@ -326,14 +411,13 @@ class TestBlockPipeline:
         with pytest.raises(DomainError) as got:
             z_summary(values, block=4)
         assert str(got.value) == UNIT_R
-        assert helper_threads() == []
 
     def test_negated_row_with_a_zero_found_before_any_gemm(self, monkeypatch):
         # centering leaves an exact 0.0 in both rows, -0.0 once one is negated
         values = random_matrix(m=6, n=5, seed=8)
         values[2] = [1.0, 2.0, 3.0, 4.0, 5.0]
         values[4] = -values[2]
-        monkeypatch.setattr(corrstats, "_iter_pair_blocks", None)
+        monkeypatch.setattr(corrstats, "_block_records", None)
         with pytest.raises(DomainError, match="magnitude 1"):
             z_summary(values)
 
@@ -348,13 +432,13 @@ class TestBlockPipeline:
         extreme_z = corrstats._extreme_z
         monkeypatch.setattr(corrstats, "_extreme_z", lambda lo, hi: 0.5 * extreme_z(lo, hi))
         passes = []
-        blocks = corrstats._iter_pair_blocks
+        block_records = corrstats._block_records
 
         def counted(*args):
             passes.append(args)
-            return blocks(*args)
+            return block_records(*args)
 
-        monkeypatch.setattr(corrstats, "_iter_pair_blocks", counted)
+        monkeypatch.setattr(corrstats, "_block_records", counted)
         hist = _kernels.hist_accumulate
 
         def in_range(z, lo, scale, counts):
@@ -367,10 +451,14 @@ class TestBlockPipeline:
         same_summary(z_summary(values, 17, 6), z_summary_oracle(values, 17, 6))
         assert len(passes) == 3
 
-    def test_no_thread_left_after_normal_run(self):
-        z_summary(random_matrix(m=30), block=4)
-        all_pairs_summary(random_matrix(m=30), block=4)
-        assert helper_threads() == []
+    def test_no_thread_left_after_normal_run(self, monkeypatch):
+        def refused(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        with cut_into(2):
+            z_summary(random_matrix(m=30), block=4)
+            all_pairs_summary(random_matrix(m=30), block=4)
 
     def test_no_thread_left_after_caller_error(self, monkeypatch):
         calls = []
@@ -380,34 +468,35 @@ class TestBlockPipeline:
             if len(calls) == 2:
                 raise RuntimeError("caller failed")
 
-        # z_summary bins through hist_accumulate on the calling thread
+        # one part: every tile bins through hist_accumulate in this process
         monkeypatch.setattr(_kernels, "hist_accumulate", failing)
         with pytest.raises(RuntimeError, match="caller failed"):
             z_summary(random_matrix(m=40), block=4)
         assert len(calls) == 2
-        assert helper_threads() == []
 
-    def test_helper_error_raised_at_its_block(self, monkeypatch):
-        seen = []
+    def test_error_raised_at_first_faulty_tile(self, monkeypatch):
+        # 40 rows in blocks of 4: 55 tiles. Each part count puts the faulty
+        # tiles in other parts; the first in canonical order is raised,
+        # whichever part, in a child or here, meets one first.
+        values = random_matrix(m=40, seed=9)
+        index = {vals: t for t, vals in enumerate(canonical_tiles(values, 4))}
+        assert len(index) == 55
+        extremes = corrstats._extremes
 
-        def failing(vals):
-            seen.append(vals.shape[0])
-            if len(seen) == 3:
-                raise FloatingPointError("helper failed")
+        def faulty(r):
+            t = index[r.tobytes()]
+            if t in bad:
+                raise DomainError(f"tile {t}")
+            return extremes(r)
 
-        monkeypatch.setattr(corrstats, "_clip", failing)
-        with pytest.raises(FloatingPointError, match="helper failed"):
-            all_pairs_summary(random_matrix(m=40), block=4)
-        assert helper_threads() == []
-
-    def test_closing_early_joins_the_helper(self):
-        S = corrstats._standardized_rows(random_matrix(m=40))
-        gen = corrstats._iter_pair_blocks(S, 4)
-        first = next(gen)
-        assert first.shape[0] == 6  # the upper triangle of the first 4 x 4 block
-        assert len(helper_threads()) == 1
-        gen.close()
-        assert helper_threads() == []
+        monkeypatch.setattr(corrstats, "_extremes", faulty)
+        for bad in ({30, 54}, {0, 40}, {20, 21, 50}, {54}):
+            for k in (1, 2, 3):
+                before = child_pids()
+                with cut_into(k), pytest.raises(DomainError) as got:
+                    z_summary(values, block=4)
+                assert str(got.value) == f"tile {min(bad)}"
+                assert child_pids() == before
 
 
 class TestSerialization:

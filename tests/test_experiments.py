@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import threading
 import tracemalloc
@@ -299,6 +300,13 @@ class TestInjection:
                     n1=8, n2=8, replicates=6, pfer=1.0, seed=15)
         base.update(over)
         return InjectionConfig(**base)
+
+    @pytest.mark.parametrize("n1, n2", [(10, 10), (44, 44), (12, 18), (45, 43)])
+    def test_pvalue_table_holds_the_multiples_of_gcd(self, n1, n2):
+        g, table = experiments._scaled_pvalue_table(n1, n2)
+        full = exact_pvalues_for_scaled(np.arange(n1 * n2 + 1), n1, n2)
+        assert g == math.gcd(n1, n2)
+        assert table.tobytes() == full[::g].tobytes()
 
     def test_report_shapes(self):
         rep = effect_injection_experiment(null_matrix(m=40, n=40, seed=16),

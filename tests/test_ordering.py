@@ -91,6 +91,19 @@ class TestVarianceOrdering:
         with pytest.raises(ValueError):
             o.permutation[0] = 0
 
+    @pytest.mark.parametrize("columns, message", [
+        ([0, 1, -1], r"array index -1 out of range \[0, 5\)"),
+        ([0, 1, 5], r"array index 5 out of range \[0, 5\)"),
+        ([0, 2, 2], "array indices must be distinct"),
+    ])
+    def test_bad_columns_rejected_as_select_arrays_does(self, columns, message):
+        values = np.random.default_rng(3).normal(size=(6, 5))
+        for source in (values, matrix_from(values), (values[:, :2], values[:, 2:])):
+            with pytest.raises(ValidationError, match=message):
+                variance_ordering(source, columns=np.array(columns))
+        with pytest.raises(ValidationError, match=message):
+            select_arrays(matrix_from(values), columns + [3])
+
     def test_single_gene_rejected(self):
         with pytest.raises(ValidationError, match="positive even length"):
             variance_ordering(np.arange(5.0)[None, :])
