@@ -41,8 +41,8 @@ from .errors import (
     ValidationError,
 )
 from .experiments import (
+    MODES,
     InjectionConfig,
-    _mode_rows,
     cross_phenotype_exceedance,
     effect_injection_experiment,
     jackknife_stability,
@@ -52,7 +52,7 @@ from .experiments import (
 )
 from .kstest import ks_exact_cdf, ks_exact_pvalue
 from .mtp import json_dumps, report_to_csv, report_to_json
-from .ordering import delta_sequence, delta_to_tsv, ordering_to_csv, variance_ordering
+from .ordering import ROW_KINDS, delta_sequence, delta_to_tsv, ordering_to_csv, rows_under_test, variance_ordering
 from .synth import NoiseModel, add_noise, generate_chain_matrix, generate_null_matrix, spec_from_json, spec_to_dict
 
 _DATA_ERRORS = (ParseError, ValidationError, DomainError, StateError, DegenerateInputError)
@@ -243,14 +243,6 @@ def _run(command: Command, ns) -> int:
 # in the table, so a caller that rebinds them (for tracing) sees every call.
 
 
-def _on_rows(matrix, on: str):
-    """The rows ``--on`` names: the genes as loaded, or the rows of one of the
-    experiments' modes, where "even" is mode "expression"."""
-    if on == "genes":
-        return matrix
-    return _mode_rows(matrix, variance_ordering(matrix), "expression" if on == "even" else on)
-
-
 def _check(cfg, m) -> Output:
     lo = float(m.values.min())
     hi = float(m.values.max())
@@ -261,11 +253,8 @@ def _check(cfg, m) -> Output:
                                    "log_scale": m.log_scale, "min": lo, "max": hi})})
 
 
-_CORR_ON = ("genes", "delta", "even")
-
-
 def _corr(cfg, m) -> Output:
-    rows = _on_rows(m, cfg["on"])
+    rows = rows_under_test(m, cfg["on"])
     if cfg["z"]:
         summary = z_summary(rows, bins=cfg["bins"])
         line = f"{summary.pair_count} pairs, mean z = {summary.mean_z!r}, sd = {summary.sd_z!r}"
@@ -361,8 +350,7 @@ _MOVING_ON = ("delta", "genes")
 
 
 def _exp_moving(cfg, m) -> Output:
-    trajectory = moving_mean_consistency(_on_rows(m, cfg["on"]),
-                                         cfg["step"], cfg["k_max"])
+    trajectory = moving_mean_consistency(rows_under_test(m, cfg["on"]), cfg["step"], cfg["k_max"])
     return Output(
         f"sd at {int(trajectory.row_counts[0])} rows: {float(trajectory.sd_values[0])!r}; "
         f"at {int(trajectory.row_counts[-1])}: {float(trajectory.sd_values[-1])!r}",
@@ -398,7 +386,7 @@ _LOAD_FLAGS = (Param("--log2", "input is raw scale; apply log2 on load", False, 
                Param("--no-header", "input has no header line", False, switch=True))
 _MATRIX = (_IN, *_LOAD_FLAGS)
 _PAIR = (_IN, _IN2, *_LOAD_FLAGS)
-_MODE = Param("--mode", "rows to test", "delta", choices=("delta", "expression"))
+_MODE = Param("--mode", "rows to test", "delta", choices=MODES)
 _SEED = Param("--seed", "sampling seed", 0, int)
 _PFER = Param("--pfer", "expected false positive budget", 1.0, float)
 _BUDGET = Param("--budget", "cap on exact CDF work", 10_000, int)
@@ -408,7 +396,7 @@ COMMANDS = (
             out_required=False),
     Command("corr", "all-pairs correlation summary and histogram", _corr, (
         *_MATRIX,
-        Param("--on", "which rows to correlate", "genes", choices=_CORR_ON),
+        Param("--on", "which rows to correlate", "genes", choices=ROW_KINDS),
         Param("--bins", "histogram bin count", 50, int),
         Param("--z", "summarize Fisher z instead of r", False, switch=True),
     )),

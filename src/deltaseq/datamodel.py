@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _parts
-from .errors import DomainError, ParseError, StateError, ValidationError
+from .errors import DomainError, ParseError, StateError, ValidationError, _check_positive
 
 MIN_GENES = 2
 MIN_ARRAYS = 4
@@ -152,8 +152,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ValidationError(f"noise kind must be one of {self.KINDS}, got {self.kind!r}")
-        if not (self.sd >= 0.0 and math.isfinite(self.sd)):
-            raise ValidationError(f"noise sd must be finite and >= 0, got {self.sd}")
+        _check_positive("noise sd", self.sd, allow_zero=True)
 
 
 def load_matrix(path: str | Path, *, has_header: bool = True, log_scale: bool = False) -> ExpressionMatrix:
@@ -487,21 +486,22 @@ def log_transform(matrix: ExpressionMatrix, base: float = 2.0) -> ExpressionMatr
 
 
 def _checked_columns(indices: Sequence[int], n: int) -> list[int]:
-    """``indices`` as ints, each refused unless distinct and in [0, n)."""
+    """``indices`` as ints, refused unless distinct, each in [0, n), and at
+    least MIN_ARRAYS."""
     idx = [int(i) for i in indices]
     if len(set(idx)) != len(idx):
         raise ValidationError("array indices must be distinct")
     for i in idx:
         if not (0 <= i < n):
             raise ValidationError(f"array index {i} out of range [0, {n})")
+    if len(idx) < MIN_ARRAYS:
+        raise ValidationError(f"need at least {MIN_ARRAYS} array indices, got {len(idx)}")
     return idx
 
 
 def select_arrays(matrix: ExpressionMatrix, indices: Sequence[int]) -> ExpressionMatrix:
     """Column projection in the order given; indices must be distinct, in
     bounds, and number at least MIN_ARRAYS."""
-    if len(indices) < MIN_ARRAYS:
-        raise ValidationError(f"need at least {MIN_ARRAYS} array indices, got {len(indices)}")
     idx = _checked_columns(indices, matrix.n_arrays)
     return ExpressionMatrix._adopt(matrix.gene_ids, tuple(matrix.array_ids[i] for i in idx),
                                    matrix.values[:, idx], matrix.log_scale)

@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .corrstats import _centred, _corr_centred, _effectively_constant
 from .datamodel import ExpressionMatrix
-from .errors import DegenerateInputError, ResourceError, ValidationError
+from .errors import DegenerateInputError, ResourceError, ValidationError, _check_alpha, _check_positive
 from .mtp import csv_text
 
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
@@ -106,8 +106,7 @@ def type_a_test(x: Sequence[float], y: Sequence[float], alpha: float = 0.05,
     n = xa.shape[0]
     if n < 4:
         raise ValidationError("need at least 4 observations")
-    if not (0.0 < alpha < 1.0):
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     # rows stacked by ascending id, so a variance tie falls to the smaller id
     if ids[0] > ids[1]:
         xa, ya, ids = ya, xa, ids[::-1]
@@ -181,8 +180,7 @@ def type_a_census(matrix: ExpressionMatrix, n_pairs: int, alpha: float = 0.05,
     total = m * (m - 1) // 2
     if not (1 <= n_pairs <= total):
         raise ValidationError(f"n_pairs must lie in [1, {total}], got {n_pairs}")
-    if not (0.0 < alpha < 1.0):
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     rng = np.random.default_rng(seed)
     idx, _ = _draw_distinct_tuples(rng, m, 2, n_pairs, np.empty(0, dtype=np.int64))
 
@@ -288,8 +286,7 @@ def triple_census(matrix: ExpressionMatrix, n_triples: int, mode: str = "type_a_
     total = m * (m - 1) * (m - 2) // 6
     if not (1 <= n_triples <= total):
         raise ValidationError(f"n_triples must lie in [1, {total}], got {n_triples}")
-    if not (0.0 < alpha < 1.0):
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
 
     rng = np.random.default_rng(seed)
     values = matrix.values
@@ -397,9 +394,7 @@ class TripleCovarianceModel:
 
     def __post_init__(self) -> None:
         for name in ("var_u", "var_a", "var_b"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValidationError(f"{name} must be finite and > 0, got {v}")
+            _check_positive(name, getattr(self, name))
         if not math.isfinite(self.cov_ab):
             raise ValidationError("cov_ab must be finite")
 

@@ -2,8 +2,11 @@
 
 The CLI maps these onto process exit codes: validation-type failures
 (ParseError, ValidationError, DomainError, StateError, DegenerateInputError)
-exit 1, ResourceError exits 2.
+exit 1, ResourceError exits 2. The input checks that several modules share
+are defined here once.
 """
+
+import math
 
 
 class DeltaseqError(Exception):
@@ -32,3 +35,15 @@ class DegenerateInputError(DeltaseqError):
 
 class ResourceError(DeltaseqError):
     """A configured work or size budget was exceeded."""
+
+
+def _check_positive(name: str, v: float, allow_zero: bool = False) -> None:
+    ok = (v >= 0.0) if allow_zero else (v > 0.0)
+    if not (ok and math.isfinite(v)):
+        kind = ">= 0" if allow_zero else "> 0"
+        raise ValidationError(f"{name} must be finite and {kind}, got {v}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")

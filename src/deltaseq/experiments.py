@@ -8,15 +8,14 @@ with sorted keys, making byte-identical reruns checkable by comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import _kernels, _parts
-from .corrstats import _has_collinear_pair, _standardized_rows
+from .corrstats import _has_collinear_pair, _row_values, _standardized_rows
 from .datamodel import ExpressionMatrix, select_arrays
-from .errors import DomainError, ResourceError, ValidationError
+from .errors import DomainError, ResourceError, ValidationError, _check_alpha, _check_positive
 from .kstest import (
     EDF,
     ExactCdfTable,
@@ -26,33 +25,20 @@ from .kstest import (
     mean_of_edfs,
 )
 from .mtp import RejectionReport, confusion_counts, csv_text, extended_bonferroni, json_dumps
-from .ordering import GeneOrdering, delta_sequence, even_rank_genes, variance_ordering
+from .ordering import even_rank_genes, rows_under_test, variance_ordering
 
 MODES = ("delta", "expression")
+# The rows (``ordering.rows_under_test``) that each mode tests: the two
+# phenotype screens test every gene in expression mode, the one-phenotype
+# experiments one gene per pair, as many rows as delta mode's.
+_SCREEN_ROWS = {"delta": "delta", "expression": "genes"}
+_PAIR_ROWS = {"delta": "delta", "expression": "even"}
 
 
-def _check_mode(mode: str) -> str:
+def _row_kind(mode: str, kinds: dict[str, str]) -> str:
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
-
-
-class _Rows(NamedTuple):
-    """Selected rows with their labels, which a correlation summary uses to
-    name a zero-variance row."""
-
-    values: np.ndarray
-    row_ids: tuple[str, ...]
-
-
-def _mode_rows(matrix: ExpressionMatrix, ordering: GeneOrdering, mode: str) -> _Rows:
-    """Row values and labels tested in the given mode: increment rows for
-    "delta", the higher-variance member of each pair for "expression"."""
-    if mode == "delta":
-        dm = delta_sequence(matrix, ordering)
-        return _Rows(dm.values, dm.row_ids)
-    idx = even_rank_genes(ordering)
-    return _Rows(matrix.values[idx], tuple(matrix.gene_ids[int(i)] for i in idx))
+    return kinds[mode]
 
 
 def _sd(values: np.ndarray) -> float:
@@ -107,13 +93,12 @@ def null_split_experiment(matrix: ExpressionMatrix, n1: int, n2: int,
     exact null table is built first, so a budget too small for it refuses
     the run before any other work.
     """
-    _check_mode(mode)
+    kind = _row_kind(mode, _PAIR_ROWS)
     n = matrix.n_arrays
     if n1 < 1 or n2 < 1 or n1 + n2 > n:
         raise ValidationError(f"need n1, n2 >= 1 with n1+n2 <= {n}, got ({n1}, {n2})")
     table = ks_exact_cdf(n1, n2, budget=cdf_budget)
-    ordering = variance_ordering(matrix)
-    rows, row_ids = _mode_rows(matrix, ordering, mode)
+    rows, row_ids = rows_under_test(matrix, kind)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     g1 = np.sort(perm[:n1])
@@ -121,7 +106,7 @@ def null_split_experiment(matrix: ExpressionMatrix, n1: int, n2: int,
     scaled, _ = _kernels.ks_scaled_batch(rows[:, g1], rows[:, g2])
     stats = scaled / (n1 * n2)
     distance = kolmogorov_distance(EDF.from_sample(stats), table.as_step())
-    return NullSplitResult(mode, n1, n2, seed, g1, g2, tuple(row_ids), scaled, stats,
+    return NullSplitResult(mode, n1, n2, seed, g1, g2, row_ids, scaled, stats,
                            table, distance)
 
 
@@ -268,10 +253,8 @@ class InjectionConfig:
             )
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
-        if not (self.pfer > 0.0 and math.isfinite(self.pfer)):
-            raise ValidationError(f"pfer must be finite and > 0, got {self.pfer}")
-        if not (self.effect_multiplier >= 0.0 and math.isfinite(self.effect_multiplier)):
-            raise ValidationError("effect_multiplier must be finite and >= 0")
+        _check_positive("pfer", self.pfer)
+        _check_positive("effect_multiplier", self.effect_multiplier, allow_zero=True)
 
 
 @dataclass(frozen=True)
@@ -296,16 +279,7 @@ class ExperimentReport:
         return json_dumps({
             "experiment": "effect_injection",
             "mode": self.mode,
-            "config": {
-                "split": list(self.config.split),
-                "n_modified": self.config.n_modified,
-                "effect_multiplier": self.config.effect_multiplier,
-                "n1": self.config.n1,
-                "n2": self.config.n2,
-                "replicates": self.config.replicates,
-                "pfer": self.config.pfer,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "m": self.m,
             "threshold": self.threshold,
             "targets": [int(t) for t in self.targets],
@@ -369,7 +343,7 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
     above _INJECT_PART_ROWS tested rows a part) and the report is the same
     for any number of parts.
     """
-    _check_mode(mode)
+    kind = _row_kind(mode, _PAIR_ROWS)
     s1, s2 = config.split
     if s1 + s2 > matrix.n_arrays:
         raise ValidationError(
@@ -394,13 +368,13 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
 
     # Each half, and then each set of rows, is dropped once the next step
     # has what it needs, so about one half of the matrix is held at a time.
-    rows1, _ = _mode_rows(sub1, ordering, mode)
+    rows1, _ = rows_under_test(sub1, kind, ordering)
     del sub1
     sds = rows1.std(axis=1, ddof=1)
     effects = config.effect_multiplier * sds[targets]
 
     sub2 = _spiked(select_arrays(matrix, cols2), even_rank_genes(ordering)[targets], effects)
-    rows2, _ = _mode_rows(sub2, ordering, mode)
+    rows2, _ = rows_under_test(sub2, kind, ordering)
     del sub2
     truth = np.zeros(n_rows, dtype=bool)
     truth[targets[effects != 0.0]] = True
@@ -464,9 +438,7 @@ def moving_mean_consistency(source, step: int, k_max: int) -> ConsistencyTraject
     """For k = 1..k_max, average the first k*step rows per array and report the
     sd of that average across arrays. Near-independent rows shrink the sd by
     about 1/sqrt(k); rows sharing a common component keep it flat."""
-    values = np.asarray(getattr(source, "values", source), dtype=np.float64)
-    if values.ndim != 2:
-        raise ValidationError("expected a matrix-like source with 2-d values")
+    values = _row_values(source)
     if step < 1 or k_max < 1:
         raise ValidationError("step and k_max must be >= 1")
     if k_max * step > values.shape[0]:
@@ -487,20 +459,18 @@ def moving_mean_consistency(source, step: int, k_max: int) -> ConsistencyTraject
 
 
 def _two_sample_rows(a: ExpressionMatrix, b: ExpressionMatrix, mode: str):
-    """Per-row two-sample inputs for two phenotypes on one gene universe.
+    """The rows tested in each of two phenotypes on one gene universe, and
+    their labels.
 
     In delta mode the ordering is estimated on the pooled arrays and enforced
     on both phenotypes so row i is the same gene pair in each.
     """
-    _check_mode(mode)
+    kind = _row_kind(mode, _SCREEN_ROWS)
     if a.gene_ids != b.gene_ids:
         raise ValidationError("matrices must share one gene universe (same ids, same order)")
-    if mode == "delta":
-        ordering = variance_ordering((a.values, b.values))
-        da = delta_sequence(a, ordering)
-        db = delta_sequence(b, ordering)
-        return da.values, db.values, da.row_ids
-    return a.values, b.values, a.gene_ids
+    ordering = variance_ordering((a.values, b.values)) if kind == "delta" else None
+    rows_a, row_ids = rows_under_test(a, kind, ordering)
+    return rows_a, rows_under_test(b, kind, ordering).values, row_ids
 
 
 @dataclass(frozen=True)
@@ -534,21 +504,22 @@ def cross_phenotype_exceedance(a: ExpressionMatrix, b: ExpressionMatrix,
                                mode: str = "delta", alpha: float = 0.05) -> ExceedanceResult:
     """Fraction of rows whose exact two-sample p-value between phenotypes is
     at or below alpha."""
-    if not (0.0 < alpha < 1.0):
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     rows_a, rows_b, row_ids = _two_sample_rows(a, b, mode)
     n1 = rows_a.shape[1]
     n2 = rows_b.shape[1]
     scaled, _ = _kernels.ks_scaled_batch(rows_a, rows_b)
     p = exact_pvalues_for_scaled(scaled, n1, n2)
     return ExceedanceResult(mode, alpha, n1, n2, float((p <= alpha).mean()),
-                            tuple(row_ids), scaled / (n1 * n2), p)
+                            row_ids, scaled / (n1 * n2), p)
 
 
 def two_sample_screen(a: ExpressionMatrix, b: ExpressionMatrix, mode: str,
                       pfer: float) -> tuple[RejectionReport, tuple[str, ...]]:
-    """Screen every row for a cross-phenotype difference under PFER control."""
+    """Screen every row for a cross-phenotype difference under PFER control.
+    ``pfer`` is checked before any row is built."""
+    _check_positive("pfer", pfer)
     rows_a, rows_b, row_ids = _two_sample_rows(a, b, mode)
     scaled, _ = _kernels.ks_scaled_batch(rows_a, rows_b)
     p = exact_pvalues_for_scaled(scaled, rows_a.shape[1], rows_b.shape[1])
-    return extended_bonferroni(p, pfer), tuple(row_ids)
+    return extended_bonferroni(p, pfer), row_ids

@@ -10,13 +10,12 @@ the realized false-positive count conservative relative to gamma.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_positive
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,7 @@ def extended_bonferroni(p_values: Sequence[float], pfer: float) -> RejectionRepo
     if not np.isfinite(p).all() or (p < 0.0).any() or (p > 1.0).any():
         bad = int(np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))[0])
         raise ValidationError(f"p-value at index {bad} outside [0, 1]: {p[bad]}")
-    if not (pfer > 0.0 and math.isfinite(pfer)):
-        raise ValidationError(f"pfer must be finite and > 0, got {pfer}")
+    _check_positive("pfer", pfer)
     m = p.shape[0]
     threshold = min(pfer / m, 1.0)
     rejected = np.flatnonzero(p <= threshold)

@@ -11,11 +11,12 @@ cancels exactly in each difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .datamodel import ExpressionMatrix, _checked_columns, table_to_tsv
+from .datamodel import MIN_ARRAYS, ExpressionMatrix, _checked_columns, table_to_tsv
 from .errors import ValidationError
 from .mtp import csv_text
 
@@ -60,11 +61,14 @@ def variance_ordering(matrix: ExpressionMatrix | np.ndarray | tuple,
     ``matrix`` may be a tuple of arrays over the same genes, pooled side by
     side. The variances come a block of rows at a time from
     ``_kernels.row_variances``, which copies neither the pool nor the subset.
-    ``columns`` must be distinct and in range, as ``select_arrays`` needs."""
+    ``columns`` must be distinct, in range and at least MIN_ARRAYS, as
+    ``select_arrays`` needs; with no ``columns`` the pool must be as wide."""
     values = getattr(matrix, "values", matrix)
+    width = sum(np.shape(part)[1] for part in (values if isinstance(values, tuple) else (values,)))
     if columns is not None:
-        width = sum(np.shape(part)[1] for part in (values if isinstance(values, tuple) else (values,)))
         columns = _checked_columns(columns, width)
+    elif width < MIN_ARRAYS:
+        raise ValidationError(f"need at least {MIN_ARRAYS} arrays, got {width}")
     var = _kernels.row_variances(values, columns)
     order = np.argsort(var, kind="stable")
     if order.shape[0] % 2 != 0:
@@ -137,6 +141,36 @@ def delta_sequence(matrix: ExpressionMatrix, ordering: GeneOrdering) -> DeltaMat
 def even_rank_genes(ordering: GeneOrdering) -> np.ndarray:
     """Original indices of the higher-variance member of each pair."""
     return ordering.permutation[1::2].copy()
+
+
+ROW_KINDS = ("genes", "delta", "even")
+
+
+class Rows(NamedTuple):
+    """Rows under test with their labels, which a correlation summary uses to
+    name a zero-variance row."""
+
+    values: np.ndarray
+    row_ids: tuple[str, ...]
+
+
+def rows_under_test(matrix: ExpressionMatrix, kind: str,
+                    ordering: GeneOrdering | None = None) -> Rows:
+    """The rows a test reads, one of ROW_KINDS: "genes" is the matrix's own
+    values (not a copy) labelled by gene id; "delta" the increment rows and
+    "even" the higher-variance gene of each pair, both along ``ordering``, or
+    along the matrix's own variance ordering when it is None."""
+    if kind not in ROW_KINDS:
+        raise ValidationError(f"rows must be one of {ROW_KINDS}, got {kind!r}")
+    if kind == "genes":
+        return Rows(matrix.values, matrix.gene_ids)
+    if ordering is None:
+        ordering = variance_ordering(matrix)
+    if kind == "delta":
+        dm = delta_sequence(matrix, ordering)
+        return Rows(dm.values, dm.row_ids)
+    idx = even_rank_genes(ordering)
+    return Rows(matrix.values[idx], tuple(matrix.gene_ids[int(i)] for i in idx))
 
 
 def ordering_to_csv(ordering: GeneOrdering, matrix: ExpressionMatrix) -> str:

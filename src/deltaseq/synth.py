@@ -17,21 +17,13 @@ add_noise perturbs an existing matrix per cell or per array.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .datamodel import ExpressionMatrix, NoiseModel
-from .errors import ValidationError
-
-
-def _check_positive(name: str, v: float, allow_zero: bool = False) -> None:
-    ok = (v >= 0.0) if allow_zero else (v > 0.0)
-    if not (ok and math.isfinite(v)):
-        kind = ">= 0" if allow_zero else "> 0"
-        raise ValidationError(f"{name} must be finite and {kind}, got {v}")
+from .errors import ValidationError, _check_positive
 
 
 @dataclass(frozen=True)

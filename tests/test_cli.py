@@ -5,6 +5,7 @@ are observable without spawning interpreters; only the locale test needs a
 child interpreter, because the locale encoding is fixed at start-up.
 """
 
+import ast
 import hashlib
 import inspect
 import json
@@ -45,6 +46,27 @@ def null_pair_tsv(tmp_path_factory):
 
 def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_cli_imports_only_public_library_names():
+    # the CLI is built on the library's public surface: no private module
+    # and no underscore-prefixed name of another deltaseq module
+    tree = ast.parse(Path(inspect.getfile(cli)).read_text(encoding="utf-8"))
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("deltaseq")):
+            path = (node.module or "").split(".")
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            path, names = [], [alias.name for alias in node.names
+                               if alias.name.startswith("deltaseq")]
+        else:
+            continue
+        for name in names:
+            parts = path + name.split(".")
+            if any(part.startswith("_") and not part.startswith("__") for part in parts):
+                private.append(".".join(filter(None, parts)))
+    assert private == []
 
 
 class TestExitCodes:

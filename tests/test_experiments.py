@@ -529,6 +529,40 @@ class TestScreen:
         assert payload["n_rejected"] == report.n_rejected
         assert tuple(row_ids) == a.gene_ids
 
+    @pytest.mark.parametrize("pfer", [0.0, -1.0, math.nan, math.inf])
+    def test_pfer_checked_before_any_row(self, pfer, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_kernels, "ks_scaled_batch", lambda *args: calls.append(args))
+        a = null_matrix(m=20, n=16, seed=36)
+        for mode in experiments.MODES:
+            with pytest.raises(ValidationError, match="pfer must be finite and > 0"):
+                two_sample_screen(a, a, mode=mode, pfer=pfer)
+        assert calls == []
+
+
+class TestExpressionRows:
+    """What mode "expression" tests: every gene in the two-phenotype
+    screens, the higher-variance gene of each pair in the one-phenotype
+    experiments, which thus test as many rows as in delta mode."""
+
+    def test_screens_test_every_gene(self):
+        a = null_matrix(m=21, n=12, seed=40)
+        b = null_matrix(m=21, n=14, seed=41)
+        report, row_ids = two_sample_screen(a, b, mode="expression", pfer=1.0)
+        assert report.m == 21 and row_ids == a.gene_ids
+        res = cross_phenotype_exceedance(a, b, mode="expression")
+        assert res.row_ids == a.gene_ids and res.p_values.shape == (21,)
+
+    def test_one_phenotype_experiments_test_one_gene_per_pair(self):
+        m = null_matrix(m=41, n=40, seed=42)
+        even = variance_ordering(m).permutation[1::2]
+        res = null_split_experiment(m, 8, 8, mode="expression", seed=43)
+        assert res.row_ids == tuple(m.gene_ids[i] for i in even.tolist())
+        config = InjectionConfig(split=(20, 20), n_modified=3, effect_multiplier=1.0,
+                                 n1=8, n2=8, replicates=2, pfer=1.0, seed=44)
+        rep = effect_injection_experiment(m, config, mode="expression")
+        assert rep.m == 20 == effect_injection_experiment(m, config, mode="delta").m
+
 
 class TestResamplingParts:
     """The injection replicates and the jackknife distances cut into k

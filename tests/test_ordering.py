@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,13 @@ from deltaseq import (
     variance_ordering,
 )
 from deltaseq import _kernels, select_arrays
-from deltaseq.ordering import DeltaMatrix, GeneOrdering, delta_to_tsv, ordering_to_csv
+from deltaseq.ordering import (
+    DeltaMatrix,
+    GeneOrdering,
+    delta_to_tsv,
+    ordering_to_csv,
+    rows_under_test,
+)
 
 from helpers import variance_ordering_oracle
 
@@ -95,14 +103,29 @@ class TestVarianceOrdering:
         ([0, 1, -1], r"array index -1 out of range \[0, 5\)"),
         ([0, 1, 5], r"array index 5 out of range \[0, 5\)"),
         ([0, 2, 2], "array indices must be distinct"),
+        # fewer than MIN_ARRAYS columns: refused before any variance is taken
+        ([2], "need at least 4 array indices"),
+        ([], "need at least 4 array indices"),
     ])
     def test_bad_columns_rejected_as_select_arrays_does(self, columns, message):
         values = np.random.default_rng(3).normal(size=(6, 5))
         for source in (values, matrix_from(values), (values[:, :2], values[:, 2:])):
-            with pytest.raises(ValidationError, match=message):
+            with warnings.catch_warnings(), pytest.raises(ValidationError, match=message):
+                warnings.simplefilter("error")
                 variance_ordering(source, columns=np.array(columns))
         with pytest.raises(ValidationError, match=message):
             select_arrays(matrix_from(values), columns + [3])
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_fewer_arrays_than_min_rejected(self, width, monkeypatch):
+        def no_variances(*args):
+            raise AssertionError("variances taken before the width was checked")
+
+        monkeypatch.setattr(_kernels, "row_variances", no_variances)
+        values = np.random.default_rng(4).normal(size=(6, width))
+        for source in (values, (values[:, :1], values[:, 1:])):
+            with pytest.raises(ValidationError, match=f"need at least 4 arrays, got {width}"):
+                variance_ordering(source)
 
     def test_single_gene_rejected(self):
         with pytest.raises(ValidationError, match="positive even length"):
@@ -261,3 +284,39 @@ class TestHelpers:
         d = delta_sequence(m, variance_ordering(m))
         head = delta_to_tsv(d).splitlines()[0]
         assert head == b"gene_id\ta0\ta1\ta2\ta3"
+
+
+class TestRowsUnderTest:
+    """Each kind of row, with 7-row blocks, along the matrix's own ordering
+    and along one pooled with a second phenotype: the values and labels of
+    ``delta_sequence``, ``even_rank_genes`` and the plain gene rows, bit for
+    bit."""
+
+    @pytest.mark.parametrize("kind", ["genes", "delta", "even"])
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_kind_matches_its_definition(self, kind, pooled, monkeypatch):
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", 7)
+        rng = np.random.default_rng(21)
+        scale = rng.uniform(0.2, 3.0, size=(23, 1))
+        a, b = (matrix_from(np.round(rng.normal(size=(23, n)) * scale, 1)) for n in (9, 6))
+        ordering = (variance_ordering_oracle(np.concatenate([a.values, b.values], axis=1))
+                    if pooled else None)
+        want_order = ordering if pooled else variance_ordering_oracle(a.values)
+        values, row_ids = rows_under_test(a, kind, ordering)
+        if kind == "genes":
+            assert values is a.values  # the matrix itself, not a copy
+            assert row_ids == a.gene_ids
+        elif kind == "delta":
+            want = delta_sequence(a, want_order)
+            assert values.tobytes() == want.values.tobytes()
+            assert row_ids == want.row_ids
+        else:
+            idx = even_rank_genes(want_order)
+            assert values.tobytes() == a.values[idx].tobytes()
+            assert row_ids == tuple(a.gene_ids[i] for i in idx.tolist())
+        assert values.shape[0] == len(row_ids)
+
+    def test_unknown_kind_rejected(self):
+        m = matrix_from(np.random.default_rng(5).normal(size=(6, 5)))
+        with pytest.raises(ValidationError, match="rows must be one of"):
+            rows_under_test(m, "expression")
