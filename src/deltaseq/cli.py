@@ -24,9 +24,10 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .corrstats import all_pairs_summary, histogram_to_csv, summary_header_json, z_summary
+from .corrstats import DEFAULT_BINS, all_pairs_summary, histogram_to_csv, summary_header_json, z_summary
 from .datamodel import load_matrix, log_transform, table_to_tsv
 from .dependence import (
+    TRIPLE_MODES,
     pair_census_to_csv,
     triple_census_to_csv,
     type_a_census,
@@ -50,7 +51,7 @@ from .experiments import (
     null_split_experiment,
     two_sample_screen,
 )
-from .kstest import ks_exact_cdf, ks_exact_pvalue
+from .kstest import DEFAULT_CDF_BUDGET, ks_exact_cdf, ks_exact_pvalue
 from .mtp import json_dumps, report_to_csv, report_to_json
 from .ordering import ROW_KINDS, delta_sequence, delta_to_tsv, ordering_to_csv, rows_under_test, variance_ordering
 from .synth import NoiseModel, add_noise, generate_chain_matrix, generate_null_matrix, spec_from_json, spec_to_dict
@@ -389,7 +390,7 @@ _PAIR = (_IN, _IN2, *_LOAD_FLAGS)
 _MODE = Param("--mode", "rows to test", "delta", choices=MODES)
 _SEED = Param("--seed", "sampling seed", 0, int)
 _PFER = Param("--pfer", "expected false positive budget", 1.0, float)
-_BUDGET = Param("--budget", "cap on exact CDF work", 10_000, int)
+_BUDGET = Param("--budget", "cap on exact CDF work", DEFAULT_CDF_BUDGET, int)
 
 COMMANDS = (
     Command("check", "validate a matrix file and print its shape", _check, _MATRIX,
@@ -397,7 +398,7 @@ COMMANDS = (
     Command("corr", "all-pairs correlation summary and histogram", _corr, (
         *_MATRIX,
         Param("--on", "which rows to correlate", "genes", choices=ROW_KINDS),
-        Param("--bins", "histogram bin count", 50, int),
+        Param("--bins", "histogram bin count", DEFAULT_BINS, int),
         Param("--z", "summarize Fisher z instead of r", False, switch=True),
     )),
     Command("order", "variance ordering of genes", _order, _MATRIX),
@@ -414,7 +415,7 @@ COMMANDS = (
     Command("triples", "random-triple census of increment covariances", _triples, (
         *_MATRIX,
         Param("--triples", "number of random triples", 1000, int),
-        Param("--mode", "triple admission rule", "type_a_only", choices=("type_a_only", "any")),
+        Param("--mode", "triple admission rule", TRIPLE_MODES[0], choices=TRIPLE_MODES),
         Param("--alpha", "pair test level", 0.05, float),
         _SEED,
     )),
@@ -469,8 +470,7 @@ COMMANDS = (
     Command("synth", "generate a synthetic matrix from a JSON spec", _synth, (
         Param("--spec", "generator spec (JSON)", required=True, input="file"),
         Param("--noise-sd", "measurement noise sd", 0.0, float),
-        Param("--noise-kind", "noise sharing structure", "gene-array",
-              choices=("gene-array", "array-only")),
+        Param("--noise-kind", "noise sharing structure", NoiseModel.KINDS[0], choices=NoiseModel.KINDS),
         Param("--noise-seed", "noise seed", 1, int),
     )),
 )

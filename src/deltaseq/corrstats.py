@@ -178,27 +178,27 @@ def _has_collinear_pair(S: np.ndarray) -> bool:
 # against 84 ms) while the host ran two GEMMs side by side at full speed,
 # and lost up to 18M (186 against 230 ms for r) while it ran them at 60 %.
 _CORR_PART_PAIRS = 1 << 21
+_TILE = 512  # rows a tile side; fixed, as the tiles set the order of the sums
 
 
-def _block_records(S: np.ndarray, block: int, per_block: Callable[[np.ndarray], tuple],
-                   dtype) -> np.ndarray:
+def _block_records(S: np.ndarray, per_block: Callable[[np.ndarray], tuple], dtype) -> np.ndarray:
     """The ``dtype`` records ``per_block(vals)`` of the inner products
-    ``vals`` of each tile of all row pairs, in canonical order. A part
-    computes its tiles one after another into one buffer, so ``vals`` lives,
-    and may be changed in place, only during its call. An error is raised
-    at the first faulty tile in order, whichever part meets it."""
+    ``vals`` of each _TILE x _TILE tile of all row pairs, in canonical order.
+    A part computes its tiles one after another into one buffer, so ``vals``
+    lives, and may be changed in place, only during its call. An error is
+    raised at the first faulty tile in order, whichever part meets it."""
     k = S.shape[0]
-    # a diagonal block of one row has no pairs
-    tiles = [(bi, bj) for bi in range(0, k, block) for bj in range(bi, k, block)
-             if bi != bj or min(block, k - bi) > 1]
+    # a diagonal tile of one row has no pairs
+    tiles = [(bi, bj) for bi in range(0, k, _TILE) for bj in range(bi, k, _TILE)
+             if bi != bj or min(_TILE, k - bi) > 1]
     upper = {side: np.triu_indices(side, 1)
-             for side in {min(block, k - bi) for bi, bj in tiles if bi == bj}}
-    buf = np.empty(min(block, k) ** 2)
+             for side in {min(_TILE, k - bi) for bi, bj in tiles if bi == bj}}
+    buf = np.empty(min(_TILE, k) ** 2)
 
     def tile(t: int) -> tuple:
         bi, bj = tiles[t]
-        Si = S[bi : bi + block]
-        Sj = S[bj : bj + block]
+        Si = S[bi : bi + _TILE]
+        Sj = S[bj : bj + _TILE]
         G = buf[: Si.shape[0] * Sj.shape[0]].reshape(Si.shape[0], Sj.shape[0])
         np.matmul(Si, Sj.T, out=G)
         if bi == bj:
@@ -212,7 +212,7 @@ def _block_records(S: np.ndarray, block: int, per_block: Callable[[np.ndarray], 
     return _parts._map_in_parts(tile, len(tiles), dtype, k * (k - 1) // 2, _CORR_PART_PAIRS)
 
 
-def _moments_and_bins(S: np.ndarray, block: int, transform: Callable[[np.ndarray], object],
+def _moments_and_bins(S: np.ndarray, transform: Callable[[np.ndarray], object],
                       zmax: float, bins: int) -> tuple[int, float, float, float, np.ndarray]:
     """Pair count, mean, sd, max|v| and ``bins`` counts over [-zmax, zmax]
     of v = transform(r), taken in place. A tile whose max|v| exceeds zmax
@@ -228,7 +228,7 @@ def _moments_and_bins(S: np.ndarray, block: int, transform: Callable[[np.ndarray
             _kernels.hist_accumulate(vals, -zmax, scale, counts)
         return vals.shape[0], *sums, top, counts
 
-    records = _block_records(S, block, per_block, np.dtype([
+    records = _block_records(S, per_block, np.dtype([
         ("n", np.int64), ("s1", np.float64), ("s2", np.float64), ("top", np.float64),
         ("counts", np.int64, (bins,))]))
     total = int(records["n"].sum())
@@ -241,21 +241,19 @@ def _moments_and_bins(S: np.ndarray, block: int, transform: Callable[[np.ndarray
     return total, mean, sd, max(0.0, float(records["top"].max())), records["counts"].sum(axis=0)
 
 
-def _check_bins_and_block(bins: int, block: int) -> None:
+def _check_bins(bins: int) -> None:
     if bins < 1:
         raise ValidationError("bins must be >= 1")
-    if block < 1:
-        raise ValidationError("block must be >= 1")
 
 
-def all_pairs_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> CorrelationSummary:
+def all_pairs_summary(source, bins: int = DEFAULT_BINS) -> CorrelationSummary:
     """Histogram (fixed range [-1, 1]) plus moments of r over all row pairs.
 
     ``source`` is an ExpressionMatrix, a DeltaMatrix, or a bare 2-d array.
     """
-    _check_bins_and_block(bins, block)
+    _check_bins(bins)
     total, mean, sd, _, counts = _moments_and_bins(
-        _standardized_rows(source), block, lambda r: np.clip(r, -1.0, 1.0, out=r), 1.0, bins)
+        _standardized_rows(source), lambda r: np.clip(r, -1.0, 1.0, out=r), 1.0, bins)
     return CorrelationSummary(total, mean, sd, Histogram(np.linspace(-1.0, 1.0, bins + 1), counts))
 
 
@@ -275,14 +273,14 @@ def _extremes(r: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
-def z_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> ZSummary:
+def z_summary(source, bins: int = DEFAULT_BINS) -> ZSummary:
     """Fisher z over all row pairs with a symmetric data-driven histogram range.
 
     theoretical_sd is 1/sqrt(n - 3) for the source's array count n. A pair of
     duplicated rows (|r| = 1) is outside the transform's domain and raises
     DomainError.
     """
-    _check_bins_and_block(bins, block)
+    _check_bins(bins)
     n = _row_values(source).shape[1]
     if n < 4:
         raise ValidationError("need at least 4 arrays for a z summary")
@@ -290,7 +288,7 @@ def z_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> ZSummary:
     if _has_collinear_pair(S):
         raise DomainError(_UNIT_R)
     # pass 1, GEMMs alone: the extreme correlations give the candidate range
-    extremes = _block_records(S, block, _extremes, np.dtype([("lo", float), ("hi", float)]))
+    extremes = _block_records(S, _extremes, np.dtype([("lo", float), ("hi", float)]))
     candidate = _extreme_z(min(0.0, extremes["lo"].min()), max(0.0, extremes["hi"].max()))
 
     def arctanh(z: np.ndarray) -> None:
@@ -298,10 +296,10 @@ def z_summary(source, bins: int = DEFAULT_BINS, block: int = 512) -> ZSummary:
 
     # pass 2: arctanh once per value, for the moments, max|z| and the bins
     zmax = candidate or 1.0
-    total, mean, sd, observed, counts = _moments_and_bins(S, block, arctanh, zmax, bins)
+    total, mean, sd, observed, counts = _moments_and_bins(S, arctanh, zmax, bins)
     if observed != candidate:  # pass 3 bins every value with the observed range
         zmax = observed or 1.0
-        counts = _moments_and_bins(S, block, arctanh, zmax, bins)[4]
+        counts = _moments_and_bins(S, arctanh, zmax, bins)[4]
     return ZSummary(total, mean, sd, 1.0 / math.sqrt(n - 3),
                     Histogram(np.linspace(-zmax, zmax, bins + 1), counts))
 

@@ -70,6 +70,18 @@ def _check_ids(ids: Sequence[str], kind: str) -> tuple[str, ...]:
     return out
 
 
+def _check_labels(values: np.ndarray, row_ids: Sequence[str], col_ids: Sequence[str],
+                  rows: str = "row", columns: str = "column") -> None:
+    """Refuse values that are not 2-d, or ids whose count differs from the
+    values' rows or columns."""
+    if values.ndim != 2:
+        raise ValidationError("values must be a 2-d array")
+    for ids, kind, size, axis in ((row_ids, rows, values.shape[0], "rows"),
+                                  (col_ids, columns, values.shape[1], "columns")):
+        if len(ids) != size:
+            raise ValidationError(f"{kind} ids: {len(ids)} for {size} {axis}")
+
+
 @dataclass(frozen=True)
 class ExpressionMatrix:
     """Immutable m x n matrix of per-gene, per-array expression values.
@@ -107,17 +119,12 @@ class ExpressionMatrix:
         object.__setattr__(self, "array_ids", array_ids)
         if not adopt:
             values = np.array(values, dtype=np.float64, copy=True)
-        if values.ndim != 2:
-            raise ValidationError("values must be a 2-d array")
+        _check_labels(values, gene_ids, array_ids, "gene", "array")
         m, n = values.shape
         if m < MIN_GENES:
             raise ValidationError(f"need at least {MIN_GENES} genes, got {m}")
         if n < MIN_ARRAYS:
             raise ValidationError(f"need at least {MIN_ARRAYS} arrays, got {n}")
-        if m != len(gene_ids):
-            raise ValidationError("gene_ids length does not match row count")
-        if n != len(array_ids):
-            raise ValidationError("array_ids length does not match column count")
         if not finite and not np.isfinite(values).all():
             bad = np.argwhere(~np.isfinite(values))[0]
             raise ValidationError(
@@ -363,12 +370,14 @@ def table_to_tsv(row_ids: Sequence[str], col_ids: Sequence[str], values: np.ndar
 
     Rows are formatted _WRITE_BLOCK_CELLS values at a time, each chunk
     encoded and appended to the result, so the text exists once, as bytes.
-    Raises ValidationError, before formatting anything, for the first
-    column or row id the loader would not read back.
+    Raises ValidationError, before formatting anything, for values that are
+    not 2-d, ids whose count differs from theirs, and the first column or
+    row id the loader would not read back.
     """
+    values = np.asarray(values, dtype=np.float64)
+    _check_labels(values, row_ids, col_ids)
     _check_writable_ids(col_ids, "column")
     _check_writable_ids(row_ids, "row")
-    values = np.asarray(values, dtype=np.float64)
     m = values.shape[0]
     k = max(1, min(_parts._part_count(values.size, _WRITE_PART_CELLS), m))  # no part without rows
     bounds = [m * i // k for i in range(k + 1)]

@@ -24,6 +24,7 @@ from .errors import DegenerateInputError, ResourceError, ValidationError, _check
 from .mtp import csv_text
 
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
+TRIPLE_MODES = ("type_a_only", "any")  # triple_census's admission rules, its default first
 
 
 def _fisher_pvalues(r: np.ndarray, n: int) -> np.ndarray:
@@ -266,7 +267,7 @@ class TripleCensus:
     attempts: int
 
 
-def triple_census(matrix: ExpressionMatrix, n_triples: int, mode: str = "type_a_only",
+def triple_census(matrix: ExpressionMatrix, n_triples: int, mode: str = TRIPLE_MODES[0],
                   alpha: float = 0.05, seed: int = 0,
                   max_attempt_factor: int = 50) -> TripleCensus:
     """Fraction of sampled ascending-variance triples whose consecutive
@@ -280,8 +281,8 @@ def triple_census(matrix: ExpressionMatrix, n_triples: int, mode: str = "type_a_
     O(n_triples) for the draws, the seen codes and the outputs, and one
     block's rows (``_kernels.row_blocks``).
     """
-    if mode not in ("type_a_only", "any"):
-        raise ValidationError(f"mode must be 'type_a_only' or 'any', got {mode!r}")
+    if mode not in TRIPLE_MODES:
+        raise ValidationError(f"mode must be one of {TRIPLE_MODES}, got {mode!r}")
     m = matrix.n_genes
     total = m * (m - 1) * (m - 2) // 6
     if not (1 <= n_triples <= total):

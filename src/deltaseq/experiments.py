@@ -17,6 +17,7 @@ from .corrstats import _has_collinear_pair, _row_values, _standardized_rows
 from .datamodel import ExpressionMatrix, select_arrays
 from .errors import DomainError, ResourceError, ValidationError, _check_alpha, _check_positive
 from .kstest import (
+    DEFAULT_CDF_BUDGET,
     EDF,
     ExactCdfTable,
     exact_pvalues_for_scaled,
@@ -82,9 +83,8 @@ class NullSplitResult:
         return csv_text("row_id,scaled,d", self.row_ids, self.scaled, self.statistics)
 
 
-def null_split_experiment(matrix: ExpressionMatrix, n1: int, n2: int,
-                          mode: str = "delta", seed: int = 0,
-                          cdf_budget: int = 10_000) -> NullSplitResult:
+def null_split_experiment(matrix: ExpressionMatrix, n1: int, n2: int, mode: str = "delta",
+                          seed: int = 0, cdf_budget: int = DEFAULT_CDF_BUDGET) -> NullSplitResult:
     """Draw two disjoint array groups, compute the two-sample statistic for
     every row, and measure sup distance between the pooled statistic EDF and
     the exact null distribution.
@@ -175,10 +175,13 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
 
     Memory grows with the ``B*first_k*(first_k-1)/2`` z-scores held at once:
     the buffer and the pooled copy take 16 bytes per z-score (30.5 MiB at
-    B=16, first_k=500), and beyond them only the temporaries of one block of
-    rows and of one subsample are held. ``max_pair_evals`` caps that count
-    before any subsample is drawn; the default of 2e7 keeps the two copies
-    of the z-scores within 320 MB (305 MiB).
+    B=16, first_k=500). Beyond them only the temporaries of one block of
+    rows and of one subsample are held, the largest the subsample's
+    first_k x first_k product and the first_k**2 upper-triangle mask, about
+    9*first_k**2 bytes. ``max_pair_evals`` caps the z-score count before any
+    subsample is drawn; the default of 2e7 keeps the two copies of the
+    z-scores within 320 MB (305 MiB). At B = 1 it allows first_k = 6325,
+    whose product and mask take about 360 MB, more than the two copies.
     """
     n = matrix.n_arrays
     if not (1 <= d <= n - 4):
@@ -370,7 +373,7 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
     # has what it needs, so about one half of the matrix is held at a time.
     rows1, _ = rows_under_test(sub1, kind, ordering)
     del sub1
-    sds = rows1.std(axis=1, ddof=1)
+    sds = np.sqrt(_kernels.row_variances(rows1))
     effects = config.effect_multiplier * sds[targets]
 
     sub2 = _spiked(select_arrays(matrix, cols2), even_rank_genes(ordering)[targets], effects)

@@ -89,21 +89,34 @@ class StepFunction:
 
 @dataclass(frozen=True)
 class EDF:
-    """Empirical distribution function of a finite sample."""
+    """Empirical distribution function of a finite sample.
+
+    The constructor checks, in O(n), that ``sorted_values`` is a nonempty,
+    1-d, finite, nondecreasing array of ``size`` values, and holds it
+    without a copy."""
 
     sorted_values: np.ndarray
     size: int
 
+    def __post_init__(self) -> None:
+        values = np.asarray(self.sorted_values, dtype=np.float64)
+        if values.ndim != 1:
+            raise ValidationError("EDF sample must be 1-d")
+        if values.size == 0:
+            raise ValidationError("EDF needs a nonempty sample")
+        if not np.isfinite(values).all():
+            raise ValidationError("EDF sample must be finite")
+        if (values[1:] < values[:-1]).any():
+            raise ValidationError("EDF sample must be sorted in nondecreasing order")
+        if not isinstance(self.size, (int, np.integer)) or self.size != values.size:
+            raise ValidationError(f"EDF size must be the sample's {values.size}, got {self.size!r}")
+        object.__setattr__(self, "sorted_values", values)
+
     @classmethod
     def from_sample(cls, sample: Sequence[float]) -> "EDF":
-        arr = np.asarray(sample, dtype=np.float64).ravel()
-        if arr.size == 0:
-            raise ValidationError("EDF needs a nonempty sample")
-        if not np.isfinite(arr).all():
-            raise ValidationError("EDF sample must be finite")
-        arr = np.sort(arr)
+        arr = np.sort(np.asarray(sample, dtype=np.float64).ravel())
         arr.flags.writeable = False
-        return cls(arr, int(arr.size))
+        return cls(arr, arr.size)
 
     def as_step(self) -> StepFunction:
         """The EDF's jumps and heights. The number of values at or below

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .datamodel import MIN_ARRAYS, ExpressionMatrix, _checked_columns, table_to_tsv
+from .datamodel import MIN_ARRAYS, ExpressionMatrix, _check_labels, _checked_columns, table_to_tsv
 from .errors import ValidationError
 from .mtp import csv_text
 
@@ -62,9 +62,13 @@ def variance_ordering(matrix: ExpressionMatrix | np.ndarray | tuple,
     side. The variances come a block of rows at a time from
     ``_kernels.row_variances``, which copies neither the pool nor the subset.
     ``columns`` must be distinct, in range and at least MIN_ARRAYS, as
-    ``select_arrays`` needs; with no ``columns`` the pool must be as wide."""
+    ``select_arrays`` needs; with no ``columns`` the pool must be as wide.
+    Every array must be 2-d."""
     values = getattr(matrix, "values", matrix)
-    width = sum(np.shape(part)[1] for part in (values if isinstance(values, tuple) else (values,)))
+    shapes = [np.shape(part) for part in (values if isinstance(values, tuple) else (values,))]
+    if any(len(shape) != 2 for shape in shapes):
+        raise ValidationError(f"values must be 2-d, got shapes {shapes}")
+    width = sum(shape[1] for shape in shapes)
     if columns is not None:
         columns = _checked_columns(columns, width)
     elif width < MIN_ARRAYS:
@@ -89,7 +93,8 @@ class DeltaMatrix:
     """Per-array differences for consecutive ranked gene pairs.
 
     Row i is gene at rank 2i+1 minus gene at rank 2i (0-based ranks), i.e.
-    the higher-variance member of the pair minus the lower.
+    the higher-variance member of the pair minus the lower. There is one
+    row id per row and one array id per column.
     """
 
     values: np.ndarray
@@ -98,6 +103,7 @@ class DeltaMatrix:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64).copy()
+        _check_labels(values, self.row_ids, self.array_ids, "row", "array")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

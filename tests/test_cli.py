@@ -7,8 +7,10 @@ child interpreter, because the locale encoding is fixed at start-up.
 
 import ast
 import hashlib
+import importlib
 import inspect
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltaseq import ExpressionMatrix, __version__, cli, experiments, jackknife_stability
+import deltaseq
+from deltaseq import (ExpressionMatrix, NoiseModel, __version__, cli, corrstats, dependence,
+                      experiments, jackknife_stability, kstest)
 from deltaseq.cli import main
 from deltaseq.datamodel import matrix_to_tsv, save_matrix
 from deltaseq.synth import ChainSpec, generate_chain_matrix, generate_null_matrix
@@ -67,6 +71,25 @@ def test_cli_imports_only_public_library_names():
             if any(part.startswith("_") and not part.startswith("__") for part in parts):
                 private.append(".".join(filter(None, parts)))
     assert private == []
+
+
+def test_settings_are_declared_once_in_the_library():
+    # no public function takes a tile size: the corr tiles are fixed
+    for info in pkgutil.iter_modules(deltaseq.__path__):
+        module = importlib.import_module(f"deltaseq.{info.name}")
+        for name, value in vars(module).items():
+            if inspect.isfunction(value) and not name.startswith("_"):
+                assert "block" not in inspect.signature(value).parameters, (info.name, name)
+    # the CLI's choices and defaults are the library's own
+    params = {(c.name, p.flag): p for c in cli.COMMANDS for p in c.params}
+    assert params["corr", "--bins"].default == corrstats.DEFAULT_BINS
+    for command in ("ks", "exp-null"):
+        assert params[command, "--budget"].default == kstest.DEFAULT_CDF_BUDGET
+    mode = params["triples", "--mode"]
+    assert mode.choices == dependence.TRIPLE_MODES
+    assert mode.default == inspect.signature(dependence.triple_census).parameters["mode"].default
+    kind = params["synth", "--noise-kind"]
+    assert kind.choices == NoiseModel.KINDS and kind.default == NoiseModel.KINDS[0]
 
 
 class TestExitCodes:

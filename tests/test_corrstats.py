@@ -103,13 +103,14 @@ rng = np.random.default_rng(11)
 values = rng.normal(size=(400, 40)) + rng.normal(size=40)
 np.ones((256, 256)) @ np.ones((256, 256))  # starts OpenBLAS's pool before any fork
 
-def digest(r, z):
-    # tiles of 128 x 128: their dot products are long enough to split
+def digest(r, z, *block):
     text = "".join(summary_header_json(s) + histogram_to_csv(s.histogram)
-                   for s in (r(values, 20, 128), z(values, 20, 128)))
+                   for s in (r(values, 20, *block), z(values, 20, *block)))
     print(hashlib.sha256(text.encode()).hexdigest())
 
-digest(all_pairs_summary_oracle, z_summary_oracle)
+# tiles of 128 x 128: their dot products are long enough to split
+digest(all_pairs_summary_oracle, z_summary_oracle, 128)
+corrstats._TILE = 128
 for k in (1, 2, 3):
     with mock.patch.object(_parts, "_usable_cpus", lambda: k), \\
             mock.patch.object(corrstats, "_CORR_PART_PAIRS", 1):
@@ -120,12 +121,13 @@ UNIT_R = "correlation of magnitude 1 (duplicated rows?) has no finite z"
 
 DUPLICATED_PAIR_SCRIPT = f"""
 import numpy as np
-from deltaseq import DomainError, z_summary
+from deltaseq import DomainError, corrstats, z_summary
+corrstats._TILE = 4
 for sign in (1.0, -1.0):
     values = np.random.default_rng(6).normal(size=(11, 9))
     values[10] = sign * values[9]
     try:
-        z_summary(values, block=4)
+        z_summary(values)
     except DomainError as exc:
         assert str(exc) == {UNIT_R!r}, exc
     else:
@@ -195,22 +197,24 @@ class TestAllPairsSummary:
         assert s.histogram.counts[-1] == 1
         assert s.mean_r == pytest.approx(1.0, abs=1e-12)
 
-    def test_block_size_is_only_a_performance_knob(self):
+    def test_block_size_is_only_a_performance_knob(self, monkeypatch):
         # accumulation order may shift the last ulp, nothing more
         values = random_matrix(m=17)
-        a = all_pairs_summary(values, bins=13, block=3)
         b = all_pairs_summary(values, bins=13)
+        monkeypatch.setattr(corrstats, "_TILE", 3)
+        a = all_pairs_summary(values, bins=13)
         assert a.pair_count == b.pair_count
         assert a.mean_r == pytest.approx(b.mean_r, rel=1e-12, abs=1e-15)
         assert a.sd_r == pytest.approx(b.sd_r, rel=1e-12)
         assert np.array_equal(a.histogram.counts, b.histogram.counts)
 
-    @pytest.mark.parametrize("block", [0, -1])
+    @pytest.mark.parametrize("bins", [0, -1])
     @pytest.mark.parametrize("summary", [all_pairs_summary, z_summary])
-    def test_block_below_one_rejected(self, summary, block):
-        # range() refused 0, and -1 gave no tiles, so no pairs to divide by
-        with pytest.raises(ValidationError, match="block must be >= 1"):
-            summary(random_matrix(), block=block)
+    def test_bins_below_one_rejected(self, summary, bins, monkeypatch):
+        # refused before any row is read
+        monkeypatch.setattr(corrstats, "_row_values", None)
+        with pytest.raises(ValidationError, match="bins must be >= 1"):
+            summary(random_matrix(), bins=bins)
 
     def test_accepts_matrix_object(self):
         values = random_matrix(m=5, n=6)
@@ -319,6 +323,11 @@ def same_summary(a, b):
             assert x == y, name
 
 
+def tiles_of(side):
+    """Tile the summaries' row pairs ``side`` rows a side, not _TILE's 512."""
+    return mock.patch.object(corrstats, "_TILE", side)
+
+
 @contextmanager
 def cut_into(k):
     """Cut every summary's tiles into k parts, if it has the tiles: the
@@ -354,9 +363,10 @@ class TestBlockPipeline:
         # that divide k and ones that do not
         k = data.draw(st.integers(2, 3 * block + 2), label="k")
         values = np.random.default_rng(seed).normal(size=(k, n))
-        same_summary(all_pairs_summary(values, bins, block),
-                     all_pairs_summary_oracle(values, bins, block))
-        same_summary(z_summary(values, bins, block), z_summary_oracle(values, bins, block))
+        with tiles_of(block):
+            got = all_pairs_summary(values, bins), z_summary(values, bins)
+        same_summary(got[0], all_pairs_summary_oracle(values, bins, block))
+        same_summary(got[1], z_summary_oracle(values, bins, block))
 
     @settings(max_examples=25, deadline=None)
     @given(block=st.integers(1, 9), data=st.data(), parts=st.integers(2, 3),
@@ -364,8 +374,8 @@ class TestBlockPipeline:
     def test_bitwise_equal_at_every_part_count(self, block, data, parts, bins, seed):
         k = data.draw(st.integers(2, 3 * block + 2), label="k")
         values = np.random.default_rng(seed).normal(size=(k, 7))
-        with cut_into(parts):
-            got = all_pairs_summary(values, bins, block), z_summary(values, bins, block)
+        with cut_into(parts), tiles_of(block):
+            got = all_pairs_summary(values, bins), z_summary(values, bins)
         same_summary(got[0], all_pairs_summary_oracle(values, bins, block))
         same_summary(got[1], z_summary_oracle(values, bins, block))
 
@@ -380,17 +390,16 @@ class TestBlockPipeline:
         assert len(digests) == 4 and len(set(digests)) == 1, digests
 
     @pytest.mark.parametrize("k, block", [(24, 8), (23, 8), (512, 128), (600, 512)])
-    def test_bitwise_equal_on_correlated_rows(self, k, block):
+    def test_bitwise_equal_on_correlated_rows(self, k, block, monkeypatch):
         # a shared factor spreads r over a wide range, as raw genes do
         rng = np.random.default_rng(k + block)
         values = rng.normal(size=(k, 30)) + 2.0 * rng.normal(size=30)
-        same_summary(all_pairs_summary(values, 50, block),
-                     all_pairs_summary_oracle(values, 50, block))
-        same_summary(z_summary(values, 50, block), z_summary_oracle(values, 50, block))
+        monkeypatch.setattr(corrstats, "_TILE", block)
+        same_summary(all_pairs_summary(values), all_pairs_summary_oracle(values, 50, block))
+        same_summary(z_summary(values), z_summary_oracle(values, 50, block))
         with cut_into(2):
-            same_summary(all_pairs_summary(values, 50, block),
-                         all_pairs_summary_oracle(values, 50, block))
-            same_summary(z_summary(values, 50, block), z_summary_oracle(values, 50, block))
+            same_summary(all_pairs_summary(values), all_pairs_summary_oracle(values, 50, block))
+            same_summary(z_summary(values), z_summary_oracle(values, 50, block))
 
     def test_one_row_last_block(self):
         # 513 rows at the default block: the last row block holds one row and
@@ -404,12 +413,13 @@ class TestBlockPipeline:
         same_summary(all_pairs_summary(values), all_pairs_summary_oracle(values))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_duplicated_pair_in_last_block(self, sign):
+    def test_duplicated_pair_in_last_block(self, sign, monkeypatch):
         values = random_matrix(m=11, n=9, seed=6)
         values[10] = sign * values[9]  # both rows in the last row block of 4
+        monkeypatch.setattr(corrstats, "_TILE", 4)
         # raised before any GEMM, whose |r| for the pair depends on the kernel
         with pytest.raises(DomainError) as got:
-            z_summary(values, block=4)
+            z_summary(values)
         assert str(got.value) == UNIT_R
 
     def test_negated_row_with_a_zero_found_before_any_gemm(self, monkeypatch):
@@ -448,7 +458,8 @@ class TestBlockPipeline:
             hist(z, lo, scale, counts)
 
         monkeypatch.setattr(_kernels, "hist_accumulate", in_range)
-        same_summary(z_summary(values, 17, 6), z_summary_oracle(values, 17, 6))
+        monkeypatch.setattr(corrstats, "_TILE", 6)
+        same_summary(z_summary(values, 17), z_summary_oracle(values, 17, 6))
         assert len(passes) == 3
 
     def test_no_thread_left_after_normal_run(self, monkeypatch):
@@ -456,9 +467,10 @@ class TestBlockPipeline:
             raise AssertionError(f"thread {thread.name} started")
 
         monkeypatch.setattr(threading.Thread, "start", refused)
+        monkeypatch.setattr(corrstats, "_TILE", 4)
         with cut_into(2):
-            z_summary(random_matrix(m=30), block=4)
-            all_pairs_summary(random_matrix(m=30), block=4)
+            z_summary(random_matrix(m=30))
+            all_pairs_summary(random_matrix(m=30))
 
     def test_no_thread_left_after_caller_error(self, monkeypatch):
         calls = []
@@ -470,8 +482,9 @@ class TestBlockPipeline:
 
         # one part: every tile bins through hist_accumulate in this process
         monkeypatch.setattr(_kernels, "hist_accumulate", failing)
+        monkeypatch.setattr(corrstats, "_TILE", 4)
         with pytest.raises(RuntimeError, match="caller failed"):
-            z_summary(random_matrix(m=40), block=4)
+            z_summary(random_matrix(m=40))
         assert len(calls) == 2
 
     def test_error_raised_at_first_faulty_tile(self, monkeypatch):
@@ -490,11 +503,12 @@ class TestBlockPipeline:
             return extremes(r)
 
         monkeypatch.setattr(corrstats, "_extremes", faulty)
+        monkeypatch.setattr(corrstats, "_TILE", 4)
         for bad in ({30, 54}, {0, 40}, {20, 21, 50}, {54}):
             for k in (1, 2, 3):
                 before = child_pids()
                 with cut_into(k), pytest.raises(DomainError) as got:
-                    z_summary(values, block=4)
+                    z_summary(values)
                 assert str(got.value) == f"tile {min(bad)}"
                 assert child_pids() == before
 

@@ -738,6 +738,20 @@ class TestUnwritableIds:
             save_matrix(m, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("row_ids, col_ids, values, message", [
+        (("a",), ("x", "y"), np.zeros((3, 1)), "row ids: 1 for 3 rows"),
+        (("a", "b", "c"), ("x", "y"), np.zeros((3, 1)), "column ids: 2 for 1 columns"),
+        (("a", "b", "c"), ("x", "y"), np.zeros((3, 3)), "column ids: 2 for 3 columns"),
+        (("a",), ("x",), np.zeros(3), "2-d"),
+        (("a",), ("x",), np.zeros((1, 1, 1)), "2-d"),
+    ])
+    def test_writer_refuses_ids_that_miss_the_values(self, row_ids, col_ids, values, message,
+                                                     monkeypatch):
+        # one row was written under a two-column header
+        monkeypatch.setattr(datamodel, "_write_rows", None)
+        with pytest.raises(ValidationError, match=message):
+            datamodel.table_to_tsv(row_ids, col_ids, values)
+
     def test_save_refuses_array_id_first(self, tmp_path):
         m = ExpressionMatrix(("g0 ", "g1"), ("a", "b\t", "c", "d"), np.ones((2, 4)), True)
         message = "^" + re.escape("column id 'b\\t' would not read back")

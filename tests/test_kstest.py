@@ -266,6 +266,27 @@ class TestStepFunctions:
         assert right.tolist() == [0.0, 0.5, 1.0, 1.0]
         assert s.evaluate(0.0) == 0.5
 
+    @pytest.mark.parametrize("values, size, message", [
+        ([3.0, 1.0, 2.0], 3, "sorted in nondecreasing order"),
+        ([1.0, math.nan, 2.0], 3, "must be finite"),
+        ([1.0, 2.0, math.inf], 3, "must be finite"),
+        ([], 0, "nonempty sample"),
+        ([[1.0, 2.0]], 2, "1-d"),
+        ([1.0, 2.0], 3, "size must be the sample's 2, got 3"),
+        ([1.0, 2.0], 2.0, "size must be the sample's 2, got 2.0"),
+    ])
+    def test_edf_constructor_checks_its_sample(self, values, size, message):
+        # an unsorted sample read 2/3 at 1.5, where from_sample's EDF reads 1/3
+        with pytest.raises(ValidationError, match=message):
+            EDF(np.array(values), size)
+
+    def test_edf_from_sample_keeps_its_messages(self):
+        for sample, message in (([], "EDF needs a nonempty sample"),
+                                ([2.0, math.nan], "EDF sample must be finite")):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                EDF.from_sample(sample)
+        assert EDF.from_sample([[3.0, 1.0], [2.0, 2.0]]).evaluate(1.5) == 0.25
+
     def test_step_requires_increasing_xs(self):
         with pytest.raises(ValidationError):
             StepFunction(np.array([1.0, 1.0]), np.array([0.1, 0.2]))

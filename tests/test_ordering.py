@@ -127,6 +127,18 @@ class TestVarianceOrdering:
             with pytest.raises(ValidationError, match=f"need at least 4 arrays, got {width}"):
                 variance_ordering(source)
 
+    def test_values_not_2d_rejected(self, monkeypatch):
+        # a 1-d part raised a bare IndexError from the width sum
+        def no_variances(*args):
+            raise AssertionError("variances taken before the shapes were checked")
+
+        monkeypatch.setattr(_kernels, "row_variances", no_variances)
+        wide = np.zeros((6, 4))
+        for source in (np.arange(6.0), np.zeros((6, 4, 2)), (wide, np.arange(6.0)),
+                       (np.arange(6.0), wide)):
+            with pytest.raises(ValidationError, match="values must be 2-d"):
+                variance_ordering(source)
+
     def test_single_gene_rejected(self):
         with pytest.raises(ValidationError, match="positive even length"):
             variance_ordering(np.arange(5.0)[None, :])
@@ -243,6 +255,17 @@ class TestDeltaSequence:
         assert d.row_ids[0].startswith("pair1:") and d.array_ids == m.array_ids
         with pytest.raises(ValueError):
             d.values[0, 0] = 0.0
+
+    @pytest.mark.parametrize("values, row_ids, array_ids, message", [
+        (np.zeros((3, 2)), ("p1",), ("a", "b"), "row ids: 1 for 3 rows"),
+        (np.zeros((1, 2)), ("p1",), ("a", "b", "c"), "array ids: 3 for 2 columns"),
+        (np.zeros(2), ("p1",), ("a", "b"), "2-d"),
+    ])
+    def test_constructor_refuses_ids_that_miss_the_values(self, values, row_ids, array_ids,
+                                                          message):
+        # delta_to_tsv wrote one row of three under these ids
+        with pytest.raises(ValidationError, match=message):
+            DeltaMatrix(values, row_ids, array_ids)
 
     def test_constructor_copies(self):
         values = np.arange(8.0).reshape(2, 4)

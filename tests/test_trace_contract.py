@@ -44,11 +44,12 @@ def test_summaries_bin_on_the_calling_thread_in_parts(monkeypatch):
     monkeypatch.setattr(_kernels, "hist_accumulate", recorded)
     monkeypatch.setattr(_parts, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(corrstats, "_CORR_PART_PAIRS", 1)
+    monkeypatch.setattr(corrstats, "_TILE", 4)
     values = np.random.default_rng(0).normal(size=(40, 9))
     # 40 rows in blocks of 4: 55 tiles, 27 of them in part 0, which runs
     # here; part 1 bins its tiles in its child
-    all_pairs_summary(values, block=4)
+    all_pairs_summary(values)
     assert len(calls) == 27
-    z_summary(values, block=4)
+    z_summary(values)
     assert len(calls) in (54, 81)  # the z bins take a second pass, or a third
     assert set(calls) == {threading.get_ident()}
