@@ -7,9 +7,10 @@ end of the file, one \r before that end dropped; any other line break
 str.splitlines knows (a lone \r, \x0b, \x0c, \x1c-\x1e, \x85, U+2028,
 U+2029) inside a line is a ParseError. Trailing blank lines are ignored. The
 writer emits shortest round-tripping float representations and refuses,
-with ValidationError, an id the loader would not read back (one holding a
-tab, a line break or a lone surrogate, or beginning or ending with
-whitespace), so write/load is an exact identity.
+with ValidationError, an id the loader would not read back (a repeated or
+empty id, one holding a tab, a line break or a lone surrogate, or one
+beginning or ending with whitespace), so write/load is an exact identity
+for every table it writes.
 
 The loader splits each line of a chunk once into gene id and value text and
 parses all the chunk's values with one np.loadtxt call. It keeps that result
@@ -57,29 +58,40 @@ MIN_GENES = 2
 MIN_ARRAYS = 4
 
 
-def _check_ids(ids: Sequence[str], kind: str) -> tuple[str, ...]:
-    out = tuple(map(str, ids))
-    if len(set(out)) != len(out):
-        seen: set[str] = set()
-        for i in out:
-            if i in seen:
-                raise ValidationError(f"duplicate {kind} id: {i!r}")
-            seen.add(i)
-    if "" in out:
-        raise ValidationError(f"empty {kind} id")
-    return out
-
-
 def _check_labels(values: np.ndarray, row_ids: Sequence[str], col_ids: Sequence[str],
-                  rows: str = "row", columns: str = "column") -> None:
-    """Refuse values that are not 2-d, or ids whose count differs from the
-    values' rows or columns."""
+                  rows: str = "row", columns: str = "column") -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The row and column ids as tuples of str; ValidationError for values
+    that are not 2-d, or on either axis ids whose count differs from the
+    values', a repeated id or an empty one."""
     if values.ndim != 2:
         raise ValidationError("values must be a 2-d array")
+    out = []
     for ids, kind, size, axis in ((row_ids, rows, values.shape[0], "rows"),
                                   (col_ids, columns, values.shape[1], "columns")):
         if len(ids) != size:
             raise ValidationError(f"{kind} ids: {len(ids)} for {size} {axis}")
+        ids = tuple(map(str, ids))
+        if len(set(ids)) != size:
+            seen: set[str] = set()
+            for i in ids:
+                if i in seen:
+                    raise ValidationError(f"duplicate {kind} id: {i!r}")
+                seen.add(i)
+        if "" in ids:
+            raise ValidationError(f"empty {kind} id")
+        out.append(ids)
+    return out[0], out[1]
+
+
+def _frozen(record, **fields):
+    """``record``, a frozen dataclass instance, with ``fields`` set and each
+    array among them made read-only: how every record takes its checked
+    values."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(record, name, value)
+    return record
 
 
 @dataclass(frozen=True)
@@ -97,7 +109,8 @@ class ExpressionMatrix:
     log_scale: bool = False
 
     def __post_init__(self) -> None:
-        self._seal(self.gene_ids, self.array_ids, self.values, adopt=False, finite=False)
+        self._seal(self.gene_ids, self.array_ids, np.array(self.values, dtype=np.float64, copy=True),
+                   finite=False)
 
     @classmethod
     def _adopt(cls, gene_ids: Sequence[str], array_ids: Sequence[str], values: np.ndarray,
@@ -106,20 +119,13 @@ class ExpressionMatrix:
         holds. The id and shape checks still run and the copy does not; nor
         does the finiteness pass while ``finite`` says every value is already
         known finite (the loader's checked values, a matrix's gathered ones)."""
-        matrix = cls.__new__(cls)
-        object.__setattr__(matrix, "log_scale", log_scale)
-        matrix._seal(gene_ids, array_ids, values, adopt=True, finite=finite)
+        matrix = _frozen(cls.__new__(cls), log_scale=log_scale)
+        matrix._seal(gene_ids, array_ids, values, finite=finite)
         return matrix
 
-    def _seal(self, gene_ids: Sequence[str], array_ids: Sequence[str], values, adopt: bool,
+    def _seal(self, gene_ids: Sequence[str], array_ids: Sequence[str], values: np.ndarray,
               finite: bool) -> None:
-        gene_ids = _check_ids(gene_ids, "gene")
-        array_ids = _check_ids(array_ids, "array")
-        object.__setattr__(self, "gene_ids", gene_ids)
-        object.__setattr__(self, "array_ids", array_ids)
-        if not adopt:
-            values = np.array(values, dtype=np.float64, copy=True)
-        _check_labels(values, gene_ids, array_ids, "gene", "array")
+        gene_ids, array_ids = _check_labels(values, gene_ids, array_ids, "gene", "array")
         m, n = values.shape
         if m < MIN_GENES:
             raise ValidationError(f"need at least {MIN_GENES} genes, got {m}")
@@ -131,8 +137,7 @@ class ExpressionMatrix:
                 f"non-finite value at gene {gene_ids[bad[0]]!r}, "
                 f"array {array_ids[bad[1]]!r}"
             )
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        _frozen(self, gene_ids=gene_ids, array_ids=array_ids, values=values)
 
     @property
     def n_genes(self) -> int:
@@ -371,8 +376,8 @@ def table_to_tsv(row_ids: Sequence[str], col_ids: Sequence[str], values: np.ndar
     Rows are formatted _WRITE_BLOCK_CELLS values at a time, each chunk
     encoded and appended to the result, so the text exists once, as bytes.
     Raises ValidationError, before formatting anything, for values that are
-    not 2-d, ids whose count differs from theirs, and the first column or
-    row id the loader would not read back.
+    not 2-d, ids whose count differs from theirs, a repeated or empty id, and
+    the first column or row id the loader would not read back.
     """
     values = np.asarray(values, dtype=np.float64)
     _check_labels(values, row_ids, col_ids)

@@ -218,7 +218,6 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
             raise DomainError(_DUPLICATED_INCREMENTS)
         np.arctanh(row, out=row)
         row.sort()
-        row.flags.writeable = False
         edfs.append(EDF(row, pairs))
     center = mean_of_edfs(edfs)
     distances = _parts._map_in_parts(lambda b: kolmogorov_distance(edfs[b], center), B,

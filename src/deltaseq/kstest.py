@@ -36,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
+from .datamodel import _frozen
 from .errors import ResourceError, ValidationError
 from .mtp import csv_text
 
@@ -65,10 +66,7 @@ class StepFunction:
         # every comparison with a NaN height is false, so NaN fails here too
         if not (ys[0] >= 0.0 and ys[-1] <= 1.0 and (ys[1:] >= ys[:-1]).all()):
             raise ValidationError("step function heights must be nondecreasing in [0, 1]")
-        xs.flags.writeable = False
-        ys.flags.writeable = False
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        _frozen(self, xs=xs, ys=ys)
 
     def evaluate(self, t) -> np.ndarray:
         idx = np.searchsorted(self.xs, np.asarray(t, dtype=np.float64), side="right") - 1
@@ -92,8 +90,8 @@ class EDF:
     """Empirical distribution function of a finite sample.
 
     The constructor checks, in O(n), that ``sorted_values`` is a nonempty,
-    1-d, finite, nondecreasing array of ``size`` values, and holds it
-    without a copy."""
+    1-d, finite, nondecreasing array of ``size`` values, and holds a
+    read-only view of it, not a copy."""
 
     sorted_values: np.ndarray
     size: int
@@ -108,14 +106,14 @@ class EDF:
             raise ValidationError("EDF sample must be finite")
         if (values[1:] < values[:-1]).any():
             raise ValidationError("EDF sample must be sorted in nondecreasing order")
-        if not isinstance(self.size, (int, np.integer)) or self.size != values.size:
+        if (isinstance(self.size, bool) or not isinstance(self.size, (int, np.integer))
+                or self.size != values.size):
             raise ValidationError(f"EDF size must be the sample's {values.size}, got {self.size!r}")
-        object.__setattr__(self, "sorted_values", values)
+        _frozen(self, sorted_values=values.view())
 
     @classmethod
     def from_sample(cls, sample: Sequence[float]) -> "EDF":
         arr = np.sort(np.asarray(sample, dtype=np.float64).ravel())
-        arr.flags.writeable = False
         return cls(arr, arr.size)
 
     def as_step(self) -> StepFunction:
@@ -136,11 +134,7 @@ class EDF:
         at_or_below[:-1] = at_or_below[1:]
         at_or_below[-1] = self.size
         ys = at_or_below / self.size
-        step = object.__new__(StepFunction)
-        for name, arr in (("xs", xs), ("ys", ys)):
-            arr.flags.writeable = False
-            object.__setattr__(step, name, arr)
-        return step
+        return _frozen(object.__new__(StepFunction), xs=xs, ys=ys)
 
     def evaluate(self, t) -> np.ndarray:
         return np.searchsorted(self.sorted_values, t, side="right") / self.size
@@ -175,7 +169,6 @@ def mean_of_edfs(edfs: Sequence[EDF]) -> EDF:
         raise ValidationError(f"mean_of_edfs needs equal sample sizes, got {sizes}")
     pooled = np.concatenate([e.sorted_values for e in edfs])
     pooled.sort()
-    pooled.flags.writeable = False
     return EDF(pooled, pooled.shape[0])
 
 

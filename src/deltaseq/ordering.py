@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .datamodel import MIN_ARRAYS, ExpressionMatrix, _check_labels, _checked_columns, table_to_tsv
+from .datamodel import MIN_ARRAYS, ExpressionMatrix, _check_labels, _checked_columns, _frozen, table_to_tsv
 from .errors import ValidationError
 from .mtp import csv_text
 
@@ -26,7 +26,8 @@ class GeneOrdering:
     """Ascending-variance gene ranking of even length.
 
     ``permutation[k]`` is the original row index of the gene at rank k;
-    ``variances[k]`` is that gene's sample variance (ddof=1).
+    ``variances[k]`` is that gene's sample variance (ddof=1), finite and
+    non-decreasing along the ranking.
     """
 
     permutation: np.ndarray
@@ -41,12 +42,11 @@ class GeneOrdering:
             raise ValidationError("ordering must have positive even length")
         if np.unique(perm).shape[0] != perm.shape[0]:
             raise ValidationError("permutation entries must be distinct")
+        if not np.isfinite(var).all():
+            raise ValidationError("variances must be finite")
         if (np.diff(var) < 0).any():
             raise ValidationError("variances must be non-decreasing along the ranking")
-        perm.flags.writeable = False
-        var.flags.writeable = False
-        object.__setattr__(self, "permutation", perm)
-        object.__setattr__(self, "variances", var)
+        _frozen(self, permutation=perm, variances=var)
 
     @property
     def n_pairs(self) -> int:
@@ -63,11 +63,11 @@ def variance_ordering(matrix: ExpressionMatrix | np.ndarray | tuple,
     ``_kernels.row_variances``, which copies neither the pool nor the subset.
     ``columns`` must be distinct, in range and at least MIN_ARRAYS, as
     ``select_arrays`` needs; with no ``columns`` the pool must be as wide.
-    Every array must be 2-d."""
+    Every array must be 2-d, and a pool's parts must have one row count."""
     values = getattr(matrix, "values", matrix)
     shapes = [np.shape(part) for part in (values if isinstance(values, tuple) else (values,))]
-    if any(len(shape) != 2 for shape in shapes):
-        raise ValidationError(f"values must be 2-d, got shapes {shapes}")
+    if any(len(shape) != 2 for shape in shapes) or len({shape[:1] for shape in shapes}) > 1:
+        raise ValidationError(f"values must be 2-d with one row count, got shapes {shapes}")
     width = sum(shape[1] for shape in shapes)
     if columns is not None:
         columns = _checked_columns(columns, width)
@@ -81,11 +81,7 @@ def variance_ordering(matrix: ExpressionMatrix | np.ndarray | tuple,
         raise ValidationError("ordering must have positive even length")
     # A stable argsort of the variances is distinct and non-decreasing by
     # construction, so the constructor's copies and checks are skipped.
-    ordering = object.__new__(GeneOrdering)
-    for name, arr in (("permutation", order), ("variances", var[order])):
-        arr.flags.writeable = False
-        object.__setattr__(ordering, name, arr)
-    return ordering
+    return _frozen(object.__new__(GeneOrdering), permutation=order, variances=var[order])
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,7 @@ class DeltaMatrix:
 
     Row i is gene at rank 2i+1 minus gene at rank 2i (0-based ranks), i.e.
     the higher-variance member of the pair minus the lower. There is one
-    row id per row and one array id per column.
+    row id per row and one array id per column, each distinct and nonempty.
     """
 
     values: np.ndarray
@@ -103,9 +99,8 @@ class DeltaMatrix:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64).copy()
-        _check_labels(values, self.row_ids, self.array_ids, "row", "array")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        row_ids, array_ids = _check_labels(values, self.row_ids, self.array_ids, "row", "array")
+        _frozen(self, values=values, row_ids=row_ids, array_ids=array_ids)
 
     @property
     def n_pairs(self) -> int:
@@ -136,12 +131,8 @@ def delta_sequence(matrix: ExpressionMatrix, ordering: GeneOrdering) -> DeltaMat
         for i, (a, b) in enumerate(zip(low.tolist(), high.tolist()), start=1)
     )
     # The differences are a fresh array, so the constructor's copy is skipped.
-    delta = object.__new__(DeltaMatrix)
-    values.flags.writeable = False
-    for name, value in (("values", values), ("row_ids", row_ids),
-                        ("array_ids", matrix.array_ids)):
-        object.__setattr__(delta, name, value)
-    return delta
+    return _frozen(object.__new__(DeltaMatrix), values=values, row_ids=row_ids,
+                   array_ids=matrix.array_ids)
 
 
 def even_rank_genes(ordering: GeneOrdering) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import errno
 import os
 import re
@@ -93,6 +94,30 @@ class TestExpressionMatrix:
         assert isfinite.call_count == rows.call_count == 1
         assert not m.values.flags.writeable
         assert np.array_equal(m.values, small_matrix().values)
+
+
+def test_only_frozen_sets_fields_or_freezes_arrays():
+    # every record takes its fields, and makes its arrays read-only, through
+    # datamodel._frozen; nowhere else in the package is either done
+    found = []
+    for path in sorted(Path(datamodel.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = [node for node in tree.body if path.stem == "datamodel"
+                  and isinstance(node, ast.FunctionDef) and node.name == "_frozen"]
+        allowed = {node for fn in helper for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if node in allowed:
+                continue
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                found.append(f"{path.name}:{node.lineno}: object.__setattr__")
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            for target in targets:
+                if (isinstance(target, ast.Attribute) and target.attr == "writeable"
+                        and isinstance(target.value, ast.Attribute) and target.value.attr == "flags"):
+                    found.append(f"{path.name}:{node.lineno}: .flags.writeable")
+    assert found == []
+    assert hasattr(datamodel, "_frozen")
 
 
 class TestLoadSave:
@@ -744,6 +769,11 @@ class TestUnwritableIds:
         (("a", "b", "c"), ("x", "y"), np.zeros((3, 3)), "column ids: 2 for 3 columns"),
         (("a",), ("x",), np.zeros(3), "2-d"),
         (("a",), ("x",), np.zeros((1, 1, 1)), "2-d"),
+        # load_matrix refuses these, so write/load would not be the identity
+        (("a", "a"), ("x",), np.zeros((2, 1)), "duplicate row id: 'a'"),
+        (("a", "b"), ("x", "x"), np.zeros((2, 2)), "duplicate column id: 'x'"),
+        (("a", ""), ("x",), np.zeros((2, 1)), "empty row id"),
+        (("a",), ("", "y"), np.zeros((1, 2)), "empty column id"),
     ])
     def test_writer_refuses_ids_that_miss_the_values(self, row_ids, col_ids, values, message,
                                                      monkeypatch):

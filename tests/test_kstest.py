@@ -274,11 +274,20 @@ class TestStepFunctions:
         ([[1.0, 2.0]], 2, "1-d"),
         ([1.0, 2.0], 3, "size must be the sample's 2, got 3"),
         ([1.0, 2.0], 2.0, "size must be the sample's 2, got 2.0"),
+        ([2.0], True, "size must be the sample's 1, got True"),
     ])
     def test_edf_constructor_checks_its_sample(self, values, size, message):
         # an unsorted sample read 2/3 at 1.5, where from_sample's EDF reads 1/3
         with pytest.raises(ValidationError, match=message):
             EDF(np.array(values), size)
+
+    def test_edf_holds_a_read_only_view(self):
+        values = np.array([1.0, 2.0, 3.0])
+        for e in (EDF(values, 3), EDF.from_sample(values), mean_of_edfs([EDF(values, 3)])):
+            with pytest.raises(ValueError):
+                e.sorted_values[0] = 9.0
+        assert values.flags.writeable
+        assert np.shares_memory(EDF(values, 3).sorted_values, values)
 
     def test_edf_from_sample_keeps_its_messages(self):
         for sample, message in (([], "EDF needs a nonempty sample"),

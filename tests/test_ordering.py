@@ -77,6 +77,9 @@ class TestVarianceOrdering:
             GeneOrdering(np.array([0, 1]), np.array([2.0, 1.0]))  # decreasing variance
         with pytest.raises(ValidationError, match="equal length"):
             GeneOrdering(np.array([0, 1]), np.array([1.0, 2.0, 3.0]))
+        for variances in ([np.nan, 0.0], [0.0, np.inf]):  # no order to claim
+            with pytest.raises(ValidationError, match="variances must be finite"):
+                GeneOrdering(np.array([1, 0]), np.array(variances))
 
     def test_hand_built_arrays_are_read_only_copies(self):
         perm = np.array([1, 0])
@@ -138,6 +141,18 @@ class TestVarianceOrdering:
                        (np.arange(6.0), wide)):
             with pytest.raises(ValidationError, match="values must be 2-d"):
                 variance_ordering(source)
+
+    @pytest.mark.parametrize("rows", [(5, 6), (6, 5)])
+    def test_parts_of_unequal_rows_rejected(self, rows, monkeypatch):
+        # the taller second part's last row went unread; a taller first part
+        # raised a bare numpy ValueError
+        def no_variances(*args):
+            raise AssertionError("variances taken before the shapes were checked")
+
+        monkeypatch.setattr(_kernels, "row_variances", no_variances)
+        source = tuple(np.random.default_rng(m).normal(size=(m, 4)) for m in rows)
+        with pytest.raises(ValidationError, match="one row count"):
+            variance_ordering(source)
 
     def test_single_gene_rejected(self):
         with pytest.raises(ValidationError, match="positive even length"):
@@ -260,6 +275,8 @@ class TestDeltaSequence:
         (np.zeros((3, 2)), ("p1",), ("a", "b"), "row ids: 1 for 3 rows"),
         (np.zeros((1, 2)), ("p1",), ("a", "b", "c"), "array ids: 3 for 2 columns"),
         (np.zeros(2), ("p1",), ("a", "b"), "2-d"),
+        (np.zeros((2, 2)), ("p1", "p1"), ("a", "b"), "duplicate row id: 'p1'"),
+        (np.zeros((2, 2)), ("p1", "p2"), ("a", "a"), "duplicate array id: 'a'"),
     ])
     def test_constructor_refuses_ids_that_miss_the_values(self, values, row_ids, array_ids,
                                                           message):
