@@ -37,12 +37,10 @@ from .datamodel import (
 )
 from .dependence import (
     PairCensus,
-    SoundnessSweep,
     TripleCensus,
     TripleCovarianceModel,
     TripleStats,
     TypeAResult,
-    increment_threshold_soundness_sweep,
     positive_increment_threshold,
     sharp_positive_increment_threshold,
     triple_census,
@@ -108,11 +106,9 @@ __all__ = [
     "all_pairs_summary", "fisher_z", "pearson", "z_summary",
     "ExpressionMatrix", "NoiseModel",
     "load_matrix", "log_transform", "matrix_to_tsv", "save_matrix", "select_arrays",
-    "PairCensus", "SoundnessSweep", "TripleCensus", "TripleCovarianceModel",
-    "TripleStats", "TypeAResult",
-    "increment_threshold_soundness_sweep", "positive_increment_threshold",
-    "sharp_positive_increment_threshold", "triple_census", "triple_stats", "type_a_census", "type_a_test",
-    "type_a_triple_consistency",
+    "PairCensus", "TripleCensus", "TripleCovarianceModel", "TripleStats", "TypeAResult",
+    "positive_increment_threshold", "sharp_positive_increment_threshold",
+    "triple_census", "triple_stats", "type_a_census", "type_a_test", "type_a_triple_consistency",
     "DegenerateInputError", "DeltaseqError", "DomainError", "ParseError",
     "ResourceError", "StateError", "ValidationError",
     "ConsistencyTrajectory", "ExceedanceResult", "ExperimentReport",

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels, _parts
-from .errors import DegenerateInputError, DomainError, ValidationError
+from .errors import DegenerateInputError, DomainError, ValidationError, _check_finite
 from .mtp import csv_text, json_dumps
 
 DEFAULT_BINS = 50
@@ -38,8 +38,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation, clamped into [-1, 1]: a one-row call of
     the row-correlation kernel the censuses use.
 
-    Requires equal lengths >= 2 and nonzero sample variance on both sides;
-    zero variance raises DegenerateInputError.
+    Requires equal lengths >= 2, finite values and nonzero sample variance
+    on both sides; zero variance raises DegenerateInputError.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
@@ -49,6 +49,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValidationError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
     if xa.shape[0] < 2:
         raise ValidationError("need at least 2 observations")
+    _check_finite("values", xa, ya)
     r = float(_corr_centred(_centred(xa[None, :]), _centred(ya[None, :]))[0])
     if math.isnan(r):
         raise DegenerateInputError("zero sample variance")
@@ -140,8 +141,7 @@ def _standardized_rows(source) -> np.ndarray:
     X = _row_values(source)
     if X.shape[0] < 2:
         raise ValidationError("need at least 2 rows for pairwise correlations")
-    if not np.isfinite(X).all():
-        raise ValidationError("correlations need finite values")
+    _check_finite("values", X)
     # checked a block of rows at a time, with no whole-matrix temporary
     constant = np.concatenate([_effectively_constant(X[rows])
                                for rows in _kernels.row_blocks(X.shape[0])])

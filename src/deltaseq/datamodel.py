@@ -58,9 +58,17 @@ MIN_GENES = 2
 MIN_ARRAYS = 4
 
 
+class _Labels(tuple):
+    """Ids as a record holds them: str, distinct and nonempty, as
+    ``_check_labels`` returns them or as a record derives them from such
+    ids. The writer takes them without scanning them again."""
+
+    __slots__ = ()
+
+
 def _check_labels(values: np.ndarray, row_ids: Sequence[str], col_ids: Sequence[str],
-                  rows: str = "row", columns: str = "column") -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The row and column ids as tuples of str; ValidationError for values
+                  rows: str = "row", columns: str = "column") -> tuple[_Labels, _Labels]:
+    """The row and column ids as ``_Labels``; ValidationError for values
     that are not 2-d, or on either axis ids whose count differs from the
     values', a repeated id or an empty one."""
     if values.ndim != 2:
@@ -70,7 +78,7 @@ def _check_labels(values: np.ndarray, row_ids: Sequence[str], col_ids: Sequence[
                                   (col_ids, columns, values.shape[1], "columns")):
         if len(ids) != size:
             raise ValidationError(f"{kind} ids: {len(ids)} for {size} {axis}")
-        ids = tuple(map(str, ids))
+        ids = _Labels(map(str, ids))
         if len(set(ids)) != size:
             seen: set[str] = set()
             for i in ids:
@@ -377,10 +385,15 @@ def table_to_tsv(row_ids: Sequence[str], col_ids: Sequence[str], values: np.ndar
     encoded and appended to the result, so the text exists once, as bytes.
     Raises ValidationError, before formatting anything, for values that are
     not 2-d, ids whose count differs from theirs, a repeated or empty id, and
-    the first column or row id the loader would not read back.
+    the first column or row id the loader would not read back. A record's
+    own ids (``_Labels``, as ``save_matrix``, ``delta_to_tsv`` and ``synth``
+    pass them) were checked distinct and nonempty where they entered, and
+    are not scanned for that again.
     """
     values = np.asarray(values, dtype=np.float64)
-    _check_labels(values, row_ids, col_ids)
+    if not (type(row_ids) is type(col_ids) is _Labels
+            and values.shape == (len(row_ids), len(col_ids))):
+        _check_labels(values, row_ids, col_ids)
     _check_writable_ids(col_ids, "column")
     _check_writable_ids(row_ids, "row")
     m = values.shape[0]

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
 from .corrstats import _centred, _corr_centred, _effectively_constant
 from .datamodel import ExpressionMatrix
-from .errors import DegenerateInputError, ResourceError, ValidationError, _check_alpha, _check_positive
+from .errors import (DegenerateInputError, ResourceError, ValidationError, _check_alpha, _check_finite,
+                     _check_positive)
 from .mtp import csv_text
 
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
@@ -91,6 +93,18 @@ class TypeAResult:
     n: int
 
 
+def _checked_rows(*rows: Sequence[float]) -> np.ndarray:
+    """The scalar tests' rows stacked as float64, refused with
+    ValidationError unless of one length, at least 4, and finite."""
+    rows = [np.asarray(r, dtype=np.float64).ravel() for r in rows]
+    if len({r.shape for r in rows}) != 1:
+        raise ValidationError("rows must have equal length")
+    if rows[0].shape[0] < 4:
+        raise ValidationError("need at least 4 observations")
+    _check_finite("rows", *rows)
+    return np.vstack(rows)
+
+
 def type_a_test(x: Sequence[float], y: Sequence[float], alpha: float = 0.05,
                 ids: tuple[int, int] = (0, 1)) -> TypeAResult:
     """Classify a gene pair; the lower-variance row becomes the driver.
@@ -100,18 +114,12 @@ def type_a_test(x: Sequence[float], y: Sequence[float], alpha: float = 0.05,
     condition). Both rows constant is a degenerate input. The pair is one
     row of ``type_a_census``'s kernel, with the census's bits.
     """
-    xa = np.asarray(x, dtype=np.float64).ravel()
-    ya = np.asarray(y, dtype=np.float64).ravel()
-    if xa.shape != ya.shape:
-        raise ValidationError("rows must have equal length")
-    n = xa.shape[0]
-    if n < 4:
-        raise ValidationError("need at least 4 observations")
-    _check_alpha(alpha)
     # rows stacked by ascending id, so a variance tie falls to the smaller id
     if ids[0] > ids[1]:
-        xa, ya, ids = ya, xa, ids[::-1]
-    rows = np.vstack([xa, ya])
+        x, y, ids = y, x, ids[::-1]
+    rows = _checked_rows(x, y)
+    n = rows.shape[1]
+    _check_alpha(alpha)
     pair = _drivers_first(_kernels.row_variances(rows), np.array([[0, 1]]))
     r, degenerate = _type_a_rows(rows, pair, ids)
     r, p, ok = _type_a_outcome(r, degenerate, n, alpha)
@@ -242,9 +250,7 @@ def triple_stats(u: Sequence[float], v: Sequence[float], w: Sequence[float],
     constant up to rounding); the covariance is still returned. ``rho_uv``
     and ``rho_vw`` are NaN when a row has zero variance.
     """
-    rows = np.vstack([np.asarray(r, dtype=np.float64).ravel() for r in (u, v, w)])
-    if rows.shape[1] < 4:
-        raise ValidationError("need at least 4 observations")
+    rows = _checked_rows(u, v, w)
     var = _kernels.row_variances(rows)
     order = np.argsort(var, kind="stable")
     _, deg1, _, deg2, cov = _triple_rows(rows, order[None, :])
@@ -357,10 +363,10 @@ def positive_increment_threshold(sigma_u: float, sigma_v: float, sigma_w: float)
     consecutive increments of the ascending-variance triple correlate
     positively. Requires 0 < sigma_u <= sigma_v <= sigma_w.
 
-    It is not sufficient once rho(u, v) and rho(u, w) range freely:
-    ``increment_threshold_soundness_sweep`` finds valid structures above it
-    whose increments do not correlate positively. The sound and sharp bound
-    is ``sharp_positive_increment_threshold``.
+    It is not sufficient once rho(u, v) and rho(u, w) range freely: where it
+    lies below ``sharp_positive_increment_threshold``, the sound and sharp
+    bound, a rho(v, w) between the two with u a positive multiple of w - v
+    is a valid structure whose increments do not correlate positively.
     """
     _check_sigmas(sigma_u, sigma_v, sigma_w)
     return 1.0 - 0.5 * (1.0 - sigma_v / sigma_w) ** 2 * (1.0 - sigma_v / sigma_u) ** 2
@@ -408,65 +414,17 @@ class TripleCovarianceModel:
         ])
 
 
-def type_a_triple_consistency(model: TripleCovarianceModel, tol: float = 1e-9) -> bool:
+def type_a_triple_consistency(model: TripleCovarianceModel) -> bool:
     """True iff the model's covariance matrix is positive semidefinite, i.e.
-    some joint distribution realizes it."""
-    K = model.matrix()
-    eigmin = float(np.linalg.eigvalsh(K)[0])
-    scale = max(model.var_u, model.var_a, model.var_b)
-    return eigmin >= -tol * scale
+    some joint distribution realizes it.
 
-
-@dataclass(frozen=True)
-class SoundnessSweep:
-    """Monte Carlo audit of the positive-increment threshold."""
-
-    checked: int
-    counterexamples: tuple[dict, ...]
-
-    @property
-    def n_counterexamples(self) -> int:
-        return len(self.counterexamples)
-
-
-def increment_threshold_soundness_sweep(
-        n_cases: int = 10_000, seed: int = 0, max_examples: int = 100,
-        threshold: Callable[[float, float, float], float] = positive_increment_threshold,
-) -> SoundnessSweep:
-    """Sample valid covariance structures whose rho(v, w) strictly exceeds
-    ``threshold(sigma_u, sigma_v, sigma_w)`` and check that the population
-    covariance of consecutive increments is positive; violations are
-    collected for reporting rather than asserted away."""
-    rng = np.random.default_rng(seed)
-    checked = 0
-    examples: list[dict] = []
-    attempts = 0
-    while checked < n_cases:
-        attempts += 1
-        if attempts > 400:
-            raise ResourceError("soundness sweep could not reach the requested case count")
-        k = 4 * (n_cases - checked) + 64
-        sig = np.sort(rng.uniform(0.2, 2.0, size=(k, 3)), axis=1)
-        su, sv, sw = sig[:, 0], sig[:, 1], sig[:, 2]
-        thr = np.array([threshold(*s) for s in sig.tolist()])
-        lo = np.maximum(thr, -0.999)
-        rvw = lo + rng.uniform(0.0, 1.0, size=k) * (0.999 - lo)
-        ruv = rng.uniform(-0.999, 0.999, size=k)
-        ruw = rng.uniform(-0.999, 0.999, size=k)
-        det = 1.0 + 2.0 * ruv * ruw * rvw - ruv**2 - ruw**2 - rvw**2
-        valid = (det >= 0.0) & (rvw > thr) & (rvw < 1.0)
-        cov = rvw * sv * sw - sv**2 - ruw * su * sw + ruv * su * sv
-        for i in np.flatnonzero(valid):
-            if checked == n_cases:
-                break
-            checked += 1
-            if cov[i] <= 0.0 and len(examples) < max_examples:
-                examples.append({
-                    "sigma_u": float(su[i]), "sigma_v": float(sv[i]), "sigma_w": float(sw[i]),
-                    "rho_uv": float(ruv[i]), "rho_uw": float(ruw[i]), "rho_vw": float(rvw[i]),
-                    "threshold": float(thr[i]), "cov_increments": float(cov[i]),
-                })
-    return SoundnessSweep(checked, tuple(examples))
+    Decided exactly from the principal minors, in ``Fraction``: every float
+    is a rational. The variances are positive, and a determinant
+    vu va vb - (vu + va) c^2 >= 0 puts c^2 below vu vb and va vb, the 2 x 2
+    minors' other terms, so the determinant alone decides.
+    """
+    vu, va, vb, c = map(Fraction, (model.var_u, model.var_a, model.var_b, model.cov_ab))
+    return vu * va * vb - (vu + va) * c * c >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ are defined here once.
 
 import math
 
+import numpy as np
+
 
 class DeltaseqError(Exception):
     """Base class for all errors raised by this package."""
@@ -42,6 +44,11 @@ def _check_positive(name: str, v: float, allow_zero: bool = False) -> None:
     if not (ok and math.isfinite(v)):
         kind = ">= 0" if allow_zero else "> 0"
         raise ValidationError(f"{name} must be finite and {kind}, got {v}")
+
+
+def _check_finite(what: str, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValidationError(f"{what} must be finite")
 
 
 def _check_alpha(alpha: float) -> None:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .datamodel import _frozen
-from .errors import ResourceError, ValidationError
+from .errors import ResourceError, ValidationError, _check_finite
 from .mtp import csv_text
 
 DEFAULT_CDF_BUDGET = 10_000
@@ -102,8 +102,7 @@ class EDF:
             raise ValidationError("EDF sample must be 1-d")
         if values.size == 0:
             raise ValidationError("EDF needs a nonempty sample")
-        if not np.isfinite(values).all():
-            raise ValidationError("EDF sample must be finite")
+        _check_finite("EDF sample", values)
         if (values[1:] < values[:-1]).any():
             raise ValidationError("EDF sample must be sorted in nondecreasing order")
         if (isinstance(self.size, bool) or not isinstance(self.size, (int, np.integer))
@@ -240,8 +239,7 @@ def _check_samples(s1, s2) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(s2, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise ValidationError("both samples must be nonempty")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValidationError("samples must be finite")
+    _check_finite("samples", a, b)
     return a, b
 
 

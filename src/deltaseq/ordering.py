@@ -16,8 +16,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .datamodel import MIN_ARRAYS, ExpressionMatrix, _check_labels, _checked_columns, _frozen, table_to_tsv
-from .errors import ValidationError
+from .datamodel import (MIN_ARRAYS, ExpressionMatrix, _check_labels, _checked_columns, _frozen, _Labels,
+                        table_to_tsv)
+from .errors import ValidationError, _check_finite
 from .mtp import csv_text
 
 
@@ -42,8 +43,7 @@ class GeneOrdering:
             raise ValidationError("ordering must have positive even length")
         if np.unique(perm).shape[0] != perm.shape[0]:
             raise ValidationError("permutation entries must be distinct")
-        if not np.isfinite(var).all():
-            raise ValidationError("variances must be finite")
+        _check_finite("variances", var)
         if (np.diff(var) < 0).any():
             raise ValidationError("variances must be non-decreasing along the ranking")
         _frozen(self, permutation=perm, variances=var)
@@ -126,7 +126,8 @@ def delta_sequence(matrix: ExpressionMatrix, ordering: GeneOrdering) -> DeltaMat
     values = matrix.values[high]
     values -= matrix.values[low]
     ids = matrix.gene_ids
-    row_ids = tuple(
+    # distinct by their pair numbers, so held as checked
+    row_ids = _Labels(
         f"pair{i}:{ids[a]}-{ids[b]}"
         for i, (a, b) in enumerate(zip(low.tolist(), high.tolist()), start=1)
     )

@@ -8,6 +8,7 @@ never from the package under test.
 
 import math
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -39,7 +40,7 @@ from deltaseq.synth import (
     generate_null_matrix,
 )
 
-from helpers import enum_pvalue
+from helpers import enum_pvalue, paths_within
 
 
 class _Budget:
@@ -194,7 +195,8 @@ def test_criterion_06_triple_identities():
 
 
 def test_criterion_07_pfer_control():
-    """Mean false-positive count: =9 on uniforms (3 SE), <=9 on discrete exact p."""
+    """Mean false-positive count: =9 on uniforms, and on discrete exact p the
+    exact expectation 2000 * P(D >= 0.8), each within 3 SE."""
     budget = _Budget(120)
     rng = np.random.default_rng(707)
     panels = 10_000
@@ -213,11 +215,20 @@ def test_criterion_07_pfer_control():
         p = exact_pvalues_for_scaled(scaled, 10, 10)
         discrete[i] = extended_bonferroni(p, 9.0).n_rejected
     dmean = float(discrete.mean())
-    assert 0.0 < dmean <= 9.0
+    dse = float(discrete.std(ddof=1)) / math.sqrt(discrete.shape[0])
+    # The null tail P(D >= c/100) of each attainable statistic, by lattice
+    # path count: the threshold 9/2000 rejects exactly D >= 0.8, so the
+    # expected count is 2000 * P(D >= 0.8).
+    total = math.comb(20, 10)
+    tail = {c: Fraction(total - paths_within(10, 10, c - 1), total) for c in range(10, 101, 10)}
+    least = min(c for c, p in tail.items() if p <= Fraction(9, 2000))
+    assert least == 80
+    expected = float(2000 * tail[least])
+    assert abs(dmean - expected) <= 3 * dse
     elapsed = budget.done("criterion 7")
     _report(7, "PFER control",
-            f"uniform mean FP {mean:.3f} (3SE {3*se:.3f}), discrete mean FP {dmean:.2f}",
-            elapsed)
+            f"uniform mean FP {mean:.3f} (3SE {3*se:.3f}), discrete mean FP {dmean:.3f} "
+            f"against exact {expected:.4f} (3SE {3*dse:.3f})", elapsed)
 
 
 def test_criterion_08_stability_variance_contrast():

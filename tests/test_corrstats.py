@@ -61,6 +61,14 @@ class TestPearson:
         with pytest.raises(ValidationError):
             pearson([1.0], [2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        # not read as a zero variance
+        with pytest.raises(ValidationError, match="values must be finite"):
+            pearson([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError, match="values must be finite"):
+            pearson([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False),
                     min_size=3, max_size=12))

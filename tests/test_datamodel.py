@@ -31,6 +31,7 @@ from deltaseq import (
     select_arrays,
 )
 from deltaseq.datamodel import NoiseModel
+from deltaseq.ordering import delta_sequence, delta_to_tsv, variance_ordering
 from helpers import ascii_locale_env, bulk_load_oracle, line_load_oracle, table_to_tsv_oracle
 
 
@@ -781,6 +782,22 @@ class TestUnwritableIds:
         monkeypatch.setattr(datamodel, "_write_rows", None)
         with pytest.raises(ValidationError, match=message):
             datamodel.table_to_tsv(row_ids, col_ids, values)
+
+    def test_writer_takes_a_records_ids_unscanned(self, monkeypatch, tmp_path):
+        # a record's ids were checked where they entered; the writer still
+        # checks their count against the values it is given
+        m = ExpressionMatrix(("g0", "g1"), ("a", "b", "c", "d"), np.arange(8.0).reshape(2, 4), True)
+        dm = delta_sequence(m, variance_ordering(m))
+        text, delta = matrix_to_tsv(m), delta_to_tsv(dm)
+        with pytest.raises(ValidationError, match="row ids: 2 for 3 rows"):
+            datamodel.table_to_tsv(m.gene_ids, m.array_ids, np.zeros((3, 4)))
+        monkeypatch.setattr(datamodel, "_check_labels", None)
+        assert matrix_to_tsv(m) == text
+        save_matrix(m, tmp_path / "m.tsv")
+        assert (tmp_path / "m.tsv").read_text(encoding="utf-8") == text
+        assert delta_to_tsv(dm) == delta
+        with pytest.raises(TypeError):  # a caller's own ids are scanned
+            datamodel.table_to_tsv(list(m.gene_ids), m.array_ids, m.values)
 
     def test_save_refuses_array_id_first(self, tmp_path):
         m = ExpressionMatrix(("g0 ", "g1"), ("a", "b\t", "c", "d"), np.ones((2, 4)), True)

@@ -1,11 +1,12 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaseq import (
@@ -14,7 +15,6 @@ from deltaseq import (
     ResourceError,
     TripleCovarianceModel,
     ValidationError,
-    increment_threshold_soundness_sweep,
     positive_increment_threshold,
     sharp_positive_increment_threshold,
     triple_census,
@@ -118,6 +118,13 @@ class TestTypeATest:
     def test_bad_alpha(self):
         with pytest.raises(ValidationError):
             type_a_test([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 4.0, 8.0], alpha=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        # not a statistic of 0 and a p of 1, nor NaN statistics
+        for x, y in (([1, 2, 3, bad, 5], [1, 2, 3, 4, 6]), ([1, 2, 3, 4, 5], [bad, 2, 3, 4, 6])):
+            with pytest.raises(ValidationError, match="rows must be finite"):
+                type_a_test(x, y)
 
 
 class TestTypeACensus:
@@ -358,6 +365,17 @@ class TestTripleStats:
         ts = triple_stats(x, x.copy(), x * 2)
         assert ts.degenerate
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        x = [1.0, 2.0, 3.0, 4.0, 8.0]
+        with pytest.raises(ValidationError, match="rows must be finite"):
+            triple_stats(x, [2.0 * v for v in x], [1.0, bad, 0.0, 5.0, 2.0])
+
+    def test_rows_of_unequal_length_refused(self):
+        x = [1.0, 2.0, 3.0, 4.0, 8.0]
+        with pytest.raises(ValidationError, match="rows must have equal length"):
+            triple_stats(x, x, x[:4])
+
     def test_threshold_nan_when_sigma_zero(self):
         const = np.full(5, 3.0)
         x = np.array([1.0, 2.0, 3.0, 4.0, 8.0])
@@ -499,10 +517,66 @@ class TestScalarIsCensusRow:
             assert res.is_type_a == bool(ok)
 
 
+# ---------------------------------------------------------------------------
+# The threshold theory, as certificates in Fraction: every quantity below is
+# rational, so each claim is checked exactly, with no tolerance.
+# ---------------------------------------------------------------------------
+
+
+def principal_minors(K):
+    """Every principal minor of a symmetric 3 x 3 matrix; it is positive
+    semidefinite iff all of them are >= 0."""
+    (a, b, c), (_, d, e), (_, _, f) = K
+    return [a, d, f, a * d - b * b, a * f - c * c, d * f - e * e,
+            a * d * f + 2 * b * c * e - a * e * e - d * c * c - f * b * b]
+
+
+def printed_bound(su, sv, sw):
+    """The paper's bound, ``positive_increment_threshold``, in Fraction."""
+    return 1 - (1 - sv / sw) ** 2 * (1 - sv / su) ** 2 / 2
+
+
+def sharp_bound(su, sv, sw, k):
+    """``sharp_positive_increment_threshold`` in Fraction, given the rational
+    square root k of sigma_u^2 + sigma_w^2 - sigma_v^2."""
+    assert k > 0 and k * k == su * su + sw * sw - sv * sv
+    return (sv * sv - su * su + su * k) / (sv * sw)
+
+
+def attaining_structure(su, sv, sw, rho, d):
+    """The correlation matrix of (u, v, w) with rho(v, w) = rho and u a
+    positive multiple of w - v, whose sd d is given; and Cov(v - u, w - v),
+    which this u makes least for the given rho."""
+    assert d > 0 and d * d == sv * sv + sw * sw - 2 * rho * sv * sw
+    ruv = (rho * sv * sw - sv * sv) / (d * sv)
+    ruw = (sw * sw - rho * sv * sw) / (d * sw)
+    cov = rho * sv * sw - sv * sv - ruw * su * sw + ruv * su * sv
+    return [[1, ruv, ruw], [ruv, 1, rho], [ruw, rho, 1]], cov
+
+
+@st.composite
+def square_sigmas(draw):
+    """Rational sigma_u < sigma_v < sigma_w and the rational k > 0 with
+    k^2 = sigma_u^2 + sigma_w^2 - sigma_v^2: for c = sigma_v^2 - sigma_u^2
+    and 0 < t < sigma_v - sigma_u, sigma_w = (c/t + t)/2 and k = (c/t - t)/2."""
+    fractions = st.fractions(Fraction(1, 10), 4, max_denominator=40)
+    su = draw(fractions)
+    sv = su + draw(fractions)
+    t = (sv - su) * draw(st.fractions(Fraction(1, 40), Fraction(39, 40), max_denominator=40))
+    c = sv * sv - su * su
+    sw, k = (c / t + t) / 2, (c / t - t) / 2
+    assert su < sv < sw
+    return su, sv, sw, k
+
+
+# sigma_u, sigma_v, sigma_w: t = 1/2 above, with k = 187/50
+COUNTEREXAMPLE = Fraction(1, 10), Fraction(2), Fraction(106, 25)
+
+
 class TestThreshold:
     def test_known_value(self):
-        # 1 - (1/2) * (1 - 2/3)^2 * (1 - 2)^2 = 1 - 1/18
-        assert positive_increment_threshold(1.0, 2.0, 3.0) == pytest.approx(17 / 18, rel=1e-15)
+        # 1 - (1/2) * (1 - 2/4)^2 * (1 - 2/1)^2 = 7/8, each step exact in floats
+        assert positive_increment_threshold(1.0, 2.0, 4.0) == 0.875
 
     def test_equal_sigmas_give_one(self):
         assert positive_increment_threshold(1.5, 1.5, 1.5) == 1.0
@@ -524,64 +598,28 @@ class TestConsistencyModel:
         assert K[0, 1] == 0.0
 
     def test_unit_variance_boundary(self):
-        # with unit variances the matrix is PSD iff |cov| <= 1/sqrt(2)
-        b = 1 / math.sqrt(2)
-        assert type_a_triple_consistency(TripleCovarianceModel(1, 1, 1, 0.0))
-        assert type_a_triple_consistency(TripleCovarianceModel(1, 1, 1, -0.5))
-        assert type_a_triple_consistency(TripleCovarianceModel(1, 1, 1, b - 1e-12))
-        assert not type_a_triple_consistency(TripleCovarianceModel(1, 1, 1, b + 1e-6))
-        assert not type_a_triple_consistency(TripleCovarianceModel(1, 1, 1, 2.0))
+        # with unit variances the determinant is 1 - 2c^2: PSD iff 2c^2 <= 1,
+        # decided here on the two floats either side of 1/sqrt(2)
+        c = math.sqrt(0.5)
+        below = c if 2 * Fraction(c) ** 2 <= 1 else math.nextafter(c, 0.0)
+        above = math.nextafter(below, 1.0)
+        assert 2 * Fraction(below) ** 2 <= 1 < 2 * Fraction(above) ** 2
+        for cov in (0.0, -0.5, below, -below):
+            assert type_a_triple_consistency(TripleCovarianceModel(1, 1, 1, cov))
+        for cov in (above, -above, 2.0):
+            assert not type_a_triple_consistency(TripleCovarianceModel(1, 1, 1, cov))
+
+    def test_determinant_zero_is_accepted_and_one_ulp_past_refused(self):
+        # det = 2 * 2 * 1 - (2 + 2) * c^2 is exactly 0 at c = 1
+        assert type_a_triple_consistency(TripleCovarianceModel(2.0, 2.0, 1.0, 1.0))
+        assert type_a_triple_consistency(TripleCovarianceModel(2.0, 2.0, 1.0, -1.0))
+        past = math.nextafter(1.0, 2.0)
+        assert not type_a_triple_consistency(TripleCovarianceModel(2.0, 2.0, 1.0, past))
+        assert not type_a_triple_consistency(TripleCovarianceModel(2.0, 2.0, 1.0, -past))
 
     def test_bad_variances(self):
         with pytest.raises(ValidationError):
             TripleCovarianceModel(0.0, 1.0, 1.0, 0.1)
-
-
-class TestSoundnessSweep:
-    def test_counterexamples_are_real(self):
-        sweep = increment_threshold_soundness_sweep(n_cases=5000, seed=0)
-        assert sweep.checked == 5000
-        # the printed bound is NOT sound once the other two correlations
-        # range freely; the sweep documents that with explicit structures
-        assert sweep.n_counterexamples > 0
-        for ex in sweep.counterexamples:
-            su, sv, sw = ex["sigma_u"], ex["sigma_v"], ex["sigma_w"]
-            assert ex["rho_vw"] > positive_increment_threshold(su, sv, sw)
-            assert ex["cov_increments"] <= 0.0
-            # the correlation matrix really is positive semidefinite
-            R = np.array([
-                [1.0, ex["rho_uv"], ex["rho_uw"]],
-                [ex["rho_uv"], 1.0, ex["rho_vw"]],
-                [ex["rho_uw"], ex["rho_vw"], 1.0],
-            ])
-            assert np.linalg.eigvalsh(R)[0] >= -1e-9
-            # and the reported covariance is the population value
-            cov = (ex["rho_vw"] * sv * sw - sv ** 2
-                   - ex["rho_uw"] * su * sw + ex["rho_uv"] * su * sv)
-            assert cov == pytest.approx(ex["cov_increments"], abs=1e-12)
-
-    def test_deterministic(self):
-        a = increment_threshold_soundness_sweep(n_cases=1000, seed=5)
-        b = increment_threshold_soundness_sweep(n_cases=1000, seed=5)
-        assert a.counterexamples == b.counterexamples
-
-    def test_sharp_threshold_has_no_counterexample(self):
-        sweep = increment_threshold_soundness_sweep(
-            n_cases=5000, seed=0, threshold=sharp_positive_increment_threshold)
-        assert sweep.checked == 5000
-        assert sweep.n_counterexamples == 0
-
-
-def extreme_increment_covariance(su, sv, sw, rho_vw):
-    """Cov(v - u, w - v) of the structure that minimises it for the given
-    rho(v, w): u a positive multiple of w - v. Also its correlation matrix
-    of (u, v, w)."""
-    sd = math.sqrt(sv * sv + sw * sw - 2.0 * rho_vw * sv * sw)
-    rho_uv = (rho_vw * sv * sw - sv * sv) / (sd * sv)
-    rho_uw = (sw * sw - rho_vw * sv * sw) / (sd * sw)
-    cov = rho_vw * sv * sw - sv ** 2 - rho_uw * su * sw + rho_uv * su * sv
-    R = np.array([[1.0, rho_uv, rho_uw], [rho_uv, 1.0, rho_vw], [rho_uw, rho_vw, 1.0]])
-    return cov, R
 
 
 class TestSharpThreshold:
@@ -589,25 +627,59 @@ class TestSharpThreshold:
         assert sharp_positive_increment_threshold(0.5, 1.5, 1.5) == 1.0
         assert sharp_positive_increment_threshold(0.5, 0.5, 1.0) == 1.0
 
+    def test_known_value(self):
+        # sigma = (1/2, 3/2, 9/4), k = 7/4: every step before the division
+        # is exact in floats, so the result is rho* = 23/27 correctly rounded
+        rho = sharp_bound(Fraction(1, 2), Fraction(3, 2), Fraction(9, 4), Fraction(7, 4))
+        assert rho == Fraction(23, 27)
+        assert sharp_positive_increment_threshold(0.5, 1.5, 2.25) == float(rho)
+
     def test_ordering_enforced(self):
         with pytest.raises(ValidationError):
             sharp_positive_increment_threshold(2.0, 1.0, 3.0)
 
-    @settings(max_examples=500, deadline=None)
-    @given(sig=st.lists(st.floats(0.2, 2.0), min_size=3, max_size=3).map(sorted))
-    def test_tight_at_the_threshold(self, sig):
-        su, sv, sw = sig
-        assume(sw - sv > 1e-3)
-        rho = sharp_positive_increment_threshold(su, sv, sw)
-        assume(rho < 1.0 - 1e-6)  # rho* = 1 when sigma_u = sigma_v: nothing lies above
-        cov, R = extreme_increment_covariance(su, sv, sw, rho)
-        assert abs(cov) <= 1e-12
-        assert np.linalg.eigvalsh(R)[0] >= -1e-9  # a valid structure
-        above, _ = extreme_increment_covariance(su, sv, sw, rho + 1e-7)
-        assert above > 0.0
-
     def test_printed_bound_is_below_the_sharp_one_at_a_counterexample(self):
-        sweep = increment_threshold_soundness_sweep(n_cases=5000, seed=0)
-        ex = sweep.counterexamples[0]
-        sigmas = ex["sigma_u"], ex["sigma_v"], ex["sigma_w"]
-        assert ex["rho_vw"] <= sharp_positive_increment_threshold(*sigmas)
+        su, sv, sw = COUNTEREXAMPLE
+        printed = printed_bound(su, sv, sw)
+        sharp = sharp_bound(su, sv, sw, Fraction(187, 50))
+        assert printed == Fraction(-138703, 2809)
+        assert sharp == Fraction(1091, 2120)
+        sigmas = tuple(map(float, COUNTEREXAMPLE))
+        assert positive_increment_threshold(*sigmas) < sharp_positive_increment_threshold(*sigmas)
+
+    def test_printed_bound_has_an_exact_counterexample(self):
+        # u a positive multiple of w - v, with sd(w - v) = 4
+        su, sv, sw = COUNTEREXAMPLE
+        d = Fraction(4)
+        rho = (sv * sv + sw * sw - d * d) / (2 * sv * sw)
+        assert printed_bound(su, sv, sw) < rho < sharp_bound(su, sv, sw, Fraction(187, 50))
+        sigmas = tuple(map(float, COUNTEREXAMPLE))
+        assert positive_increment_threshold(*sigmas) < rho < sharp_positive_increment_threshold(*sigmas)
+        R, cov = attaining_structure(su, sv, sw, rho, d)
+        assert all(m >= 0 for m in principal_minors(R))  # a valid structure
+        assert cov == Fraction(-882, 625)  # whose increments do not correlate positively
+
+    @settings(max_examples=300, deadline=None)
+    @given(sig=square_sigmas())
+    def test_tight_at_the_threshold(self, sig):
+        su, sv, sw, k = sig
+        rho = sharp_bound(su, sv, sw, k)
+        assert rho < 1  # so some rho(v, w) lies above it
+        d = (rho * sv * sw - sv * sv) / su  # the sd of w - v where cov is 0
+        R, cov = attaining_structure(su, sv, sw, rho, d)
+        assert all(m >= 0 for m in principal_minors(R))
+        assert cov == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(sig=square_sigmas(),
+           lam=st.fractions(Fraction(1, 1000), Fraction(999, 1000), max_denominator=1000))
+    def test_sharp_threshold_has_no_counterexample(self, sig, lam):
+        # Above rho*, the least Cov(v - u, w - v), rho sigma_v sigma_w -
+        # sigma_v^2 - sigma_u sd(w - v), is positive: its first part is, and
+        # its square exceeds the square of the second.
+        su, sv, sw, k = sig
+        star = sharp_bound(su, sv, sw, k)
+        rho = star + lam * (1 - star)
+        lead = rho * sv * sw - sv * sv
+        assert lead > 0
+        assert lead * lead > su * su * (sv * sv + sw * sw - 2 * rho * sv * sw)
