@@ -37,6 +37,15 @@ docstring says when and how a part forks; the floors are under "Large tables
 in row parts" below). The bytes and values are the same for any number of
 parts; one part forks nothing, and a part whose child fails runs again in
 this process.
+
+A table of at least 1 MiB is parsed once per content: the parsed ids and
+values go to a verified binary entry in the user's cache directory, keyed
+by the SHA-256 of the file's bytes, the header flag and the parser's
+identity, and a later load of the same bytes, in any process, reads the
+entry in place of parsing (``_tablecache``). A hit gives the same ids and
+values bit for bit and passes the same checks; at its peak it holds the
+file's bytes or the values, not both. No report depends on the cache, and
+a cache that cannot be used only costs the parse.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _parts
+from . import _parts, _tablecache
 from .errors import DomainError, ParseError, StateError, ValidationError, _check_positive
 
 MIN_GENES = 2
@@ -61,7 +70,8 @@ MIN_ARRAYS = 4
 class _Labels(tuple):
     """Ids as a record holds them: str, distinct and nonempty, as
     ``_check_labels`` returns them or as a record derives them from such
-    ids. The writer takes them without scanning them again."""
+    ids. They are checked where they enter and not scanned again: a record
+    built from another's ids and the writer take them as they are."""
 
     __slots__ = ()
 
@@ -70,7 +80,8 @@ def _check_labels(values: np.ndarray, row_ids: Sequence[str], col_ids: Sequence[
                   rows: str = "row", columns: str = "column") -> tuple[_Labels, _Labels]:
     """The row and column ids as ``_Labels``; ValidationError for values
     that are not 2-d, or on either axis ids whose count differs from the
-    values', a repeated id or an empty one."""
+    values', a repeated id or an empty one. ``_Labels`` whose count matches
+    are returned as they are."""
     if values.ndim != 2:
         raise ValidationError("values must be a 2-d array")
     out = []
@@ -78,6 +89,9 @@ def _check_labels(values: np.ndarray, row_ids: Sequence[str], col_ids: Sequence[
                                   (col_ids, columns, values.shape[1], "columns")):
         if len(ids) != size:
             raise ValidationError(f"{kind} ids: {len(ids)} for {size} {axis}")
+        if type(ids) is _Labels:
+            out.append(ids)
+            continue
         ids = _Labels(map(str, ids))
         if len(set(ids)) != size:
             seen: set[str] = set()
@@ -179,14 +193,33 @@ def load_matrix(path: str | Path, *, has_header: bool = True, log_scale: bool = 
     """Parse a UTF-8 TSV file into an ExpressionMatrix.
 
     Raises ParseError naming the 1-based line number for structural problems
-    and ValidationError for id or shape violations.
+    and ValidationError for id or shape violations. A table of at least
+    ``_tablecache._CACHE_FLOOR_BYTES`` that this parser has read before is
+    taken from the parsed-table cache (``_tablecache``), with the same ids
+    and values bit for bit and the same checks.
     """
     path = Path(path)
+    data = _read(path)
+    entry = _tablecache._entry_path(data, has_header)
+    if entry is not None and entry.is_file():
+        del data  # the text's bytes are freed before the entry is read
+        table = _tablecache._read_entry(entry)
+        if table is not None:
+            return ExpressionMatrix._adopt(*table, log_scale, finite=False)
+        data = _read(path)  # a damaged entry: parse the text, and write it again
+        entry = _tablecache._entry_path(data, has_header)
+    matrix = ExpressionMatrix._adopt(*_parse_bulk(path, data, has_header), log_scale)
+    del data
+    if entry is not None:
+        _tablecache._store_entry(entry, matrix.gene_ids, matrix.array_ids, matrix.values)
+    return matrix
+
+
+def _read(path: Path) -> bytes:
     try:
-        data = path.read_bytes()
+        return path.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return ExpressionMatrix._adopt(*_parse_bulk(path, data, has_header), log_scale)
 
 
 def _parse_bulk(path: Path, data: bytes, has_header: bool) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
@@ -458,14 +491,18 @@ def save_matrix(matrix: ExpressionMatrix, path: str | Path) -> None:
 # is worth a child only above a floor of work: _LOAD_PART_BYTES of file text,
 # _WRITE_PART_CELLS of values to format. Smaller tables stay serial.
 #
-# The load floor, measured there as the first load of a fresh process, as a
+# The load floor was set there from the first load of a fresh process, as a
 # CLI command makes it, in alternating pairs: two parts lost on the 6 and 12
-# MB tables of the KS benchmark (116 against 109 ms, 231 against 206 ms) and
-# on 14 MiB of the full-precision paper-scale table (329 against 314 ms),
-# and won from 16 MiB on, full-precision or at 3 decimals (197 against
-# 299 ms at 16 MiB, 235 against 340 ms at 19 MB). In a process that had
-# already loaded the same table, two parts won from 3 MiB on, so a warm
-# in-process timing does not set this floor.
+# MB tables of the KS benchmark and on 14 MiB of the full-precision
+# paper-scale table, and won from 16 MiB on. In a process that had already
+# loaded the same table, two parts won from 3 MiB on, so a warm in-process
+# timing does not set this floor. Measured again the same way, with the
+# parsed-table cache off, 12 alternating pairs each (medians): only the win
+# from 16 MiB on reproduced (151 against 229 ms, 12 of 12 pairs). Two parts
+# also won on the 6 and 12 MB tables (68 against 81 ms and 105 against
+# 150 ms, 11 of 12 pairs each) and on 14 MiB (124 against 196 ms, 12 of 12).
+# The floor stays until a benchmark shows the gain: with the cache, each
+# table's text is parsed once, not once per command.
 # ---------------------------------------------------------------------------
 
 _LOAD_PART_BYTES = 8 << 20
@@ -530,5 +567,6 @@ def select_arrays(matrix: ExpressionMatrix, indices: Sequence[int]) -> Expressio
     """Column projection in the order given; indices must be distinct, in
     bounds, and number at least MIN_ARRAYS."""
     idx = _checked_columns(indices, matrix.n_arrays)
-    return ExpressionMatrix._adopt(matrix.gene_ids, tuple(matrix.array_ids[i] for i in idx),
+    # distinct columns of distinct ids
+    return ExpressionMatrix._adopt(matrix.gene_ids, _Labels(matrix.array_ids[i] for i in idx),
                                    matrix.values[:, idx], matrix.log_scale)

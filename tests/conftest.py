@@ -6,6 +6,14 @@ from helpers import child_pids
 
 
 @pytest.fixture(autouse=True)
+def own_table_cache(tmp_path_factory, monkeypatch):
+    """Point the parsed-table cache at a directory of this test's own, so no
+    test writes the user's cache or reads another test's entries; child
+    processes inherit it."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+
+
+@pytest.fixture(autouse=True)
 def no_thread_left_running():
     """Fail a test that leaves a thread running which it did not find."""
     before = set(threading.enumerate())

@@ -303,6 +303,22 @@ class TestPeakMemory:
         for table in (path, odd):
             assert self.peak_kib("check", "--in", table) <= base + 2 * size_kib, table.name
 
+    def test_check_from_the_cache_holds_no_more_than_a_parse(self, chain_4000, tmp_path,
+                                                            monkeypatch):
+        # A miss parses, drops the file's bytes and writes the entry from the
+        # values in place: only the entry's id text is new. A hit drops the
+        # bytes before it reads the values (about 0.4 of them) into place.
+        unusable = tmp_path / "a-file"
+        unusable.write_bytes(b"")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(unusable))  # every load parses
+        parse = self.peak_kib("check", "--in", chain_4000)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        miss = self.peak_kib("check", "--in", chain_4000)
+        assert len(list((tmp_path / "cache" / "deltaseq" / "tables").iterdir())) == 1
+        hit = self.peak_kib("check", "--in", chain_4000)
+        assert miss <= parse + 512
+        assert hit <= parse
+
     def test_jackknife_holds_its_z_scores_twice(self, chain_4000, tmp_path):
         # Past the load, which check measures, the jackknife holds its
         # buffer of z-scores and their pooled sorted copy, 8 bytes each, plus

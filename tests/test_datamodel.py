@@ -423,9 +423,8 @@ class TestRowParts:
         assert got == table_to_tsv_oracle(ids, ["a", "b", "c", "d"], values).encode()
 
     def test_large_tables_split_and_small_ones_do_not(self):
-        # the benchmark's KS inputs are 6 and 12 MB of text, where two parts
-        # lost in a fresh process; from 16 MiB on they won, and the
-        # paper-scale matrix is 35 MB
+        # the floor: the benchmark's KS inputs, 6 and 12 MB of text, load in
+        # one part, and from 16 MiB on in two; the paper-scale matrix is 35 MB
         cpus = _parts._usable_cpus()
         assert _parts._part_count(14 << 20, datamodel._LOAD_PART_BYTES) == 1
         assert _parts._part_count(16 << 20, datamodel._LOAD_PART_BYTES) == min(cpus, 2)
@@ -864,6 +863,19 @@ class TestSelectArrays:
         assert not np.shares_memory(out.values, m.values)
         assert not out.values.flags.writeable
         assert (out.gene_ids, out.log_scale) == (m.gene_ids, m.log_scale)
+
+    def test_takes_the_matrix_ids_unscanned(self):
+        # a checked matrix's gene ids, and the distinct array ids picked
+        # from it, are taken as they are, by select_arrays and by a matrix
+        # built on them; their count is still checked against the values
+        m = small_matrix()
+        out = select_arrays(m, [3, 0, 2, 1])
+        assert out.gene_ids is m.gene_ids
+        assert type(out.array_ids) is datamodel._Labels
+        again = ExpressionMatrix(out.gene_ids, out.array_ids, out.values, True)
+        assert again.gene_ids is m.gene_ids and again.array_ids is out.array_ids
+        with pytest.raises(ValidationError, match="gene ids: 3 for 2 rows"):
+            ExpressionMatrix(m.gene_ids, m.array_ids, m.values[:2], True)
 
     def test_duplicate_index_rejected(self):
         with pytest.raises(ValidationError):
