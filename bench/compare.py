@@ -1,15 +1,11 @@
-"""Print the ratios of a trajectory point, or of two points.
+"""Print the ratios of a trajectory point: the change against its paired parent.
 
-    python bench/compare.py BENCH_x.json            # the change against its paired parent
-    python bench/compare.py BENCH_old.json BENCH_new.json
+    python bench/compare.py bench/BENCH_x.json
 
-With one point, each end-to-end metric's ratio is the change's median over
-the parent's, from the pairs measured together; "lower" counts the pairs in
-which the change read lower. With two points, the ratio is the newer
-point's change median over the older one's. Those were measured in
-different sessions, so no pair joins them and host drift is not cancelled:
-read such a ratio as a trend, not a claim. "digests" says whether the
-report digests of every seed both measured are equal.
+Each end-to-end metric's ratio is the change's median over the parent's,
+from the pairs measured together; "lower" counts the pairs in which the
+change read lower. "digests" says whether the report digests of every seed
+are equal on both sides.
 """
 
 from __future__ import annotations
@@ -19,39 +15,21 @@ import sys
 from pathlib import Path
 
 
-def load(path: str) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
+    if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    points = [load(p) for p in argv]
-    if len(points) == 1:
-        (point,) = points
-        base, new = (point, "parent"), (point, "change")
-        print(f"{point['commit'][:12]} against its parent {point['parent'][:12]}")
-    else:
-        base, new = (points[0], "change"), (points[1], "change")
-        print(f"{points[1]['commit'][:12]} against {points[0]['commit'][:12]} (unpaired)")
-    for workload, entry in new[0]["workloads"].items():
-        old = base[0]["workloads"].get(workload)
-        if old is None:
-            print(f"{workload}: not in the older point")
-            continue
-        seeds = set(old[base[1]]["digests"]) & set(entry[new[1]]["digests"])
-        same = all(old[base[1]]["digests"][s] == entry[new[1]]["digests"][s] for s in seeds)
-        print(f"{workload}: digests {'match' if same else 'DIFFER'} on seeds {sorted(seeds)}")
-        for metric, now in entry[new[1]]["metrics"].items():
-            before = old[base[1]]["metrics"][metric]
-            ratio = now["median"] / before["median"] if before["median"] else float("nan")
-            line = (f"  {metric}: {before['median']:.4g} -> {now['median']:.4g}"
-                    f"  ratio {ratio:.3f}")
-            if len(points) == 1:
-                lower = sum(r["change"][metric] < r["parent"][metric] for r in entry["runs"])
-                line += f"  lower in {lower} of {len(entry['runs'])} pairs"
-            print(line)
+    point = json.loads(Path(argv[0]).read_text(encoding="utf-8"))
+    print(f"{point['commit'][:12]} against its parent {point['parent'][:12]}")
+    for workload, entry in point["workloads"].items():
+        print(f"{workload}: {entry['pairs']} pairs, digests "
+              f"{'match' if entry['digests_match'] else 'DIFFER'} on seeds {entry['seeds']}")
+        for metric, now in entry["change"]["metrics"].items():
+            before = entry["parent"]["metrics"][metric]["median"]
+            ratio = now["median"] / before if before else float("nan")
+            lower = sum(r["change"][metric] < r["parent"][metric] for r in entry["runs"])
+            print(f"  {metric}: {before:.4g} -> {now['median']:.4g}  ratio {ratio:.3f}"
+                  f"  lower in {lower} of {len(entry['runs'])} pairs")
     return 0
 
 

@@ -1,18 +1,18 @@
 """Measure one trajectory point: a commit against its parent, paired.
 
     python bench/point.py --work DIR [--change REV] [--parent REV]
-                          [--seeds 1 2 3 4 5] [--rounds 2] [--seconds 50]
-                          [--workload NAME ...] [--out-dir bench]
 
 Both commits are exported with ``git archive`` into DIR (outside the
 checkout; a ``git worktree`` would leave records in ``.git``), and the
 unchanged ``clibench/run.py`` of each runs there, untraced, on every
-workload and seed, round after round. Within a pair the two commits run back
-to back, the side that goes first alternating from one pair to the next, so
+workload of BENCHMARK.json for its ``run_seconds``, seeds 1-5, in two
+rounds: 10 pairs per workload. Within a pair the two commits run back to
+back, the side that goes first alternating from one pair to the next, so
 host drift falls on both sides alike. Each run gets a fresh, empty
 ``XDG_CACHE_HOME``, so every run starts with a cold parsed-table cache.
+``--change`` and ``--parent`` name older commits, to measure a past point.
 
-The point is written to ``OUT_DIR/BENCH_<short change sha>.json``: both
+The point is written to ``bench/BENCH_<short change sha>.json``: both
 commits and their ``src`` trees, the machine facts, each workload's
 end-to-end metrics per side (median and quartiles over all its runs), every
 pair's values, the per-step medians and the report digests per seed.
@@ -34,7 +34,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+SECONDS = BENCHMARK["run_seconds"]
+SEEDS = (1, 2, 3, 4, 5)
+ROUNDS = 2
 SIDES = ("parent", "change")
 
 
@@ -61,13 +66,13 @@ def summary(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, work: Path) -> dict:
+def run(tree: Path, workload: str, seed: int, work: Path) -> dict:
     """One ``clibench/run.py`` run in ``tree`` with a cold cache: its
     metrics, per-step medians, digest and correctness."""
     cache = Path(tempfile.mkdtemp(prefix="xdg-", dir=work))
     env = {**os.environ, "XDG_CACHE_HOME": str(cache)}
     cmd = [sys.executable, "clibench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     shutil.rmtree(cache, ignore_errors=True)
     lines = proc.stdout.splitlines()
@@ -97,11 +102,6 @@ def main(argv=None) -> int:
                     help="scratch directory outside the checkout for the exported trees")
     ap.add_argument("--change", default="HEAD")
     ap.add_argument("--parent", default=None, help="default: the change's first parent")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    ap.add_argument("--rounds", type=int, default=2)
-    ap.add_argument("--seconds", type=float, default=50.0)
-    ap.add_argument("--workload", nargs="+", default=["ks-jackknife", "ingest-corr"])
-    ap.add_argument("--out-dir", type=Path, default=ROOT / "bench")
     args = ap.parse_args(argv)
 
     shas = {"change": git("rev-parse", f"{args.change}^{{commit}}")}
@@ -114,14 +114,14 @@ def main(argv=None) -> int:
 
     pairs = []
     machine = {}
-    for rnd in range(args.rounds):
-        for seed in args.seeds:
-            for workload in args.workload:
+    for rnd in range(ROUNDS):
+        for seed in SEEDS:
+            for workload in WORKLOADS:
                 first = SIDES[len(pairs) % 2]
                 order = SIDES if first == "parent" else SIDES[::-1]
                 pair = {"workload": workload, "seed": seed, "round": rnd, "first": first}
                 for side in order:
-                    pair[side] = run(trees[side], workload, seed, args.seconds, work)
+                    pair[side] = run(trees[side], workload, seed, work)
                     machine = pair[side].pop("machine") or machine
                 pairs.append(pair)
                 print(f"{time.strftime('%H:%M:%S')} round {rnd} seed {seed} {workload}: " +
@@ -130,7 +130,7 @@ def main(argv=None) -> int:
                       flush=True)
 
     workloads = {}
-    for workload in args.workload:
+    for workload in WORKLOADS:
         mine = [p for p in pairs if p["workload"] == workload]
         entry = {"pairs": len(mine), "seeds": sorted({p["seed"] for p in mine})}
         for side in SIDES:
@@ -156,12 +156,11 @@ def main(argv=None) -> int:
         "commit": shas["change"], "src_tree": git("rev-parse", f"{shas['change']}:src"),
         "parent": shas["parent"], "parent_src_tree": git("rev-parse", f"{shas['parent']}:src"),
         "machine": machine,
-        "settings": {"seconds": args.seconds, "rounds": args.rounds, "seeds": args.seeds,
+        "settings": {"seconds": SECONDS, "rounds": ROUNDS, "seeds": list(SEEDS),
                      "trace": 0, "cache": "cold at the start of every run"},
         "workloads": workloads,
     }
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    out = args.out_dir / f"BENCH_{shas['change'][:7]}.json"
+    out = ROOT / "bench" / f"BENCH_{shas['change'][:7]}.json"
     out.write_text(json.dumps(point, indent=1, sort_keys=True) + "\n")
     for side in SIDES:
         shutil.rmtree(trees[side], ignore_errors=True)

@@ -5,9 +5,11 @@ the same table again in every step. So ``datamodel.load_matrix`` keeps a
 parsed table of at least _CACHE_FLOOR_BYTES in the user's cache directory,
 $XDG_CACHE_HOME/deltaseq/tables or ~/.cache/deltaseq/tables, one file per
 key. The key is the SHA-256 of the file's bytes, whether it has a header
-and the parser's identity: the bytes of ``datamodel.py`` and of this file,
-and the Python and numpy versions, whose str.splitlines, float() and
-np.loadtxt the parse rests on. A repeat load then costs one hash and one
+and the parser's identity: the bytes of every module of the package that
+the load runs (``datamodel``, ``_parts``, which parses a large table in
+forked parts, ``errors`` and this one, _PARSER_SOURCES), and the Python and
+numpy versions, whose str.splitlines, float() and np.loadtxt the parse
+rests on. A repeat load then costs one hash and one
 binary read in place of a parse.
 
 An entry is one header line, "deltaseq-table key m n id-bytes
@@ -57,6 +59,9 @@ import numpy as np
 _CACHE_FLOOR_BYTES = 1 << 20
 _CACHE_CAP_BYTES = 1 << 30
 _ENTRY_MAGIC = b"deltaseq-table"
+# The package's modules that a load imports and runs: datamodel's own
+# imports from the package, and the modules those import.
+_PARSER_SOURCES = ("datamodel.py", "_parts.py", "errors.py", "_tablecache.py")
 
 
 @functools.cache
@@ -66,7 +71,7 @@ def _parser_identity() -> bytes | None:
     be read."""
     here = Path(__file__)
     try:
-        sources = [here.with_name("datamodel.py").read_bytes(), here.read_bytes()]
+        sources = [here.with_name(name).read_bytes() for name in _PARSER_SOURCES]
     except OSError:
         return None
     return hashlib.sha256(b"\0".join([*sources, sys.version.encode(), np.__version__.encode(),

@@ -286,6 +286,15 @@ class TestPeakMemory:
         assert code == 0
         return peak
 
+    @pytest.fixture
+    def parse_every_load(self, tmp_path, monkeypatch):
+        """A cache location that cannot be a directory, so every load parses:
+        a bound measured against ``check`` then compares two parses, not a
+        parse with a hit on the entry it stored."""
+        unusable = tmp_path / "a-file"
+        unusable.write_bytes(b"")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(unusable))
+
     def test_check_holds_its_input_about_once(self, chain_4000, tmp_path):
         # The load holds the file's bytes, the values (about 0.4 of them)
         # and one chunk of temporaries; a second copy of the text, its lines
@@ -304,13 +313,10 @@ class TestPeakMemory:
             assert self.peak_kib("check", "--in", table) <= base + 2 * size_kib, table.name
 
     def test_check_from_the_cache_holds_no_more_than_a_parse(self, chain_4000, tmp_path,
-                                                            monkeypatch):
+                                                            monkeypatch, parse_every_load):
         # A miss parses, drops the file's bytes and writes the entry from the
         # values in place: only the entry's id text is new. A hit drops the
         # bytes before it reads the values (about 0.4 of them) into place.
-        unusable = tmp_path / "a-file"
-        unusable.write_bytes(b"")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(unusable))  # every load parses
         parse = self.peak_kib("check", "--in", chain_4000)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         miss = self.peak_kib("check", "--in", chain_4000)
@@ -319,7 +325,7 @@ class TestPeakMemory:
         assert miss <= parse + 512
         assert hit <= parse
 
-    def test_jackknife_holds_its_z_scores_twice(self, chain_4000, tmp_path):
+    def test_jackknife_holds_its_z_scores_twice(self, chain_4000, tmp_path, parse_every_load):
         # Past the load, which check measures, the jackknife holds its
         # buffer of z-scores and their pooled sorted copy, 8 bytes each, plus
         # one subsample's product and EDF steps and the BLAS buffers (the
@@ -332,7 +338,8 @@ class TestPeakMemory:
         assert peak <= check + 2 * 8 * z_scores / 1024 + (16 << 10)
 
     @pytest.mark.parametrize("mode", ["delta", "expression"])
-    def test_injection_holds_its_pooled_rows_and_ranks(self, chain_4000, tmp_path, mode):
+    def test_injection_holds_its_pooled_rows_and_ranks(self, chain_4000, tmp_path, mode,
+                                                       parse_every_load):
         # Past the load, the injection holds a half of the matrix at a time
         # while it builds that half's 2000 rows; the pooled rows (8 bytes a
         # value) and their int32 ranks then fit where the file's bytes were.
