@@ -194,13 +194,13 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _manifest(outdir: Path, command: str, cfg: dict, inputs: list[str], seed=None) -> None:
+def _manifest(outdir: Path, command: str, cfg: dict, inputs: dict[str, str], seed=None) -> None:
     payload = {
         "command": command,
         "version": __version__,
         "seed": seed,
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()},
-        "inputs": {name: _sha256(name) for name in inputs},
+        "config": cfg,
+        "inputs": inputs,
     }
     (outdir / "manifest.json").write_text(json_dumps(payload), encoding="utf-8")
 
@@ -226,6 +226,8 @@ def _run(command: Command, ns) -> int:
               for p, path in paths]
     result = command.compute(cfg, *inputs)
     if ns.out:
+        # the inputs' digests, taken before an output may overwrite an input
+        digests = {path: _sha256(path) for _, path in paths if path}
         outdir = Path(ns.out)
         outdir.mkdir(parents=True, exist_ok=True)
         for name, text in result.files.items():
@@ -233,8 +235,8 @@ def _run(command: Command, ns) -> int:
                 (outdir / name).write_bytes(text)
             else:
                 (outdir / name).write_text(text, encoding="utf-8")
-        _manifest(outdir, command.name, {**cfg, **result.config},
-                  [path for _, path in paths if path], seed=cfg.get("seed", result.seed))
+        _manifest(outdir, command.name, {**cfg, **result.config}, digests,
+                  seed=cfg.get("seed", result.seed))
     print(result.stdout)
     return 0
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels, _parts
 from .corrstats import _has_collinear_pair, _row_values, _standardized_rows
-from .datamodel import ExpressionMatrix, select_arrays
+from .datamodel import MIN_ARRAYS, ExpressionMatrix, select_arrays
 from .errors import DomainError, ResourceError, ValidationError, _check_alpha, _check_positive
 from .kstest import (
     DEFAULT_CDF_BUDGET,
@@ -184,8 +184,8 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
     whose product and mask take about 360 MB, more than the two copies.
     """
     n = matrix.n_arrays
-    if not (1 <= d <= n - 4):
-        raise ValidationError(f"d must leave at least 4 arrays, got d={d} for n={n}")
+    if not (1 <= d <= n - MIN_ARRAYS):
+        raise ValidationError(f"d must leave at least {MIN_ARRAYS} arrays, got d={d} for n={n}")
     if B < 1:
         raise ValidationError(f"B must be >= 1, got {B}")
     m_even = matrix.n_genes - (matrix.n_genes % 2)
@@ -218,7 +218,7 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
             raise DomainError(_DUPLICATED_INCREMENTS)
         np.arctanh(row, out=row)
         row.sort()
-        edfs.append(EDF(row, pairs))
+        edfs.append(EDF(row))
     center = mean_of_edfs(edfs)
     distances = _parts._map_in_parts(lambda b: kolmogorov_distance(edfs[b], center), B,
                                      np.float64, B * pairs, _DISTANCE_PART_POINTS)
@@ -245,8 +245,8 @@ class InjectionConfig:
 
     def __post_init__(self) -> None:
         s1, s2 = self.split
-        if s1 < 4 or s2 < 4:
-            raise ValidationError(f"each split part needs >= 4 arrays, got {self.split}")
+        if s1 < MIN_ARRAYS or s2 < MIN_ARRAYS:
+            raise ValidationError(f"each split part needs >= {MIN_ARRAYS} arrays, got {self.split}")
         if self.n_modified < 0:
             raise ValidationError("n_modified must be >= 0")
         if not (1 <= self.n1 <= s1) or not (1 <= self.n2 <= s2):

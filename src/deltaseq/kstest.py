@@ -90,11 +90,10 @@ class EDF:
     """Empirical distribution function of a finite sample.
 
     The constructor checks, in O(n), that ``sorted_values`` is a nonempty,
-    1-d, finite, nondecreasing array of ``size`` values, and holds a
-    read-only view of it, not a copy."""
+    1-d, finite, nondecreasing array, and holds a read-only view of it, not
+    a copy."""
 
     sorted_values: np.ndarray
-    size: int
 
     def __post_init__(self) -> None:
         values = np.asarray(self.sorted_values, dtype=np.float64)
@@ -105,15 +104,16 @@ class EDF:
         _check_finite("EDF sample", values)
         if (values[1:] < values[:-1]).any():
             raise ValidationError("EDF sample must be sorted in nondecreasing order")
-        if (isinstance(self.size, bool) or not isinstance(self.size, (int, np.integer))
-                or self.size != values.size):
-            raise ValidationError(f"EDF size must be the sample's {values.size}, got {self.size!r}")
         _frozen(self, sorted_values=values.view())
+
+    @property
+    def size(self) -> int:
+        """The sample's length."""
+        return self.sorted_values.shape[0]
 
     @classmethod
     def from_sample(cls, sample: Sequence[float]) -> "EDF":
-        arr = np.sort(np.asarray(sample, dtype=np.float64).ravel())
-        return cls(arr, arr.size)
+        return cls(np.sort(np.asarray(sample, dtype=np.float64).ravel()))
 
     def as_step(self) -> StepFunction:
         """The EDF's jumps and heights. The number of values at or below
@@ -168,7 +168,7 @@ def mean_of_edfs(edfs: Sequence[EDF]) -> EDF:
         raise ValidationError(f"mean_of_edfs needs equal sample sizes, got {sizes}")
     pooled = np.concatenate([e.sorted_values for e in edfs])
     pooled.sort()
-    return EDF(pooled, pooled.shape[0])
+    return EDF(pooled)
 
 
 def _points(f) -> int:

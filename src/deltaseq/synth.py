@@ -16,13 +16,15 @@ add_noise perturbs an existing matrix per cell or per array.
 
 from __future__ import annotations
 
+import inspect
 import json
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .datamodel import ExpressionMatrix, NoiseModel
+from .datamodel import MIN_ARRAYS, MIN_GENES, ExpressionMatrix, NoiseModel
 from .errors import ValidationError, _check_positive
 
 
@@ -41,8 +43,8 @@ class ChainSpec:
     increment_mean: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.m < 2 or self.n < 4:
-            raise ValidationError(f"need m >= 2 and n >= 4, got m={self.m}, n={self.n}")
+        if self.m < MIN_GENES or self.n < MIN_ARRAYS:
+            raise ValidationError(f"need m >= {MIN_GENES} and n >= {MIN_ARRAYS}, got m={self.m}, n={self.n}")
         if self.chain_length < 2:
             raise ValidationError(f"chain_length must be >= 2, got {self.chain_length}")
         if self.m % self.chain_length != 0:
@@ -78,8 +80,8 @@ def generate_chain_matrix(spec: ChainSpec) -> ExpressionMatrix:
 def generate_null_matrix(m: int, n: int, shared_factor_sd: float, gene_sd: float,
                          seed: int, mean: float = 8.0) -> ExpressionMatrix:
     """Independent Gaussian genes plus an optional per-array shared factor."""
-    if m < 2 or n < 4:
-        raise ValidationError(f"need m >= 2 and n >= 4, got m={m}, n={n}")
+    if m < MIN_GENES or n < MIN_ARRAYS:
+        raise ValidationError(f"need m >= {MIN_GENES} and n >= {MIN_ARRAYS}, got m={m}, n={n}")
     _check_positive("shared_factor_sd", shared_factor_sd, allow_zero=True)
     _check_positive("gene_sd", gene_sd, allow_zero=True)
     rng = np.random.default_rng(seed)
@@ -107,27 +109,32 @@ def add_noise(matrix: ExpressionMatrix, model: NoiseModel, seed: int) -> Express
                             matrix.log_scale)
 
 
-_INT_KEYS = {"m", "n", "chain_length", "seed"}
-_NUMBER_KEYS = {"base_sd", "increment_sd", "shared_factor_sd", "base_mean", "increment_mean",
-                "gene_sd", "mean"}
+# the JSON values a spec field of each declared type takes; bool is refused apart
+_SPEC_TYPES = {int: ("an integer", int), float: ("a number", (int, float))}
 
 
-def _check_spec_types(kind: str, raw: dict) -> None:
-    """Integers (not bool) for the sizes and the seed, numbers (not bool)
-    for the sds and means; keys the generator does not take are left to it."""
+def _checked_spec(kind: str, declaration, raw: dict) -> dict:
+    """``raw`` checked against the parameters of ``declaration``: each key
+    one of them, every one without a default present, and each value of
+    its declared type."""
+    params = inspect.signature(declaration).parameters
+    required = [name for name, p in params.items() if p.default is p.empty]
+    if not set(raw) <= set(params) or not set(required) <= set(raw):
+        optional = [name for name in params if name not in required]
+        raise ValidationError(f"{kind} spec needs {', '.join(required)} and may give "
+                              f"{', '.join(optional)}; got {sorted(raw)}")
+    types = typing.get_type_hints(declaration)
     for key, value in raw.items():
-        if key in _INT_KEYS:
-            ok, want = isinstance(value, int), "an integer"
-        elif key in _NUMBER_KEYS:
-            ok, want = isinstance(value, (int, float)), "a number"
-        else:
-            continue
-        if isinstance(value, bool) or not ok:
+        want, ok = _SPEC_TYPES[types[key]]
+        if isinstance(value, bool) or not isinstance(value, ok):
             raise ValidationError(f"{kind} spec: {key} must be {want}, got {value!r}")
+    return raw
 
 
 def spec_from_json(path: str | Path):
-    """Read a generator spec: {"kind": "chain", ...} or {"kind": "null", ...}.
+    """Read a generator spec: {"kind": "chain", ...} or {"kind": "null", ...},
+    whose other keys are the fields of ChainSpec or the parameters of
+    generate_null_matrix.
 
     Returns (kind, payload) where payload is a ChainSpec or a dict of
     generate_null_matrix keyword arguments.
@@ -140,20 +147,9 @@ def spec_from_json(path: str | Path):
         raise ValidationError(f"generator spec {path} must be an object with a 'kind' key")
     kind = raw.pop("kind")
     if kind == "chain":
-        _check_spec_types(kind, raw)
-        try:
-            return kind, ChainSpec(**raw)
-        except TypeError as exc:
-            raise ValidationError(f"bad chain spec: {exc}") from exc
+        return kind, ChainSpec(**_checked_spec(kind, ChainSpec, raw))
     if kind == "null":
-        allowed = {"m", "n", "shared_factor_sd", "gene_sd", "seed", "mean"}
-        extra = set(raw) - allowed
-        if extra or not {"m", "n", "shared_factor_sd", "gene_sd", "seed"} <= set(raw):
-            raise ValidationError(
-                f"null spec needs m, n, shared_factor_sd, gene_sd, seed; got {sorted(raw)}"
-            )
-        _check_spec_types(kind, raw)
-        return kind, raw
+        return kind, _checked_spec(kind, generate_null_matrix, raw)
     raise ValidationError(f"unknown generator kind {kind!r}")
 
 

@@ -403,35 +403,6 @@ def ks_distance_exact(s1, s2) -> Fraction:
     return best
 
 
-def pearson_fraction(x, y) -> Fraction:
-    """Squared-free exact pearson for rational inputs: returns r as a
-    Fraction ONLY when the denominator is a perfect rational square;
-    otherwise use pearson_float."""
-    n = len(x)
-    x = [Fraction(v) for v in x]
-    y = [Fraction(v) for v in y]
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
-    num = sxy * sxy
-    den = sxx * syy
-    mag2 = num / den
-    root = _fraction_sqrt(mag2)
-    if root is None:
-        raise ValueError("correlation is irrational for these inputs")
-    return root if sxy >= 0 else -root
-
-
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    pn = math.isqrt(q.numerator)
-    pd = math.isqrt(q.denominator)
-    if pn * pn == q.numerator and pd * pd == q.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
 def pearson_float(x, y) -> float:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

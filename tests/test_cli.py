@@ -547,6 +547,16 @@ class TestManifest:
         digest = hashlib.sha256(Path(chain_tsv).read_bytes()).hexdigest()
         assert manifest["inputs"] == {chain_tsv: digest}
 
+    def test_digest_is_of_the_input_as_read_when_an_output_overwrites_it(self, chain_tsv, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        source = out / "delta.tsv"
+        source.write_bytes(Path(chain_tsv).read_bytes())
+        read = hashlib.sha256(source.read_bytes()).hexdigest()
+        assert main(["delta", "--in", str(source), "--out", str(out)]) == 0
+        assert hashlib.sha256(source.read_bytes()).hexdigest() != read  # delta.tsv was rewritten
+        assert read_json(out / "manifest.json")["inputs"] == {str(source): read}
+
 
 class TestExperimentCommands:
     def test_exp_null(self, chain_tsv, tmp_path, capsys):

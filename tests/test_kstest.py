@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -272,22 +273,30 @@ class TestStepFunctions:
         ([1.0, 2.0, math.inf], 3, "must be finite"),
         ([], 0, "nonempty sample"),
         ([[1.0, 2.0]], 2, "1-d"),
-        ([1.0, 2.0], 3, "size must be the sample's 2, got 3"),
-        ([1.0, 2.0], 2.0, "size must be the sample's 2, got 2.0"),
-        ([2.0], True, "size must be the sample's 1, got True"),
     ])
     def test_edf_constructor_checks_its_sample(self, values, size, message):
-        # an unsorted sample read 2/3 at 1.5, where from_sample's EDF reads 1/3
+        # an unsorted sample read 2/3 at 1.5, where from_sample's EDF reads 1/3:
+        # from_sample sorts and flattens its ``size`` values, and refuses the rest
         with pytest.raises(ValidationError, match=message):
-            EDF(np.array(values), size)
+            EDF(np.array(values))
+        try:
+            assert EDF.from_sample(values).size == size
+        except ValidationError as exc:
+            assert re.search(message, str(exc))
 
     def test_edf_holds_a_read_only_view(self):
         values = np.array([1.0, 2.0, 3.0])
-        for e in (EDF(values, 3), EDF.from_sample(values), mean_of_edfs([EDF(values, 3)])):
+        for e in (EDF(values), EDF.from_sample(values), mean_of_edfs([EDF(values)])):
             with pytest.raises(ValueError):
                 e.sorted_values[0] = 9.0
         assert values.flags.writeable
-        assert np.shares_memory(EDF(values, 3).sorted_values, values)
+        assert np.shares_memory(EDF(values).sorted_values, values)
+
+    @pytest.mark.parametrize("values", [[2.0], [1.0, 1.0, 4.0], np.arange(17.0)])
+    def test_edf_size_is_its_samples_length(self, values):
+        e = EDF(np.asarray(values))
+        assert e.size == len(values)
+        assert mean_of_edfs([e, e, e]).size == 3 * len(values)
 
     def test_edf_from_sample_keeps_its_messages(self):
         for sample, message in (([], "EDF needs a nonempty sample"),

@@ -188,3 +188,48 @@ class TestSpecIO:
         path.write_text("{")
         with pytest.raises(ValidationError):
             spec_from_json(path)
+
+
+# every field of each kind's declaration, the defaulted ones among them given
+FULL_SPECS = {
+    "chain": {"m": 8, "n": 6, "chain_length": 2, "base_sd": 0.1, "increment_sd": 0.2,
+              "shared_factor_sd": 0.0, "seed": 3, "base_mean": 7.5, "increment_mean": 0.1},
+    "null": {"m": 8, "n": 6, "shared_factor_sd": 0.5, "gene_sd": 0.3, "seed": 4, "mean": 8.0},
+}
+DEFAULTED = {"chain": {"base_mean", "increment_mean"}, "null": {"mean"}}
+INTEGERS = {"m", "n", "chain_length", "seed"}
+FIELDS = [(kind, key) for kind, spec in FULL_SPECS.items() for key in spec]
+
+
+def read_spec(tmp_path, kind, fields):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": kind, **fields}))
+    return spec_from_json(path)
+
+
+class TestSpecFieldsFromTheDeclaration:
+    @pytest.mark.parametrize("kind", FULL_SPECS)
+    def test_every_field_given_is_accepted(self, kind, tmp_path):
+        _, payload = read_spec(tmp_path, kind, FULL_SPECS[kind])
+        assert spec_to_dict(kind, payload) == {"kind": kind, **FULL_SPECS[kind]}
+
+    @pytest.mark.parametrize("kind, key", FIELDS)
+    def test_a_missing_field_is_refused_unless_defaulted(self, kind, key, tmp_path):
+        fields = {k: v for k, v in FULL_SPECS[kind].items() if k != key}
+        if key in DEFAULTED[kind]:
+            read_spec(tmp_path, kind, fields)  # the declaration's default applies
+        else:
+            with pytest.raises(ValidationError, match=f"^{kind} spec needs "):
+                read_spec(tmp_path, kind, fields)
+
+    @pytest.mark.parametrize("kind", FULL_SPECS)
+    def test_an_unknown_field_is_refused(self, kind, tmp_path):
+        with pytest.raises(ValidationError, match=f"^{kind} spec needs .*; got .*'sd'"):
+            read_spec(tmp_path, kind, {**FULL_SPECS[kind], "sd": 1.0})
+
+    @pytest.mark.parametrize("bad", [True, "1"])
+    @pytest.mark.parametrize("kind, key", FIELDS)
+    def test_a_bool_or_string_field_is_refused(self, kind, key, bad, tmp_path):
+        want = "an integer" if key in INTEGERS else "a number"
+        with pytest.raises(ValidationError, match=f"^{kind} spec: {key} must be {want}, got {bad!r}$"):
+            read_spec(tmp_path, kind, {**FULL_SPECS[kind], key: bad})

@@ -5,7 +5,6 @@ directory costs a parse and changes no result. The floor is patched to 0 so
 that small tables are cached; each test has its own cache directory
 (``conftest.own_table_cache``)."""
 
-import ast
 import os
 import shutil
 import sys
@@ -176,33 +175,19 @@ def test_another_parser_identity_misses(cache, tmp_path, monkeypatch):
     assert len(entries(cache)) == 2
 
 
-@pytest.mark.parametrize("what", [*_tablecache._PARSER_SOURCES, "python", "numpy"])
+@pytest.mark.parametrize("what", [*sorted(p.name for p in Path(datamodel.__file__).parent.glob("*.py")),
+                                  "python", "numpy"])
 def test_parser_identity_names_the_parser(what, monkeypatch):
     identity = _tablecache._parser_identity.__wrapped__
     before = identity()
     read = Path.read_bytes
-    if what.endswith(".py"):  # one more byte in that source file
+    if what.endswith(".py"):  # one more byte in that module of the package
         monkeypatch.setattr(Path, "read_bytes", lambda p: read(p) + b"#" if p.name == what else read(p))
     elif what == "python":
         monkeypatch.setattr(sys, "version", sys.version + "+")
     else:
         monkeypatch.setattr(np, "__version__", np.__version__ + "+")
     assert identity() != before
-
-
-def test_parser_identity_covers_every_module_the_load_imports():
-    # the package's modules reachable by relative imports from datamodel
-    package = Path(datamodel.__file__).parent
-    seen, todo = set(), ["datamodel.py"]
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                todo += [f"{node.module}.py"] if node.module else [f"{a.name}.py" for a in node.names]
-    assert seen == set(_tablecache._PARSER_SOURCES)
 
 
 def test_least_recently_used_entries_go_past_the_cap(cache, tmp_path, monkeypatch):
