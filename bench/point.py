@@ -7,9 +7,10 @@ checkout; a ``git worktree`` would leave records in ``.git``), and the
 unchanged ``clibench/run.py`` of each runs there, untraced, on every
 workload of BENCHMARK.json for its ``run_seconds``, seeds 1-5, in two
 rounds: 10 pairs per workload. Within a pair the two commits run back to
-back, the side that goes first alternating from one pair to the next, so
-host drift falls on both sides alike. Each run gets a fresh, empty
-``XDG_CACHE_HOME``, so every run starts with a cold parsed-table cache.
+back, the side that goes first alternating from one pair of a workload to
+its next (``schedule``), so host drift falls on both sides alike. Each run
+gets a fresh, empty ``XDG_CACHE_HOME``, so every run starts with a cold
+parsed-table cache.
 ``--change`` and ``--parent`` name older commits, to measure a past point.
 
 The point is written to ``bench/BENCH_<short change sha>.json``: both
@@ -59,6 +60,14 @@ def export(sha: str, into: Path) -> Path:
     if archive.wait() != 0:
         raise SystemExit(f"git archive {sha} failed")
     return tree
+
+
+def schedule() -> list[tuple[int, int, str, str]]:
+    """Every pair in run order, as (round, seed, workload, side run first).
+    The first side alternates from one pair of a workload to its next, so
+    each side goes first in half of every workload's pairs."""
+    return [(rnd, seed, workload, SIDES[(rnd * len(SEEDS) + i) % 2])
+            for rnd in range(ROUNDS) for i, seed in enumerate(SEEDS) for workload in WORKLOADS]
 
 
 def summary(values: list[float]) -> dict:
@@ -114,20 +123,17 @@ def main(argv=None) -> int:
 
     pairs = []
     machine = {}
-    for rnd in range(ROUNDS):
-        for seed in SEEDS:
-            for workload in WORKLOADS:
-                first = SIDES[len(pairs) % 2]
-                order = SIDES if first == "parent" else SIDES[::-1]
-                pair = {"workload": workload, "seed": seed, "round": rnd, "first": first}
-                for side in order:
-                    pair[side] = run(trees[side], workload, seed, work)
-                    machine = pair[side].pop("machine") or machine
-                pairs.append(pair)
-                print(f"{time.strftime('%H:%M:%S')} round {rnd} seed {seed} {workload}: " +
-                      ", ".join(f"{m} {pair['parent']['metrics'][m]:.3f} -> "
-                                f"{pair['change']['metrics'][m]:.3f}" for m in METRICS),
-                      flush=True)
+    for rnd, seed, workload, first in schedule():
+        order = SIDES if first == "parent" else SIDES[::-1]
+        pair = {"workload": workload, "seed": seed, "round": rnd, "first": first}
+        for side in order:
+            pair[side] = run(trees[side], workload, seed, work)
+            machine = pair[side].pop("machine") or machine
+        pairs.append(pair)
+        print(f"{time.strftime('%H:%M:%S')} round {rnd} seed {seed} {workload}: " +
+              ", ".join(f"{m} {pair['parent']['metrics'][m]:.3f} -> "
+                        f"{pair['change']['metrics'][m]:.3f}" for m in METRICS),
+              flush=True)
 
     workloads = {}
     for workload in WORKLOADS:

@@ -17,6 +17,8 @@ The library groups into five layers:
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .corrstats import (
     CorrelationSummary,
     Histogram,
@@ -100,27 +102,6 @@ from .synth import (
     generate_null_matrix,
 )
 
-__all__ = [
-    "__version__",
-    "CorrelationSummary", "Histogram", "ZSummary",
-    "all_pairs_summary", "fisher_z", "pearson", "z_summary",
-    "ExpressionMatrix", "NoiseModel",
-    "load_matrix", "log_transform", "matrix_to_tsv", "save_matrix", "select_arrays",
-    "PairCensus", "TripleCensus", "TripleCovarianceModel", "TripleStats", "TypeAResult",
-    "positive_increment_threshold", "sharp_positive_increment_threshold",
-    "triple_census", "triple_stats", "type_a_census", "type_a_test", "type_a_triple_consistency",
-    "DegenerateInputError", "DeltaseqError", "DomainError", "ParseError",
-    "ResourceError", "StateError", "ValidationError",
-    "ConsistencyTrajectory", "ExceedanceResult", "ExperimentReport",
-    "InjectionConfig", "NullSplitResult", "StabilityReport",
-    "cross_phenotype_exceedance", "effect_injection_experiment",
-    "jackknife_stability", "moving_mean_consistency", "null_split_experiment",
-    "two_sample_screen",
-    "EDF", "ExactCdfTable", "KSResult", "StepFunction",
-    "kolmogorov_distance", "ks_exact_cdf", "ks_exact_pvalue",
-    "ks_exact_pvalue_exact", "ks_statistic", "ks_test", "mean_of_edfs",
-    "RejectionReport", "confusion_counts", "extended_bonferroni",
-    "DeltaMatrix", "GeneOrdering",
-    "delta_sequence", "even_rank_genes", "variance_ordering",
-    "ChainSpec", "add_noise", "generate_chain_matrix", "generate_null_matrix",
-]
+# every public name imported above, so this list cannot drift from the imports
+__all__ = ["__version__", *(name for name, value in globals().items()
+                            if not name.startswith("_") and not isinstance(value, _ModuleType))]

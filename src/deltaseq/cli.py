@@ -3,8 +3,9 @@
 Every run that produces files also writes a ``manifest.json`` recording the
 subcommand, the resolved parameters, the seed, and sha256 digests of the
 input files, so a result directory is self-describing. Exit codes: 0 on
-success, 1 for bad input or data problems, 2 when a computation exceeds its
-resource budget, 64 for usage errors.
+success, 64 for usage errors, and by the error hierarchy (``errors``) for the
+rest: 2 for a ResourceError (a computation over its budget), 1 for every
+other DeltaseqError and for an OSError, each as one ``error:`` line.
 
 Each subcommand is one entry of ``COMMANDS``: its parameters, each declared
 once with its default and help, and a compute function that returns the line
@@ -33,14 +34,7 @@ from .dependence import (
     type_a_census,
     triple_census,
 )
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    ParseError,
-    ResourceError,
-    StateError,
-    ValidationError,
-)
+from .errors import DeltaseqError, ParseError, ResourceError, ValidationError
 from .experiments import (
     MODES,
     InjectionConfig,
@@ -55,8 +49,6 @@ from .kstest import DEFAULT_CDF_BUDGET, ks_exact_cdf, ks_exact_pvalue
 from .mtp import json_dumps, report_to_csv, report_to_json
 from .ordering import ROW_KINDS, delta_sequence, delta_to_tsv, ordering_to_csv, rows_under_test, variance_ordering
 from .synth import NoiseModel, add_noise, generate_chain_matrix, generate_null_matrix, spec_from_json, spec_to_dict
-
-_DATA_ERRORS = (ParseError, ValidationError, DomainError, StateError, DegenerateInputError)
 
 
 class UsageError(Exception):
@@ -129,9 +121,7 @@ def _config_scalar_ok(p: Param, value) -> bool:
         return False
     if p.type is int:
         return isinstance(value, int)
-    if p.type is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, str)
+    return isinstance(value, (int, float))
 
 
 def _config_value_ok(p: Param, value) -> bool:
@@ -150,7 +140,7 @@ def _config_expected(p: Param) -> str:
     if p.switch:
         return "true or false"
     kind = (f"one of {', '.join(p.choices)}" if p.choices is not None
-            else {int: "an integer", float: "a number"}.get(p.type, "a string"))
+            else {int: "an integer", float: "a number"}[p.type])
     return kind if p.nargs is None else f"a list of {p.nargs} values, each {kind}"
 
 
@@ -516,13 +506,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (DeltaseqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ from . import _kernels
 from .corrstats import _centred, _corr_centred, _effectively_constant
 from .datamodel import ExpressionMatrix
 from .errors import (DegenerateInputError, ResourceError, ValidationError, _check_alpha, _check_finite,
-                     _check_positive)
+                     _check_positive, _seed_sequence)
 from .mtp import csv_text
 
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
@@ -190,7 +190,7 @@ def type_a_census(matrix: ExpressionMatrix, n_pairs: int, alpha: float = 0.05,
     if not (1 <= n_pairs <= total):
         raise ValidationError(f"n_pairs must lie in [1, {total}], got {n_pairs}")
     _check_alpha(alpha)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     idx, _ = _draw_distinct_tuples(rng, m, 2, n_pairs, np.empty(0, dtype=np.int64))
 
     values = matrix.values
@@ -295,7 +295,7 @@ def triple_census(matrix: ExpressionMatrix, n_triples: int, mode: str = TRIPLE_M
         raise ValidationError(f"n_triples must lie in [1, {total}], got {n_triples}")
     _check_alpha(alpha)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     values = matrix.values
     n = matrix.n_arrays
     var_all = _kernels.row_variances(values)

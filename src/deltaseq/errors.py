@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: validation-type failures
-(ParseError, ValidationError, DomainError, StateError, DegenerateInputError)
-exit 1, ResourceError exits 2. The input checks that several modules share
-are defined here once.
+The CLI maps these onto process exit codes by the hierarchy: ResourceError
+exits 2, every other DeltaseqError exits 1. The input checks that several
+modules share are defined here once, among them the one rule that turns a
+seed into a random stream (``_seed_sequence``).
 """
 
 import math
@@ -54,3 +54,12 @@ def _check_finite(what: str, *arrays: np.ndarray) -> None:
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def _seed_sequence(seed: int, name: str = "seed") -> np.random.SeedSequence:
+    """The root of every random stream: ``seed`` checked, then as a
+    SeedSequence, whose ``default_rng`` draws what ``default_rng(seed)``
+    would."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {seed!r}")
+    return np.random.SeedSequence(seed)

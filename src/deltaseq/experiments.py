@@ -15,7 +15,8 @@ import numpy as np
 from . import _kernels, _parts
 from .corrstats import _has_collinear_pair, _row_values, _standardized_rows
 from .datamodel import MIN_ARRAYS, ExpressionMatrix, select_arrays
-from .errors import DomainError, ResourceError, ValidationError, _check_alpha, _check_positive
+from .errors import (DomainError, ResourceError, ValidationError, _check_alpha, _check_positive,
+                     _seed_sequence)
 from .kstest import (
     DEFAULT_CDF_BUDGET,
     EDF,
@@ -97,9 +98,9 @@ def null_split_experiment(matrix: ExpressionMatrix, n1: int, n2: int, mode: str 
     n = matrix.n_arrays
     if n1 < 1 or n2 < 1 or n1 + n2 > n:
         raise ValidationError(f"need n1, n2 >= 1 with n1+n2 <= {n}, got ({n1}, {n2})")
+    rng = np.random.default_rng(_seed_sequence(seed))
     table = ks_exact_cdf(n1, n2, budget=cdf_budget)
     rows, row_ids = rows_under_test(matrix, kind)
-    rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     g1 = np.sort(perm[:n1])
     g2 = np.sort(perm[n1 : n1 + n2])
@@ -198,7 +199,7 @@ def jackknife_stability(matrix: ExpressionMatrix, d: int, B: int, first_k: int,
             f"of {max_pair_evals}; lower B (--reps) or first_k (--first-k), or raise "
             f"the max_pair_evals argument of jackknife_stability"
         )
-    children = np.random.SeedSequence(seed).spawn(B)
+    children = _seed_sequence(seed).spawn(B)
     # the pairs i < j of a first_k x first_k product, in row-major order
     upper = np.triu(np.ones((first_k, first_k), dtype=bool), 1).ravel()
     z = np.empty((B, pairs))
@@ -351,7 +352,7 @@ def effect_injection_experiment(matrix: ExpressionMatrix, config: InjectionConfi
         raise ValidationError(
             f"split {config.split} needs {s1 + s2} arrays, matrix has {matrix.n_arrays}"
         )
-    ss = np.random.SeedSequence(config.seed)
+    ss = _seed_sequence(config.seed)
     rng = np.random.default_rng(ss)
     perm = rng.permutation(matrix.n_arrays)
     cols1 = np.sort(perm[:s1])

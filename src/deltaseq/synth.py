@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .datamodel import MIN_ARRAYS, MIN_GENES, ExpressionMatrix, NoiseModel
-from .errors import ValidationError, _check_positive
+from .errors import ValidationError, _check_positive, _seed_sequence
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class ChainSpec:
 
 def generate_chain_matrix(spec: ChainSpec) -> ExpressionMatrix:
     """Deterministic in the spec (including its seed)."""
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(_seed_sequence(spec.seed))
     n_chains = spec.m // spec.chain_length
     values = np.empty((spec.m, spec.n), dtype=np.float64)
     gene_ids = []
@@ -84,7 +84,7 @@ def generate_null_matrix(m: int, n: int, shared_factor_sd: float, gene_sd: float
         raise ValidationError(f"need m >= {MIN_GENES} and n >= {MIN_ARRAYS}, got m={m}, n={n}")
     _check_positive("shared_factor_sd", shared_factor_sd, allow_zero=True)
     _check_positive("gene_sd", gene_sd, allow_zero=True)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     values = mean + rng.normal(0.0, gene_sd, size=(m, n)) if gene_sd > 0.0 else np.full((m, n), float(mean))
     if shared_factor_sd > 0.0:
         values = values + rng.normal(0.0, shared_factor_sd, size=n)[None, :]
@@ -96,7 +96,7 @@ def generate_null_matrix(m: int, n: int, shared_factor_sd: float, gene_sd: float
 def add_noise(matrix: ExpressionMatrix, model: NoiseModel, seed: int) -> ExpressionMatrix:
     """Additive Gaussian disturbance: per cell ("gene-array") or one draw per
     array shared by all genes ("array-only")."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed, "noise seed"))
     if model.kind == "gene-array":
         noise = rng.normal(0.0, model.sd, size=matrix.values.shape) if model.sd > 0.0 else 0.0
     else:

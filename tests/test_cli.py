@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 import deltaseq
-from deltaseq import (ExpressionMatrix, NoiseModel, __version__, cli, corrstats, dependence,
-                      experiments, jackknife_stability, kstest)
+from deltaseq import (DeltaseqError, ExpressionMatrix, NoiseModel, ResourceError, __version__, cli,
+                      corrstats, dependence, experiments, jackknife_stability, kstest)
 from deltaseq.cli import main
 from deltaseq.datamodel import matrix_to_tsv, save_matrix
 from deltaseq.synth import ChainSpec, generate_chain_matrix, generate_null_matrix
@@ -90,6 +90,15 @@ def test_settings_are_declared_once_in_the_library():
     assert mode.default == inspect.signature(dependence.triple_census).parameters["mode"].default
     kind = params["synth", "--noise-kind"]
     assert kind.choices == NoiseModel.KINDS and kind.default == NoiseModel.KINDS[0]
+
+
+def test_every_config_parameter_is_a_switch_a_choice_or_a_number():
+    # the kinds a --config value is checked as; no parameter takes free text
+    for command in cli.COMMANDS:
+        for p in command.params:
+            if not p.input:
+                assert p.switch or p.choices is not None or p.type in (int, float), (
+                    command.name, p.flag)
 
 
 class TestExitCodes:
@@ -261,6 +270,75 @@ class TestExitCodes:
         assert err.startswith("error: ") and f"config key {key} " in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, config", [
+        pytest.param(["typea", "--pairs", "10", "--seed", "-1"], None, id="typea"),
+        pytest.param(["triples", "--triples", "5", "--seed", "-2"], None, id="triples"),
+        pytest.param(["exp-null", "--seed", "-3"], None, id="exp-null"),
+        pytest.param(["exp-jackknife", "--d", "4", "--reps", "2", "--first-k", "5",
+                      "--seed", "-4"], None, id="exp-jackknife"),
+        pytest.param(["exp-inject", "--split", "12", "12", "--seed", "-5"], None,
+                     id="exp-inject"),
+        pytest.param(["typea", "--pairs", "10"], {"seed": -6}, id="config"),
+    ])
+    def test_negative_seed(self, argv, config, chain_tsv, tmp_path, capsys):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            argv = [*argv, "--config", str(cfg)]
+        seed = config["seed"] if config else int(argv[-1])
+        out = tmp_path / "o"
+        assert main([*argv, "--in", chain_tsv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: seed must be a non-negative integer, got {seed}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, seed, flags, name", [
+        pytest.param("chain", -3, [], "seed", id="chain-spec"),
+        pytest.param("null", -4, [], "seed", id="null-spec"),
+        pytest.param("null", 21, ["--noise-sd", "0.1", "--noise-seed", "-5"], "noise seed",
+                     id="noise-seed"),
+    ])
+    def test_synth_negative_seed(self, kind, seed, flags, name, tmp_path, capsys):
+        spec = ({"kind": "chain", "m": 16, "n": 8, "chain_length": 4, "base_sd": 0.3,
+                 "increment_sd": 0.3, "shared_factor_sd": 1.0, "seed": seed} if kind == "chain"
+                else {"kind": "null", "m": 12, "n": 8, "shared_factor_sd": 0.5, "gene_sd": 0.2,
+                      "seed": seed})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["synth", "--spec", str(path), *flags, "--out", str(out)]) == 1
+        given = int(flags[-1]) if flags else seed
+        assert capsys.readouterr().err == (
+            f"error: {name} must be a non-negative integer, got {given}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", DeltaseqError.__subclasses__(), ids=lambda e: e.__name__)
+    def test_exit_code_follows_the_error_hierarchy(self, error, chain_tsv, tmp_path, capsys,
+                                                   monkeypatch):
+        def fail(*args, **kwargs):
+            raise error("raised on purpose")
+
+        monkeypatch.setattr(cli, "variance_ordering", fail)
+        out = tmp_path / "o"
+        code = main(["order", "--in", chain_tsv, "--out", str(out)])
+        resource = issubclass(error, ResourceError)
+        assert code == (2 if resource else 1)
+        assert capsys.readouterr().err == (
+            f"{'resource limit' if resource else 'error'}: raised on purpose\n")
+        assert not out.exists()
+
+    def test_out_naming_a_regular_file(self, chain_tsv, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n", encoding="utf-8")
+        assert main(["check", "--in", chain_tsv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and len(err.splitlines()) == 1
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
+    def test_ks_with_neither_d_nor_cdf(self, capsys):
+        assert main(["ks", "--n1", "3", "--n2", "3"]) == 64
+        assert capsys.readouterr().err == "usage error: ks needs --d (or --cdf)\n"
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
@@ -530,6 +608,14 @@ class TestConfigResolution:
         code = main(["corr", "--in", chain_tsv, "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_config_not_an_object(self, chain_tsv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["corr", "--in", chain_tsv, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: config file {cfg} must hold a JSON object\n"
+        assert not out.exists()
 
 
 class TestManifest:
