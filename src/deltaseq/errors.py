@@ -56,7 +56,9 @@ def _check_alpha(alpha: float) -> None:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _seed_sequence(seed: int, name: str = "seed") -> np.random.SeedSequence:
+# the return type is quoted: numpy loads numpy.random on first use, and a
+# command that draws nothing should not pay for loading it
+def _seed_sequence(seed: int, name: str = "seed") -> "np.random.SeedSequence":
     """The root of every random stream: ``seed`` checked, then as a
     SeedSequence, whose ``default_rng`` draws what ``default_rng(seed)``
     would."""
