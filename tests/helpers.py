@@ -331,6 +331,15 @@ def enum_cdf(n1: int, n2: int) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
+def gnedenko_korolyuk_pvalue(k: int, n: int) -> Fraction:
+    """P(D >= k/n) for two samples of n values each, k >= 1, by the
+    Gnedenko-Korolyuk closed form
+    2 * sum_{j >= 1} (-1)^(j+1) C(2n, n - jk) / C(2n, n): a reflection
+    count, with no lattice walk, so it reaches sizes enumeration cannot."""
+    alternating = sum((-1) ** (j + 1) * math.comb(2 * n, n - j * k) for j in range(1, n // k + 1))
+    return Fraction(2 * alternating, math.comb(2 * n, n))
+
+
 def paths_within(n1: int, n2: int, limit: int) -> int:
     """Count monotone paths (0,0) -> (n1,n2) with |i*n2 - j*n1| <= limit at
     every vertex, one limit at a time: a DP over the rows i of the lattice,

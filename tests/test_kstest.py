@@ -21,7 +21,7 @@ from deltaseq import (
     ks_test,
     mean_of_edfs,
 )
-from deltaseq.kstest import _lattice_counts, exact_pvalues_for_scaled
+from deltaseq.kstest import _lattice_counts, _pvalue_from_scaled, exact_pvalues_for_scaled
 
 from helpers import (
     edf_eval,
@@ -30,6 +30,7 @@ from helpers import (
     edf_step_unique,
     enum_cdf,
     enum_pvalue,
+    gnedenko_korolyuk_pvalue,
     ks_distance_exact,
     paths_within,
     step_distance_union,
@@ -132,6 +133,14 @@ class TestExactPValue:
             ks_exact_pvalue(-0.2, 3, 3)
         with pytest.raises(ValidationError):
             ks_exact_pvalue(0.5, 0, 3)
+
+    @pytest.mark.parametrize("n", [*range(1, 61), 100, 200, 300])
+    def test_equal_sizes_match_the_closed_form(self, n):
+        # D = k/n is the scaled statistic k*n; the closed form counts by
+        # reflection, independently of the lattice walk. Every k up to
+        # n = 60, every 7th beyond.
+        for k in range(1, n + 1, 1 if n <= 60 else 7):
+            assert _pvalue_from_scaled(k * n, n, n) == gnedenko_korolyuk_pvalue(k, n), (n, k)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.floats(0.0, 1.0))
