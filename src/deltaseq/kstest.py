@@ -271,19 +271,18 @@ def _lattice_counts(n1: int, n2: int, limits) -> list[int]:
 
     One DP over the pooled positions p = i + j = 1 .. n1+n2 serves every
     limit: row k of ``counts`` holds, for limit k, the paths from (0,0) to
-    each vertex (i, p - i) that stayed inside so far, indexed by i, and row
-    p - 1 of ``h`` holds |i*n2 - j*n1| there. A step adds the paths from
-    (i-1, j) and (i, j-1), then zeroes every vertex outside its band, so a
-    negative limit leaves none. Columns i > p stay 0; those with j > n2
-    fill up, but no path leads from them to (n1, n2)."""
+    each vertex (i, p - i) that stayed inside so far, indexed by i. A step
+    adds the paths from (i-1, j) and (i, j-1), then zeroes every vertex
+    whose |i*n2 - j*n1|, computed for that position alone, lies outside its
+    band, so a negative limit leaves none. Columns i > p stay 0; those with
+    j > n2 fill up, but no path leads from them to (n1, n2)."""
     limits = np.asarray(limits, dtype=np.int64).reshape(-1, 1)
-    p = np.arange(1, n1 + n2 + 1).reshape(-1, 1)
-    h = np.abs(np.arange(n1 + 1) * (n1 + n2) - p * n1)
+    scaled_i = np.arange(n1 + 1) * (n1 + n2)
     counts = np.zeros((limits.shape[0], n1 + 1), dtype=object)
     counts[:, 0] = 1
-    for row in h:
+    for p in range(1, n1 + n2 + 1):
         counts[:, 1:] += counts[:, :-1]
-        counts[row > limits] = 0
+        counts[np.abs(scaled_i - p * n1) > limits] = 0
     return counts[:, n1].tolist()
 
 

@@ -390,6 +390,14 @@ class TestPeakMemory:
         for table in (path, odd):
             assert self.peak_kib("check", "--in", table) <= base + 2 * size_kib, table.name
 
+    def test_ks_pvalue_holds_one_position_of_the_lattice(self):
+        # The path counts at n1 = n2 = 2000 are 2001 Python ints of about
+        # 500 bytes each; the |h| of every position of the lattice at once,
+        # (n1 + n2) x (n1 + 1) int64, would pass the bound by 50 MiB.
+        code, base = own_peak_kib([sys.executable, "-c", "import deltaseq.cli"])
+        assert code == 0
+        assert self.peak_kib("ks", "--d", 0.05, "--n1", 2000, "--n2", 2000) <= base + (8 << 10)
+
     def test_check_from_the_cache_holds_no_more_than_a_parse(self, chain_4000, tmp_path,
                                                             monkeypatch, parse_every_load):
         # A miss parses, drops the file's bytes and writes the entry from the
