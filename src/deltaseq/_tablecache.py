@@ -90,16 +90,17 @@ def _cache_dir() -> Path | None:
     return directory
 
 
-def _entry_path(data: bytes, has_header: bool) -> Path | None:
-    """The path of the entry for a table of these bytes, or None when the
-    table is below the floor or nothing can be cached."""
-    if len(data) < _CACHE_FLOOR_BYTES:
+def _entry_path(digest, size: int, has_header: bool) -> Path | None:
+    """The path of the entry for a table of ``size`` bytes whose SHA-256,
+    as a hashlib object, is ``digest``; None when the table is below the
+    floor or nothing can be cached."""
+    if size < _CACHE_FLOOR_BYTES:
         return None
     identity = _parser_identity()
     directory = _cache_dir() if identity is not None else None
     if directory is None:
         return None
-    key = hashlib.sha256(data)
+    key = digest.copy()  # the file's bytes are hashed once, by the load
     key.update(identity + bytes([has_header]))
     return directory / key.hexdigest()
 

@@ -1,11 +1,14 @@
 """Command line interface.
 
 Every run that produces files also writes a ``manifest.json`` recording the
-subcommand, the resolved parameters, the seed, and sha256 digests of the
-input files, so a result directory is self-describing. Exit codes: 0 on
-success, 64 for usage errors, and by the error hierarchy (``errors``) for the
-rest: 2 for a ResourceError (a computation over its budget), 1 for every
-other DeltaseqError and for an OSError, each as one ``error:`` line.
+subcommand, the resolved parameters, the seed, and the SHA-256 of the bytes
+each input file was read as, so a result directory is self-describing. A
+matrix is read and hashed once, by its load, which gives the digest as the
+matrix's ``sha256``; synth's spec, which compute reads itself, is hashed
+after compute. Exit codes: 0 on success, 64 for usage errors, and by the
+error hierarchy (``errors``) for the rest: 2 for a ResourceError (a
+computation over its budget), 1 for every other DeltaseqError and for an
+OSError, each as one ``error:`` line.
 
 Each subcommand is one entry of ``COMMANDS``: its parameters, each declared
 once with its default and help, and a compute function that returns the line
@@ -69,8 +72,9 @@ class Param:
     its dest), then ``default``; a required one with no value is a usage
     error. An ``input`` flag instead names a file, never comes from the
     config, and lands in the manifest's digests: a ``"matrix"`` is loaded
-    with the command's ``--log2``/``--no-header`` before compute sees it, a
-    ``"file"`` is handed over as its path.
+    with the command's ``--log2``/``--no-header`` before compute sees it,
+    and its digest is the load's; a ``"file"`` is handed over as its path,
+    and hashed after compute.
     """
 
     flag: str
@@ -175,15 +179,6 @@ def _resolve(ns, params: tuple[Param, ...]) -> dict:
     return resolved
 
 
-def _sha256(path: str) -> str:
-    # read in chunks: a whole input file would sit in memory beside the reports
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _manifest(outdir: Path, command: str, cfg: dict, inputs: dict[str, str], seed=None) -> None:
     payload = {
         "command": command,
@@ -196,11 +191,15 @@ def _manifest(outdir: Path, command: str, cfg: dict, inputs: dict[str, str], see
 
 
 def _load(path: str, cfg: dict):
+    """The matrix at ``path`` as compute gets it, and the SHA-256 of the
+    bytes its load read, taken before ``--log2`` derives a matrix without
+    one."""
     matrix = load_matrix(path, has_header=not cfg.get("no_header", False),
                          log_scale=not cfg.get("log2", False))
+    digest = matrix.sha256
     if cfg.get("log2", False):
         matrix = log_transform(matrix, base=2.0)
-    return matrix
+    return matrix, digest
 
 
 def _run(command: Command, ns) -> int:
@@ -211,13 +210,20 @@ def _run(command: Command, ns) -> int:
                if p.required and not p.input and cfg[p.dest] is None]
     if missing:
         raise UsageError(f"{command.name} needs {' and '.join(missing)}")
-    paths = [(p, getattr(ns, p.dest)) for p in command.params if p.input]
-    inputs = [(_load(path, cfg) if p.input == "matrix" else path) if path else None
-              for p, path in paths]
+    digests = {}  # each input's SHA-256, of the bytes it was read as
+    inputs = []
+    for p, path in ((p, getattr(ns, p.dest)) for p in command.params if p.input):
+        if path and p.input == "matrix":
+            matrix, digests[path] = _load(path, cfg)
+            inputs.append(matrix)
+        else:
+            inputs.append(path or None)
     result = command.compute(cfg, *inputs)
     if ns.out:
-        # the inputs' digests, taken before an output may overwrite an input
-        digests = {path: _sha256(path) for _, path in paths if path}
+        # a file compute read itself, hashed before an output may overwrite it
+        for path in inputs:
+            if isinstance(path, str):
+                digests[path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         outdir = Path(ns.out)
         outdir.mkdir(parents=True, exist_ok=True)
         for name, text in result.files.items():

@@ -50,11 +50,12 @@ a cache that cannot be used only costs the parse.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 import mmap
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -122,13 +123,16 @@ class ExpressionMatrix:
 
     Invariants enforced at construction: all values finite, distinct gene and
     array ids, m >= 2 genes and n >= 4 arrays. ``log_scale`` records whether
-    values are already on a log scale.
+    values are already on a log scale. ``sha256`` is the hex SHA-256 of the
+    file bytes ``load_matrix`` read the matrix from, and None for a matrix
+    constructed or derived from another.
     """
 
     gene_ids: tuple[str, ...]
     array_ids: tuple[str, ...]
     values: np.ndarray
     log_scale: bool = False
+    sha256: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self._seal(self.gene_ids, self.array_ids, np.array(self.values, dtype=np.float64, copy=True),
@@ -136,12 +140,14 @@ class ExpressionMatrix:
 
     @classmethod
     def _adopt(cls, gene_ids: Sequence[str], array_ids: Sequence[str], values: np.ndarray,
-               log_scale: bool, finite: bool = True) -> ExpressionMatrix:
+               log_scale: bool, finite: bool = True,
+               sha256: str | None = None) -> ExpressionMatrix:
         """A matrix over ``values`` itself: a float64 array that nothing else
         holds. The id and shape checks still run and the copy does not; nor
         does the finiteness pass while ``finite`` says every value is already
-        known finite (the loader's checked values, a matrix's gathered ones)."""
-        matrix = _frozen(cls.__new__(cls), log_scale=log_scale)
+        known finite (the loader's checked values, a matrix's gathered ones).
+        ``sha256`` is given by the loader alone."""
+        matrix = _frozen(cls.__new__(cls), log_scale=log_scale, sha256=sha256)
         matrix._seal(gene_ids, array_ids, values, finite=finite)
         return matrix
 
@@ -193,22 +199,29 @@ def load_matrix(path: str | Path, *, has_header: bool = True, log_scale: bool = 
     """Parse a UTF-8 TSV file into an ExpressionMatrix.
 
     Raises ParseError naming the 1-based line number for structural problems
-    and ValidationError for id or shape violations. A table of at least
+    and ValidationError for id or shape violations. The file is read and
+    its bytes hashed once: the matrix's ``sha256`` is their digest, and the
+    cache key continues from it (a damaged cache entry costs one more read,
+    whose bytes are parsed and hashed in their turn). A table of at least
     ``_tablecache._CACHE_FLOOR_BYTES`` that this parser has read before is
     taken from the parsed-table cache (``_tablecache``), with the same ids
     and values bit for bit and the same checks.
     """
     path = Path(path)
     data = _read(path)
-    entry = _tablecache._entry_path(data, has_header)
+    digest = hashlib.sha256(data)
+    entry = _tablecache._entry_path(digest, len(data), has_header)
     if entry is not None and entry.is_file():
         del data  # the text's bytes are freed before the entry is read
         table = _tablecache._read_entry(entry)
         if table is not None:
-            return ExpressionMatrix._adopt(*table, log_scale, finite=False)
+            return ExpressionMatrix._adopt(*table, log_scale, finite=False,
+                                           sha256=digest.hexdigest())
         data = _read(path)  # a damaged entry: parse the text, and write it again
-        entry = _tablecache._entry_path(data, has_header)
-    matrix = ExpressionMatrix._adopt(*_parse_bulk(path, data, has_header), log_scale)
+        digest = hashlib.sha256(data)
+        entry = _tablecache._entry_path(digest, len(data), has_header)
+    matrix = ExpressionMatrix._adopt(*_parse_bulk(path, data, has_header), log_scale,
+                                     sha256=digest.hexdigest())
     del data
     if entry is not None:
         _tablecache._store_entry(entry, matrix.gene_ids, matrix.array_ids, matrix.values)

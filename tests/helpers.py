@@ -14,7 +14,8 @@ errors so that they compare with the loader's.
 ``child_pids`` serves the suite's fixture that fails a test leaving a child
 process behind; ``run_under_every_blas_kernel`` runs a script in children
 under each OpenBLAS GEMM kernel the CPU can run; ``own_peak_kib`` measures
-a command's own peak memory.
+a command's own peak memory; ``child_env`` is the environment of a child
+interpreter that imports this checkout.
 """
 
 from __future__ import annotations
@@ -32,13 +33,19 @@ from pathlib import Path
 import numpy as np
 
 
+def child_env(**overrides: str) -> dict[str, str]:
+    """Environment of a child interpreter: this process's, with
+    ``overrides`` set and this checkout's ``src`` on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def ascii_locale_env() -> dict[str, str]:
     """Environment of a child interpreter whose locale encoding is ASCII,
     with this checkout's ``src`` on its path."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
+    return child_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
 
 
 def child_pids() -> set[int]:
@@ -100,11 +107,8 @@ def own_peak_kib(argv: list[str], cwd=None) -> tuple[int, int]:
     and its waited-for children's, such as its forked row parts. The
     command sees this checkout's ``src`` on its path.
     """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _PEAK_LAUNCHER, *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", _PEAK_LAUNCHER, *argv], cwd=cwd,
+                          env=child_env(), capture_output=True, text=True, check=True)
     code, peak = proc.stdout.splitlines()[-1].split()
     return int(code), int(peak)
 

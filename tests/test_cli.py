@@ -1,8 +1,10 @@
 """End-to-end tests of the command line interface.
 
 Everything runs in-process through cli.main(argv) so exit codes and stdout
-are observable without spawning interpreters; only the locale test needs a
-child interpreter, because the locale encoding is fixed at start-up.
+are observable without spawning interpreters. A child interpreter runs the
+locale test, because the locale encoding is fixed at start-up, the count of
+an input's opens, because an audit hook cannot be removed, and the peak
+memory tests.
 """
 
 import ast
@@ -24,7 +26,7 @@ from deltaseq import (DeltaseqError, ExpressionMatrix, NoiseModel, ResourceError
 from deltaseq.cli import main
 from deltaseq.datamodel import matrix_to_tsv, save_matrix
 from deltaseq.synth import ChainSpec, generate_chain_matrix, generate_null_matrix
-from helpers import ascii_locale_env, own_peak_kib
+from helpers import ascii_locale_env, child_env, own_peak_kib
 
 
 @pytest.fixture(scope="session")
@@ -650,6 +652,56 @@ class TestManifest:
         assert main(["delta", "--in", str(source), "--out", str(out)]) == 0
         assert hashlib.sha256(source.read_bytes()).hexdigest() != read  # delta.tsv was rewritten
         assert read_json(out / "manifest.json")["inputs"] == {str(source): read}
+
+    def test_digest_is_of_the_bytes_parsed_when_the_input_is_replaced_after_the_load(
+            self, chain_tsv, tmp_path, monkeypatch):
+        source = tmp_path / "in.tsv"
+        source.write_bytes(Path(chain_tsv).read_bytes())
+        parsed = hashlib.sha256(source.read_bytes()).hexdigest()
+        order = cli.variance_ordering
+
+        def replace_then_order(m):  # compute runs after the load
+            source.write_bytes(source.read_bytes() + b"\n")
+            return order(m)
+
+        monkeypatch.setattr(cli, "variance_ordering", replace_then_order)
+        out = tmp_path / "out"
+        assert main(["order", "--in", str(source), "--out", str(out)]) == 0
+        assert hashlib.sha256(source.read_bytes()).hexdigest() != parsed
+        assert read_json(out / "manifest.json")["inputs"] == {str(source): parsed}
+
+    # Runs a command twice in one interpreter, with every table cached: the
+    # first run parses and stores each input, the second reads the entries.
+    # Prints, per run, the tables parsed and the paths opened, as JSON.
+    OPENS = """
+import json, sys
+from deltaseq import _tablecache, datamodel
+from deltaseq.cli import main
+_tablecache._CACHE_FLOOR_BYTES = 0
+opened, parsed = [], []
+parse = datamodel._parse_bulk
+datamodel._parse_bulk = lambda path, *rest: parsed.append(str(path)) or parse(path, *rest)
+sys.addaudithook(lambda event, args: event == "open" and opened.append(str(args[0])))
+for run in range(2):
+    opened.clear(), parsed.clear()
+    assert main(sys.argv[1:]) == 0
+    print("RUN", json.dumps([sorted(parsed), opened]))
+"""
+
+    def test_each_matrix_input_is_opened_once_on_a_miss_and_on_a_hit(self, null_pair_tsv,
+                                                                     tmp_path):
+        a, b = null_pair_tsv
+        proc = subprocess.run([sys.executable, "-c", self.OPENS, "screen", "--in", a, "--in2", b,
+                               "--out", str(tmp_path / "o")],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs = [json.loads(line[4:]) for line in proc.stdout.splitlines() if line.startswith("RUN ")]
+        assert [parsed for parsed, _ in runs] == [sorted([a, b]), []]  # a miss, then a hit
+        for _, opened in runs:
+            assert (opened.count(a), opened.count(b)) == (1, 1)
+        manifest = read_json(tmp_path / "o" / "manifest.json")
+        assert manifest["inputs"] == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                                      for p in (a, b)}
 
 
 class TestExperimentCommands:

@@ -1,5 +1,7 @@
 import ast
 import errno
+import hashlib
+import inspect
 import os
 import re
 import subprocess
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaseq import _parts, datamodel
+from deltaseq import _parts, datamodel, experiments
 from deltaseq import (
     DeltaseqError,
     DomainError,
@@ -32,6 +34,7 @@ from deltaseq import (
 )
 from deltaseq.datamodel import NoiseModel
 from deltaseq.ordering import delta_sequence, delta_to_tsv, variance_ordering
+from deltaseq.synth import generate_null_matrix
 from helpers import ascii_locale_env, bulk_load_oracle, line_load_oracle, table_to_tsv_oracle
 
 
@@ -95,6 +98,24 @@ class TestExpressionMatrix:
         assert isfinite.call_count == rows.call_count == 1
         assert not m.values.flags.writeable
         assert np.array_equal(m.values, small_matrix().values)
+
+    def test_only_a_load_carries_a_digest(self, tmp_path):
+        # sha256 names the bytes a load read; a matrix constructed, derived
+        # or generated names none. It is no constructor argument, and repr
+        # leaves it out.
+        path = tmp_path / "m.tsv"
+        save_matrix(small_matrix(), path)
+        loaded = load_matrix(path)
+        assert loaded.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        raw = load_matrix(path, log_scale=False)
+        assert raw.sha256 == loaded.sha256
+        unnamed = [small_matrix(), log_transform(raw), select_arrays(loaded, [3, 0, 2, 1]),
+                   experiments._spiked(loaded, np.array([1]), np.array([2.0])),
+                   generate_null_matrix(m=3, n=4, shared_factor_sd=1.0, gene_sd=1.0, seed=1)]
+        assert [m.sha256 for m in unnamed] == [None] * len(unnamed)
+        assert list(inspect.signature(ExpressionMatrix).parameters) == [
+            "gene_ids", "array_ids", "values", "log_scale"]
+        assert "sha256" not in repr(loaded)
 
 
 def test_only_frozen_sets_fields_or_freezes_arrays():

@@ -5,6 +5,7 @@ directory costs a parse and changes no result. The floor is patched to 0 so
 that small tables are cached; each test has its own cache directory
 (``conftest.own_table_cache``)."""
 
+import hashlib
 import os
 import shutil
 import sys
@@ -115,6 +116,43 @@ def test_damaged_entry_is_parsed_again_and_rewritten(damage, cache, tmp_path):
         assert bits(load_matrix(path)) == want
     assert parse.call_count == 1
     assert entry.read_bytes() == good
+
+
+def test_the_digest_is_of_the_bytes_parsed_or_looked_up(cache, tmp_path):
+    path = write(tmp_path / "m.tsv", AWKWARD)
+    first = path.read_bytes()
+    with parses() as parse:
+        parsed, hit = load_matrix(path), load_matrix(path)
+    assert parse.call_count == 1
+    assert parsed.sha256 == hit.sha256 == hashlib.sha256(first).hexdigest()
+    # A damaged entry is parsed from a second read, here of a file replaced
+    # since the first: the digest is of the bytes that second read parsed.
+    (name,) = entries(cache)
+    (cache / name).write_bytes(b"damaged")
+    replaced = AWKWARD[:-1]
+    read = datamodel._read
+
+    def replace_after_the_first_read(p):
+        data = read(p)
+        write(path, replaced)
+        return data
+
+    with mock.patch.object(datamodel, "_read", side_effect=replace_after_the_first_read) as reads:
+        reparsed = load_matrix(path)
+    assert reads.call_count == 2
+    assert reparsed.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert bits(reparsed) == bits(line_load_oracle(path, True))
+
+
+def test_an_entry_is_named_by_the_bytes_the_parser_and_the_header_flag(cache, tmp_path):
+    # sha256(file bytes || parser identity || header byte): the name every
+    # entry has had, so the entries in a user's cache stay valid
+    path = write(tmp_path / "m.tsv", ["g0\t1\t2\t3\t4", "g1\t5\t6\t7\t8", "g2\t9\t10\t11\t12"])
+    load_matrix(path)
+    load_matrix(path, has_header=False)
+    key = path.read_bytes() + _tablecache._parser_identity()
+    assert entries(cache) == sorted(hashlib.sha256(key + bytes([flag])).hexdigest()
+                                    for flag in (False, True))
 
 
 @pytest.mark.parametrize("where", ["a-file", "others-may-write", "another-owner", "unwritable"])
